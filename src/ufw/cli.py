@@ -85,6 +85,13 @@ class _InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as input errors, so they get a JSON body too."""
+
+    def error(self, message):
+        raise _InputError("%s: %s" % (self.prog, message))
+
+
 def _parse_fraction(text):
     try:
         return Fraction(text)
@@ -107,7 +114,7 @@ def _cmd_setfam(args, digests):
     if args.action == "classify":
         verdict = setfam.classify_family(fam)
         result = {"kind": verdict.kind, "witness": verdict.witness}
-        return result, EXIT_OK if verdict.kind == "ultrafilter" else EXIT_OK
+        return result, EXIT_OK
     if args.action == "closure":
         closed = setfam.filter_closure(fam)
         return {"closure": closed.to_json()}, EXIT_OK
@@ -357,9 +364,8 @@ def _cmd_verify(args, digests):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(prog="ufw")
+    parser = _Parser(prog="ufw")
     parser.add_argument("--seed", type=int, default=None, help="random seed (or UFW_SEED)")
-    parser.add_argument("--jobs", type=int, default=None, help="worker count (or UFW_JOBS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("setfam")
@@ -437,16 +443,16 @@ _HANDLERS = {
 
 
 def run(argv):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        return EXIT_INPUT if err.code else EXIT_OK
+        args = _build_parser().parse_args(argv)
+    except _InputError as err:
+        _emit({"error": str(err)}, argv, None, {}, time.monotonic())
+        return EXIT_INPUT
+    except SystemExit:  # --help printed usage; errors raise _InputError instead
+        return EXIT_OK
 
     seed = args.seed if args.seed is not None else int(os.environ.get("UFW_SEED", "0"))
-    jobs = args.jobs if args.jobs is not None else int(os.environ.get("UFW_JOBS", "1"))
     args.seed = seed
-    args.jobs = jobs
 
     digests = {}
     start = time.monotonic()

@@ -7,8 +7,8 @@ significant).  Abstract index sets [m] elsewhere in the package are
 0-based; intervals here start at 1.
 
 Witness searches are deterministic; the universal (for-all-colorings)
-checks behind :func:`threshold_number` run on the kernel backend selected
-in :mod:`ufw.largeness.kernels`, with color 0 pinned at the first domain
+checks behind :func:`threshold_number` run a pruned depth-first search,
+:func:`first_uncovered_coloring`, with color 0 pinned at the first domain
 position (a sound color-symmetry reduction).
 """
 
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from itertools import combinations, product as iproduct
 
 from ..errors import BudgetExhausted
-from .kernels import first_uncovered_coloring
 
 
 @dataclass(frozen=True)
@@ -363,32 +362,87 @@ def coloring_from_index(idx, domain_size, r):
     return tuple(colors)
 
 
-def universal_check(pattern, r, size, backend=None):
+def first_uncovered_coloring(domain_size, r, configs):
+    """Index of the first r-coloring of ``domain_size`` positions with no
+    monochromatic config, or -1 when every coloring has one.
+
+    A config is a tuple of positions.  Colorings are ordered as an odometer
+    (index = Σ colors[p]·r^p, position 0 least significant), and position 0
+    is pinned to color 0, a sound symmetry reduction for universal checks
+    since color permutations preserve monochromatic configs.
+
+    Depth-first search: positions are colored from the most significant
+    down, colors tried in ascending order, so the first full coloring
+    reached has the least index.  Each config is checked once, when its
+    lowest position is colored, and a color completing a monochromatic
+    config is rejected there.  Iterative, so large domains cannot exhaust
+    the recursion limit.
+    """
+    if any(not cfg for cfg in configs):
+        return -1  # an empty config is monochromatic under every coloring
+    # closing[p]: the other positions of each config whose lowest one is p
+    closing = [[] for _ in range(domain_size)]
+    for cfg in configs:
+        low = min(cfg)
+        closing[low].append(tuple(q for q in cfg if q != low))
+    colors = [-1] * domain_size
+    p = domain_size - 1
+    while p >= 0:
+        c = colors[p] + 1
+        if c == (r if p else 1):  # colors at p exhausted: backtrack
+            colors[p] = -1
+            p += 1
+            if p == domain_size:
+                return -1
+            continue
+        colors[p] = c
+        for rest in closing[p]:
+            for q in rest:
+                if colors[q] != c:
+                    break
+            else:
+                break  # monochromatic config: try the next color at p
+        else:
+            p -= 1
+    index = 0
+    for c in reversed(colors):
+        index = index * r + c
+    return index
+
+
+def universal_check(pattern, r, size):
     """(covered, avoiding) — covered is True when every r-coloring of the
     size-``size`` domain contains the pattern; otherwise ``avoiding`` is an
     explicit avoiding coloring (tuple of colors per position)."""
+    _check_colors(r)
     domain, configs = pattern_configs(pattern, size)
-    idx = first_uncovered_coloring(domain, r, configs, fix_first=True, backend=backend)
+    idx = first_uncovered_coloring(domain, r, configs)
     if idx < 0:
         return True, None
     return False, coloring_from_index(idx, domain, r)
 
 
-def threshold_number(pattern, r, cap, backend=None):
+def threshold_number(pattern, r, cap):
     """Least domain size at which the pattern is unavoidable for r colors.
 
     Verified in both directions: an explicit avoiding coloring below the
     threshold, and an exhaustive universal check at it.  ``pattern`` is
     ("ap", len) | ("fs", k) | ("line", sigma) | ("clique", k, m).
     """
+    _check_colors(r)
     last_avoiding = None
     start = 1 if pattern[0] != "clique" else pattern[1]
     for size in range(start, cap + 1):
-        covered, avoiding = universal_check(pattern, r, size, backend=backend)
+        covered, avoiding = universal_check(pattern, r, size)
         if covered:
             return ThresholdResult(pattern, r, size, cap, last_avoiding)
         last_avoiding = avoiding
     return ThresholdResult(pattern, r, None, cap, last_avoiding)
+
+
+def _check_colors(r):
+    if r < 1:
+        raise ValueError("need at least one color, got %d" % r)
 
 
 # --- partition regularity harness and IP* probe ---------------------------

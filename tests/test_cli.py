@@ -66,6 +66,24 @@ def test_unknown_subcommand_is_input_error(capsys):
     capsys.readouterr()
 
 
+def test_usage_error_has_json_body(capsys):
+    code, report = invoke(capsys, ["calc", "delta", "--poly", "x", "-a", "-3/2"])
+    assert code == 3
+    assert report["result"] == {"error": "ufw calc: argument -a: expected one argument"}
+
+
+def test_help_is_success(capsys):
+    assert run(["search", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ufw search")
+
+
+@pytest.mark.parametrize("colors", ["--colors=0", "--colors=-1"])
+def test_search_rejects_fewer_than_one_color(capsys, colors):
+    code, report = invoke(capsys, ["search", "vdw", colors])
+    assert code == 3
+    assert "at least one color" in report["result"]["error"]
+
+
 # --- verification round trip -----------------------------------------------
 
 

@@ -1,15 +1,8 @@
 """Monochromatic-structure searches: frozen threshold oracles, witness
-validity under the independent checkers, kernel backend agreement, and
-exhaustiveness of proven-absent answers."""
+validity under the independent checkers, agreement of the search kernel
+with a brute-force oracle, and exhaustiveness of proven-absent answers."""
 
-import importlib.machinery
-import importlib.util
-import os
-import shutil
-import subprocess
 import sys
-import sysconfig
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +29,7 @@ from ufw.largeness import (
     threshold_number,
     universal_check,
 )
-from ufw.largeness import checkers, kernels
+from ufw.largeness import checkers
 
 
 # --- finite combinations ---------------------------------------------------
@@ -187,6 +180,16 @@ def test_threshold_oracles():
     assert threshold_number(("clique", 2, 3), 2, 8).value == 6
     assert threshold_number(("ap", 3), 2, 12).value == 9
     assert threshold_number(("fs", 2), 2, 8).value == 5
+    # W(4;2) = 35, Schur S(3) = 13 (covered at 14), W(3;3) = 27
+    for pattern, r, cap, value in (
+        (("ap", 4), 2, 36, 35),
+        (("fs", 2), 3, 15, 14),
+        (("ap", 3), 3, 27, 27),
+    ):
+        res = threshold_number(pattern, r, cap)
+        assert res.value == value
+        assert len(res.failure_coloring) == value - 1
+        assert checkers.check_avoiding_coloring(pattern, r, res.failure_coloring)
 
 
 def test_threshold_failure_colorings_recheck():
@@ -214,111 +217,45 @@ def test_threshold_monotone_in_pattern_size():
     assert m4 is None or m3 <= m4
 
 
-# --- kernels ---------------------------------------------------------------
-
-_CKERNELS = "ufw.largeness.kernels._ckernels"
-_REPO = Path(__file__).resolve().parents[1]
+# --- kernel ----------------------------------------------------------------
 
 
-def _missing_build_tool():
-    """Why the shipped C cannot be compiled here, or None if it can."""
-    import setuptools  # noqa: F401  (routes ``distutils`` to setuptools' copy)
-    from distutils.ccompiler import new_compiler
-    from distutils.sysconfig import customize_compiler
-
-    compiler = new_compiler()
-    customize_compiler(compiler)  # honours $CC, as build_ext does
-    if compiler.compiler_type == "unix" and shutil.which(compiler.compiler_so[0]) is None:
-        return "no C compiler: %r not found" % compiler.compiler_so[0]
-    header = os.path.join(sysconfig.get_paths()["include"], "Python.h")
-    if not os.path.exists(header):
-        return "no Python.h at %s" % header
-    return None
-
-
-def _built_kernel(src):
-    """The extension file of the kernel under source root ``src``, or None."""
-    kernels_dir = src / "ufw" / "largeness" / "kernels"
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        if (kernels_dir / ("_ckernels" + suffix)).exists():
-            return kernels_dir / ("_ckernels" + suffix)
-    return None
-
-
-@pytest.fixture(scope="session")
-def compiled_src(tmp_path_factory):
-    """A source root whose ``ufw`` package holds the compiled kernel.
-
-    That is the running package's own root where its extension imports.
-    Otherwise ``setup.py build_ext --inplace`` runs on a copy of ``setup.py``,
-    ``pyproject.toml`` and ``src/ufw`` under pytest's temp dir, so the build
-    is the one ``setup.py`` declares and the working tree is left as it is.
-    Skips only when neither an installed extension nor a C toolchain is
-    present; a build that yields no extension fails.
-    """
-    if kernels._compiled is not None:
-        return Path(kernels.__file__).parents[3]
-    missing = _missing_build_tool()
-    if missing is not None:
-        pytest.skip("compiled kernel not installed and cannot be built: " + missing)
-    root = tmp_path_factory.mktemp("ckernels")
-    for name in ("setup.py", "pyproject.toml"):
-        shutil.copy(_REPO / name, root / name)
-    shutil.copytree(
-        _REPO / "src" / "ufw",
-        root / "src" / "ufw",
-        ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.pyd"),
-    )
-    build = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--inplace"],
-        cwd=root,
-        capture_output=True,
-        text=True,
-    )
-    if build.returncode != 0 or _built_kernel(root / "src") is None:
-        pytest.fail(
-            "setup.py build_ext built no kernel (exit %d)\n%s%s"
-            % (build.returncode, build.stdout, build.stderr)
-        )
-    return root / "src"
-
-
-@pytest.fixture(scope="session")
-def compiled_kernel(compiled_src):
-    """The compiled kernel module: the installed extension where it imports,
-    else the build in ``compiled_src``, loaded from its file and kept out of
-    ``sys.modules`` so that the package's own backend selection is unaffected.
-    """
-    if kernels._compiled is not None:
-        return kernels._compiled
-    spec = importlib.util.spec_from_file_location(_CKERNELS, _built_kernel(compiled_src))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules.pop(_CKERNELS, None)  # the Cython module init registers itself
-    return module
-
-
-@pytest.fixture
-def compiled_backend(compiled_kernel, monkeypatch):
-    """Route ``backend="compiled"`` through the dispatcher to ``compiled_kernel``."""
-    monkeypatch.setattr(kernels, "_compiled", compiled_kernel)
-
-
-def test_compiled_kernel_available(compiled_src):
-    # the package, imported from ``compiled_src``, selects the extension
-    # through its own ``from . import _ckernels``
-    env = {k: v for k, v in os.environ.items() if k != "UFW_PURE_PYTHON"}
-    env["PYTHONPATH"] = str(compiled_src)
-    probe = (
-        "import ufw.largeness as L; from ufw.largeness import kernels as k; "
-        "print(L.backend_name()); print(k._compiled.__file__)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], cwd=compiled_src, env=env,
-        capture_output=True, text=True, check=True,
-    ).stdout.split("\n")
-    assert out[0] == "compiled"
-    assert Path(out[1]).resolve().is_relative_to(Path(compiled_src).resolve())
+def _odometer(domain_size, r, configs, pinned):
+    """Brute-force reference for ``first_uncovered_coloring``, sharing no code
+    with it: scan r-colorings in odometer order (position 0 least
+    significant) and return the index of the first with no monochromatic
+    config, or -1.  ``pinned`` scans only colorings giving position 0 color 0."""
+    step = r if pinned else 1
+    if r == 2:  # bit p of the index is the color of position p
+        masks = [sum(1 << p for p in set(cfg)) for cfg in configs]
+        for index in range(0, 1 << domain_size, step):
+            for m in masks:
+                x = index & m
+                if x == 0 or x == m:
+                    break
+            else:
+                return index
+        return -1
+    colors = [0] * domain_size
+    index = 0
+    while True:
+        for cfg in configs:
+            c = colors[cfg[0]]
+            for p in cfg:
+                if colors[p] != c:
+                    break
+            else:
+                break  # monochromatic config
+        else:
+            return index
+        p = 1 if pinned else 0
+        while p < domain_size and colors[p] == r - 1:
+            colors[p] = 0
+            p += 1
+        if p >= domain_size:
+            return -1
+        colors[p] += 1
+        index += step
 
 
 @pytest.mark.parametrize(
@@ -333,13 +270,50 @@ def test_compiled_kernel_available(compiled_src):
         (("clique", 2, 3), 2, 6),
         (("line", 2), 2, 2),
         (("line", 2), 3, 2),
+        (("ap", 3), 2, 22),
+        (("ap", 4), 2, 26),
+        (("fs", 2), 3, 13),
+        (("ap", 3), 3, 14),
     ],
 )
-def test_backends_agree(pattern, r, size, compiled_backend):
+def test_backends_agree(pattern, r, size):
     domain, configs = pattern_configs(pattern, size)
-    compiled = first_uncovered_coloring(domain, r, configs, backend="compiled")
-    python = first_uncovered_coloring(domain, r, configs, backend="python")
-    assert compiled == python
+    dfs = first_uncovered_coloring(domain, r, configs)
+    assert dfs == _odometer(domain, r, configs, pinned=True)
+    # Unpinned, the least avoiding coloring is the pinned one when it gives
+    # position 0 color 0; otherwise it precedes it.  Either way pinning
+    # never changes whether the pattern is covered.
+    free = _odometer(domain, r, configs, pinned=False)
+    if free < 0 or free % r == 0:
+        assert dfs == free
+    else:
+        assert dfs > free
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(1, 3),
+            st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=4), max_size=12),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_oracle_on_arbitrary_configs(case):
+    n, r, configs = case
+    configs = [tuple(cfg) for cfg in configs]
+    assert first_uncovered_coloring(n, r, configs) == _odometer(n, r, configs, pinned=True)
+
+
+def test_kernel_handles_domains_past_the_recursion_limit():
+    # adjacent positions must differ: the first descent gives the top
+    # position color 0 and fails at the pinned position 0, so the search
+    # backtracks through the whole domain before it finds the alternating
+    # coloring
+    n = 2 * sys.getrecursionlimit()
+    idx = first_uncovered_coloring(n, 2, [(p, p + 1) for p in range(n - 1)])
+    assert idx == sum(1 << p for p in range(1, n, 2))
 
 
 def test_uncovered_index_decodes_to_avoiding_coloring():
@@ -350,10 +324,10 @@ def test_uncovered_index_decodes_to_avoiding_coloring():
     assert colors[0] == 0  # first position pinned by symmetry reduction
 
 
-def test_empty_config_list(request):
-    assert first_uncovered_coloring(3, 2, [], backend="python") == 0
-    request.getfixturevalue("compiled_backend")
-    assert first_uncovered_coloring(3, 2, [], backend="compiled") == 0
+def test_empty_config_list():
+    assert first_uncovered_coloring(3, 2, []) == 0
+    # an empty config (a clique of size 1 has no edges) is vacuously monochromatic
+    assert first_uncovered_coloring(3, 3, [(), (0, 1)]) == -1
 
 
 # --- harness, probes, pigeonhole -------------------------------------------
