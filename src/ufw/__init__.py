@@ -10,18 +10,20 @@ Subpackages:
   folup      first-order structures, ultraproducts, transfer checks
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from . import arrow, discalc, errors, folup, genpoly, largeness, semigroup, setfam
+_SUBPACKAGES = (
+    "arrow", "discalc", "errors", "folup", "genpoly", "largeness", "semigroup", "setfam",
+)
 
-__all__ = [
-    "__version__",
-    "arrow",
-    "discalc",
-    "errors",
-    "folup",
-    "genpoly",
-    "largeness",
-    "semigroup",
-    "setfam",
-]
+__all__ = ["__version__", *_SUBPACKAGES]
+
+
+def __getattr__(name):
+    """Import a subpackage on first access (PEP 562), so that a program
+    loads only the layers it uses."""
+    if name in _SUBPACKAGES:
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

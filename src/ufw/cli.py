@@ -7,7 +7,11 @@ input digests, output digest, wall time).  Numbers that may exceed the
 
 Exit codes: 0 success with a positive result; 1 verified negative (proven
 absent, failed verification, failed axiom); 2 budget or cap exhausted;
-3 input error.
+3 input error.  A run whose stdout closes before the output is written
+(``ufw … | head``) exits 141, the shell's status for SIGPIPE.
+
+Each handler imports the layers it uses, so a call loads only those (and
+numpy only where the transfer sweep or the Weyl sum runs).
 """
 
 import argparse
@@ -18,14 +22,14 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__, arrow, discalc, folup, genpoly, largeness, semigroup, setfam
+from . import __version__
 from .errors import BudgetExhausted, CapExceeded, ParseError, UfwError
-from .largeness import checkers
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_BUDGET = 2
 EXIT_INPUT = 3
+EXIT_PIPE = 141
 
 _BIG = 1 << 53
 
@@ -110,6 +114,8 @@ def _int_list(text):
 
 
 def _cmd_setfam(args, digests):
+    from . import setfam
+
     fam = setfam.SetFamily.from_json(_load_json(args.infile, digests))
     if args.action == "classify":
         verdict = setfam.classify_family(fam)
@@ -128,6 +134,8 @@ def _cmd_setfam(args, digests):
 
 
 def _cmd_sg(args, digests):
+    from . import semigroup, setfam
+
     table = semigroup.CayleyTable.from_json(_load_json(args.infile, digests))
     if args.action == "report":
         return {"report": semigroup.ideal_report(table)}, EXIT_OK
@@ -156,6 +164,8 @@ _SEARCH_PATTERNS = {
 
 
 def _cmd_search(args, digests):
+    from . import largeness
+
     if args.problem == "ipstar":
         members = set(_int_list(args.members))
         report = largeness.ipstar_probe(members, args.n, args.k, scope=args.scope)
@@ -180,6 +190,8 @@ def _cmd_search(args, digests):
 
 
 def _cmd_calc(args, digests):
+    from . import discalc
+
     poly = discalc.RationalPoly.from_json(_load_json(args.poly, digests))
     a = _parse_fraction(args.a)
     if args.action == "delta":
@@ -198,7 +210,7 @@ def _cmd_calc(args, digests):
 
 
 def _real_const(text):
-    from ufw.genpoly import RealConst
+    from .genpoly import RealConst
 
     if text == "pi":
         return RealConst.pi()
@@ -212,6 +224,8 @@ def _real_const(text):
 
 
 def _digit_system(text):
+    from . import genpoly
+
     if text == "fib":
         return genpoly.DigitSystem.fibonacci()
     if text.startswith("base:"):
@@ -222,6 +236,8 @@ def _digit_system(text):
 
 
 def _cmd_gp(args, digests):
+    from . import genpoly
+
     if args.action == "eval":
         expr = genpoly.parse_gpexpr(args.expr)
         value = genpoly.eval_exact(expr, args.n)
@@ -251,6 +267,8 @@ def _cmd_gp(args, digests):
 
 
 def _cmd_arrow(args, digests):
+    from . import arrow, setfam
+
     if args.action == "from-uf":
         u = setfam.SetFamily.from_json(_load_json(args.uf, digests))
         el = arrow.Election(args.voters, args.candidates)
@@ -279,6 +297,8 @@ def _cmd_arrow(args, digests):
 
 
 def _cmd_fol(args, digests):
+    from . import folup, setfam
+
     sig = folup.Signature.from_json(_load_json(args.sig, digests))
     structs = [
         folup.Structure.from_json(sig, _load_json(path, digests)) for path in args.structs
@@ -306,6 +326,8 @@ def _cmd_fol(args, digests):
 def verify_certificate(cert):
     """Re-validate a witness certificate with the independent checkers
     (never the producing search).  Returns (valid, mismatch-or-None)."""
+    from .largeness import checkers
+
     kind = cert.get("kind")
     if kind == "fs":
         ok = checkers.check_fs_witness(
@@ -341,6 +363,8 @@ def verify_certificate(cert):
         )
         return ok, None if ok else "rule disagrees with the claimed dictator"
     if kind == "los":
+        from . import folup, setfam
+
         sig = folup.Signature.from_json(cert["sig"])
         structs = tuple(folup.Structure.from_json(sig, s) for s in cert["structs"])
         u = setfam.SetFamily.from_json(cert["uf"])
@@ -442,6 +466,17 @@ _HANDLERS = {
 }
 
 
+def _seed(flag):
+    """The --seed value, else UFW_SEED, else 0."""
+    if flag is not None:
+        return flag
+    text = os.environ.get("UFW_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise _InputError("UFW_SEED is not an integer: %r" % text)
+
+
 def run(argv):
     try:
         args = _build_parser().parse_args(argv)
@@ -451,12 +486,11 @@ def run(argv):
     except SystemExit:  # --help printed usage; errors raise _InputError instead
         return EXIT_OK
 
-    seed = args.seed if args.seed is not None else int(os.environ.get("UFW_SEED", "0"))
-    args.seed = seed
-
     digests = {}
     start = time.monotonic()
+    seed = None
     try:
+        seed = args.seed = _seed(args.seed)
         result, code = _HANDLERS[args.command](args, digests)
     except _InputError as err:
         _emit({"error": str(err)}, argv, seed, digests, start)
@@ -497,7 +531,16 @@ def _emit(result, argv, seed, digests, start):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull, so that the flush at
+        # interpreter exit cannot fail again, and exit without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from .syntax import (
     print_term,
 )
 from .ultraproduct import UltraproductSpec, los_check, ultraproduct
-from .sweep import exhaustive_transfer_sweep
 
 __all__ = [
     "Signature",
@@ -31,3 +30,13 @@ __all__ = [
     "print_term",
     "ultraproduct",
 ]
+
+
+def __getattr__(name):
+    """The sweep is imported on first use (PEP 562): it needs numpy, which
+    nothing else in the package does."""
+    if name == "exhaustive_transfer_sweep":
+        from .sweep import exhaustive_transfer_sweep
+
+        return exhaustive_transfer_sweep
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

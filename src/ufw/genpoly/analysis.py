@@ -7,8 +7,6 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from ..discalc import sym_delta_k_eval
 from ..errors import Inconclusive, PrecisionExhausted, Underdetermined
 from .expr import (
@@ -85,6 +83,8 @@ def weyl_sum(alphas, ks, N):
         for k, a in zip(ks, alphas):
             iv = a.bracket(64)
             theta_f += k * float((iv.lo + iv.hi) / 2)
+    import numpy as np  # genpoly's only numpy use, so loaded here
+
     n = np.arange(1, N + 1, dtype=np.float64)
     s = np.exp(2j * np.pi * theta_f * n).sum() / N
     return float(abs(s))

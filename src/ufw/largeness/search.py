@@ -290,6 +290,7 @@ def pattern_configs(pattern, size):
     complete k-graph on ``size`` vertices, colex; line → words of Σ^size,
     lex.  Each config is the tuple of positions of one pattern instance.
     """
+    _check_pattern(pattern)
     kind = pattern[0]
     if kind == "ap":
         length = pattern[1]
@@ -430,6 +431,7 @@ def threshold_number(pattern, r, cap):
     ("ap", len) | ("fs", k) | ("line", sigma) | ("clique", k, m).
     """
     _check_colors(r)
+    _check_pattern(pattern)
     last_avoiding = None
     start = 1 if pattern[0] != "clique" else pattern[1]
     for size in range(start, cap + 1):
@@ -443,6 +445,13 @@ def threshold_number(pattern, r, cap):
 def _check_colors(r):
     if r < 1:
         raise ValueError("need at least one color, got %d" % r)
+
+
+def _check_pattern(pattern):
+    if any(p < 0 for p in pattern[1:]):
+        raise ValueError("pattern parameters must be non-negative, got %r" % (pattern,))
+    if pattern[0] == "ap" and pattern[1] < 1:
+        raise ValueError("a progression needs at least one term, got length %d" % pattern[1])
 
 
 # --- partition regularity harness and IP* probe ---------------------------

@@ -2,9 +2,14 @@
 certificate verification round trip."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ufw
 from ufw.cli import run
 from ufw.setfam import GroundSet, principal_ultrafilter
 from ufw.semigroup import CayleyTable
@@ -82,6 +87,43 @@ def test_search_rejects_fewer_than_one_color(capsys, colors):
     code, report = invoke(capsys, ["search", "vdw", colors])
     assert code == 3
     assert "at least one color" in report["result"]["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vdw", "--len", "0"],
+        ["vdw", "--len", "-2"],
+        ["vdw", "--len", "0", "--cap", "0"],
+        ["hj", "--sigma", "-1"],
+        ["hindman", "--k", "-1"],
+        ["ramsey", "--uniform", "-1"],
+        ["ramsey", "--size", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_search_rejects_bad_pattern_parameters(capsys, argv):
+    code, report = invoke(capsys, ["search", *argv])
+    assert code == 3
+    assert set(report["result"]) == {"error"}
+    assert report["result"]["error"].startswith("ValueError: ")
+
+
+@pytest.mark.parametrize(
+    "argv, threshold",
+    [
+        (["hindman", "--k", "0"], 1),
+        (["hj", "--sigma", "0"], 1),
+        (["ramsey", "--uniform", "0"], 3),
+        (["ramsey", "--size", "0"], 2),
+        (["ramsey", "--size", "1"], 2),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_search_degenerate_zero_parameters_still_run(capsys, argv, threshold):
+    code, report = invoke(capsys, ["search", *argv, "--cap", "4"])
+    assert code == 0
+    assert report["result"]["threshold"] == threshold
 
 
 # --- verification round trip -----------------------------------------------
@@ -197,7 +239,38 @@ def test_seed_env_fallback(capsys, monkeypatch):
     assert report["manifest"]["seed"] == 42
 
 
+def test_bad_seed_env_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("UFW_SEED", "abc")
+    code, report = invoke(capsys, ["gp", "eval", "--expr", "n", "-n", "1"])
+    assert code == 3
+    assert report["result"] == {"error": "UFW_SEED is not an integer: 'abc'"}
+    assert report["manifest"]["seed"] is None
+
+
 def test_seed_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("UFW_SEED", "42")
     _, report = invoke(capsys, ["--seed", "7", "gp", "eval", "--expr", "n", "-n", "1"])
     assert report["manifest"]["seed"] == 7
+
+
+# --- process boundary -------------------------------------------------------
+
+
+def test_closed_stdout_exits_without_traceback():
+    # The read end is closed before the child starts, so its first write
+    # fails: what ``ufw … | head`` meets when head exits early.  Stdout is
+    # block-buffered, as by default, so that write is the final flush.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(ufw.__file__).resolve().parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ufw.cli", "search", "vdw", "--len", "3", "--cap", "12"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    stderr = proc.stderr.decode(errors="replace")
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+    assert proc.returncode == 141

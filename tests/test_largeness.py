@@ -217,6 +217,20 @@ def test_threshold_monotone_in_pattern_size():
     assert m4 is None or m3 <= m4
 
 
+@pytest.mark.parametrize(
+    "pattern",
+    [("ap", 0), ("ap", -2), ("fs", -1), ("line", -1), ("clique", -1, 3), ("clique", 2, -1)],
+)
+def test_bad_pattern_parameters_raise(pattern):
+    with pytest.raises(ValueError):
+        pattern_configs(pattern, 4)
+    with pytest.raises(ValueError):
+        universal_check(pattern, 2, 4)
+    # also when the cap leaves no size to scan
+    with pytest.raises(ValueError):
+        threshold_number(pattern, 2, 0)
+
+
 # --- kernel ----------------------------------------------------------------
 
 
