@@ -34,6 +34,9 @@ _ROW_LSB = np.uint64(0x0101010101010101)
 _LOW_ROW = np.uint64(0x00000000000000FF)
 _BYTE_FILL = np.uint64(0xFF)
 
+#: (factor tuple, principal index) pairs evaluated per vectorized batch
+CHUNK = 8192
+
 #: term ids: x, y, f(x,x), f(x,y), f(y,x), f(y,y)
 TERM_ARGS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -216,7 +219,7 @@ def _formula_masks(nodes, ctx, store_limit):
         yield i, m
 
 
-def exhaustive_transfer_sweep(max_x=3, max_nodes=4, chunk=8192):
+def exhaustive_transfer_sweep(max_x=3, max_nodes=4):
     """Run the full sweep; returns a report with the combination count and
     any violations (expected none).
 
@@ -250,8 +253,8 @@ def exhaustive_transfer_sweep(max_x=3, max_nodes=4, chunk=8192):
     one = np.uint64(1)
     checked = 0
     violations = []
-    for start in range(0, len(pairs), chunk):
-        batch = pairs[start : start + chunk]
+    for start in range(0, len(pairs), CHUNK):
+        batch = pairs[start : start + CHUNK]
         ctx = _Contexts([p[0] for p in batch], [p[1] for p in batch], structs)
         n_assign = ctx.universe_sizes.astype(np.int64) ** 2
         fids = ctx.fid

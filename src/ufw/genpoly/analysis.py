@@ -69,6 +69,8 @@ def weyl_sum(alphas, ks, N):
     special case: when k·α is an exact rational integer the summand is
     constantly 1 and the magnitude is returned as exactly 1.0.
     """
+    if N < 1:
+        raise ValueError("N must be at least 1")
     if all(k == 0 for k in ks):
         raise ValueError("k must be non-zero")
     if len(alphas) != len(ks):
@@ -157,13 +159,11 @@ def fit_generating_function(f, generators, d):
     return out
 
 
-def empirical_sym_degree(f, window, trials, seed, cap=8, sampler=None):
+def empirical_sym_degree(f, window, trials, seed, cap=8):
     """Smallest k such that Δ̄^k f is constant on all sampled tuples, with
-    that constant.  A finite-shadow diagnostic: for true polynomials it
+    that constant; each tuple's k+1 points are drawn uniformly from
+    [1..window].  A finite-shadow diagnostic: for true polynomials it
     recovers deg f with constant (−1)^{deg f} f(0).
-
-    ``sampler(rng, k)``, when given, must return a (k+1)-tuple of sample
-    points; the default draws uniformly from [1..window].
     """
     if window < 1 or trials < 1:
         raise ValueError("window and trials must be positive")
@@ -171,10 +171,7 @@ def empirical_sym_degree(f, window, trials, seed, cap=8, sampler=None):
     for k in range(1, cap + 1):
         values = set()
         for _ in range(trials):
-            if sampler is not None:
-                points = sampler(rng, k)
-            else:
-                points = [rng.randint(1, window) for _ in range(k + 1)]
+            points = [rng.randint(1, window) for _ in range(k + 1)]
             values.add(sym_delta_k_eval(f, points))
             if len(values) > 1:
                 break

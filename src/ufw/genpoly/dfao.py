@@ -1,9 +1,8 @@
 """Automatic functions via deterministic finite automata with output.
 
 The automaton reads the base-a digits of n least-significant first (the
-Σ λᵢ·bⁱ pairing aligns output index i with digit index i); a flag allows
-most-significant-first experiments.  f(n) = Σᵢ λ(qᵢ, μᵢ)·bⁱ with
-q₀ = q_init and qᵢ₊₁ = τ(qᵢ, μᵢ).
+Σ λᵢ·bⁱ pairing aligns output index i with digit index i).
+f(n) = Σᵢ λ(qᵢ, μᵢ)·bⁱ with q₀ = q_init and qᵢ₊₁ = τ(qᵢ, μᵢ).
 """
 
 from dataclasses import dataclass
@@ -58,17 +57,14 @@ class Dfao:
         )
 
 
-def dfao_eval(m, n, msd_first=False):
+def dfao_eval(m, n):
     """Run the automaton on the digits of n and collect Σ λᵢ·bⁱ."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    digits = _base_digits(n, m.in_base)
-    if msd_first:
-        digits = digits[::-1]
     state = m.init
     total = 0
     power = 1
-    for d in digits:
+    for d in _base_digits(n, m.in_base):
         total += m.lam[state][d] * power
         state = m.tau[state][d]
         power *= m.out_base

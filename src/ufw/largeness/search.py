@@ -151,7 +151,6 @@ class LineWitness:
 class SearchBudget:
     node_cap: int = 10**7
     time_cap_ms: int = 60000
-    seed: int = 0
 
     def __post_init__(self):
         if self.node_cap <= 0 or self.time_cap_ms <= 0:
@@ -488,6 +487,8 @@ def ipstar_probe(a, n, k, scope="sums"):
     """
     if scope not in ("sums", "generators"):
         raise ValueError("scope must be 'sums' or 'generators'")
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be at least 1")
     a = set(a)
 
     def rec(gens, sums):

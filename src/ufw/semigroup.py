@@ -6,7 +6,6 @@ Elements are 0-based indices; the pair (a, b) in a direct product of orders
 (m, n) becomes index a·n + b.
 """
 
-import random
 from dataclasses import dataclass, field
 
 from .bitsets import indices_of, mask_of
@@ -294,23 +293,19 @@ def right_zero_table(n):
 
 def _partial_assoc_ok(mul, i, j, n):
     """Check every associativity triple that became fully determined when
-    cell (i, j) was filled.  Cells are filled in row-major order, so a cell
-    (a, b) is known iff a < i or (a == i and b <= j).  A triple (a, b, c)
+    cell (i, j) was filled; unfilled cells hold -1.  A triple (a, b, c)
     needs cells (a,b), (b,c), (ab,c), (a,bc); only triples using the new
     cell in one of those roles can have become checkable, which keeps this
     O(n²) per filled cell."""
 
-    def known(a, b):
-        return a < i or (a == i and b <= j)
-
     def triple_ok(a, b, c):
-        if not (known(a, b) and known(b, c)):
-            return True
         ab = mul[a][b]
         bc = mul[b][c]
-        if not (known(ab, c) and known(a, bc)):
+        if ab < 0 or bc < 0:
             return True
-        return mul[ab][c] == mul[a][bc]
+        left = mul[ab][c]
+        right = mul[a][bc]
+        return left < 0 or right < 0 or left == right
 
     # (a, b) = (i, j) or (b, c) = (i, j)
     for c in range(n):
@@ -321,23 +316,20 @@ def _partial_assoc_ok(mul, i, j, n):
             return False
     # (i, j) plays the role of (ab, c) or (a, bc)
     for a in range(n):
+        row = mul[a]
         for b in range(n):
-            if known(a, b) and mul[a][b] == i:
-                if not triple_ok(a, b, j):
-                    return False
-            if known(a, b) and mul[a][b] == j:
-                if not triple_ok(i, a, b):
-                    return False
+            ab = row[b]
+            if ab == i and not triple_ok(a, b, j):
+                return False
+            if ab == j and not triple_ok(i, a, b):
+                return False
     return True
 
 
-def enumerate_associative_tables(n, prefix=()):
-    """Depth-first enumeration of all associative tables of order n, with
-    partial-associativity pruning.
-
-    ``prefix`` fixes the first len(prefix) cells in row-major order, which
-    gives a deterministic work-splitting interface for parallel runs.
-    """
+def enumerate_associative_tables(n):
+    """Depth-first enumeration of all associative tables of order n: cells
+    are filled in row-major order and each value is kept only if partial
+    associativity still holds."""
     cells = [(i, j) for i in range(n) for j in range(n)]
     mul = [[-1] * n for _ in range(n)]
 
@@ -346,38 +338,10 @@ def enumerate_associative_tables(n, prefix=()):
             yield CayleyTable([row[:] for row in mul])
             return
         i, j = cells[pos]
-        choices = (prefix[pos],) if pos < len(prefix) else range(n)
-        for v in choices:
+        for v in range(n):
             mul[i][j] = v
             if _partial_assoc_ok(mul, i, j, n):
                 yield from fill(pos + 1)
         mul[i][j] = -1
 
     yield from fill(0)
-
-
-def sample_associative_tables(n, count, seed=0):
-    """Randomized-backtracking sample of associative tables (with
-    replacement): each draw is one DFS descent with shuffled cell values."""
-    rng = random.Random(seed)
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    out = []
-    while len(out) < count:
-        mul = [[-1] * n for _ in range(n)]
-
-        def descend(pos):
-            if pos == len(cells):
-                return True
-            i, j = cells[pos]
-            values = list(range(n))
-            rng.shuffle(values)
-            for v in values:
-                mul[i][j] = v
-                if _partial_assoc_ok(mul, i, j, n) and descend(pos + 1):
-                    return True
-            mul[i][j] = -1
-            return False
-
-        if descend(0):
-            out.append(CayleyTable([row[:] for row in mul]))
-    return out

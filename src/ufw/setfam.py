@@ -23,7 +23,7 @@ from .errors import (
 #: largest ground size for which operations materialize the full powerset
 POWERSET_CAP = 16
 
-#: default cap for enumerate_ultrafilters
+#: largest ground size for enumerate_ultrafilters
 ULTRAFILTER_CAP = 6
 
 
@@ -234,10 +234,10 @@ def filter_closure(f):
     return SetFamily.from_masks(f.ground, out)
 
 
-def enumerate_ultrafilters(ground, cap=ULTRAFILTER_CAP):
+def enumerate_ultrafilters(ground):
     """All ultrafilters on the ground set: exactly the principal ones."""
-    if ground.size > cap:
-        raise CapExceeded("ground size %d exceeds cap %d" % (ground.size, cap))
+    if ground.size > ULTRAFILTER_CAP:
+        raise CapExceeded("ground size %d exceeds cap %d" % (ground.size, ULTRAFILTER_CAP))
     out = []
     for x in range(ground.size):
         masks = [a for a in range(1 << ground.size) if a & (1 << x)]

@@ -10,6 +10,7 @@ from ufw.arrow import (
     borda_rule,
     check_axioms,
     check_iia,
+    check_monotone,
     check_unanimity,
     decisive_family,
     dictator_rule,
@@ -82,6 +83,21 @@ def test_unanimity_witness_for_antidictator():
     rule = AggregationRule(el, func=lambda orders: tuple(reversed(orders[0])))
     ok, witness = check_unanimity(rule)
     assert not ok and witness is not None
+
+
+def test_monotone_witness_for_antidictator():
+    el = Election(2, 3)
+    rule = AggregationRule(el, func=lambda orders: tuple(reversed(orders[0])))
+    ok, witness = check_monotone(rule)
+    assert (ok, witness) == (False, (0, 12, (1, 0)))
+    # replay: a weakly rises for every voter, the others keep their order,
+    # yet b ≺ a socially before the rise and not after it
+    p1, p2, (b, a) = witness
+    for o1, o2 in zip(profile_orders(el, p1), profile_orders(el, p2)):
+        assert [c for c in o1 if c != a] == [c for c in o2 if c != a]
+        assert o1.index(a) <= o2.index(a)
+    assert prec(rule.order(p1), b, a)
+    assert not prec(rule.order(p2), b, a)
 
 
 def test_rules_reject_non_order_output():

@@ -99,6 +99,9 @@ def test_search_rejects_fewer_than_one_color(capsys, colors):
         ["hindman", "--k", "-1"],
         ["ramsey", "--uniform", "-1"],
         ["ramsey", "--size", "-1"],
+        ["ipstar", "--n", "-1", "--k", "-1"],
+        ["ipstar", "--n", "5", "--k", "0"],
+        ["ipstar", "--n", "0"],
     ],
     ids=" ".join,
 )

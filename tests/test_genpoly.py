@@ -281,6 +281,13 @@ def test_weyl_sqrt2_small():
     assert weyl_sum([RealConst.sqrt(2)], [1], 10**5) <= 0.02
 
 
+@pytest.mark.parametrize("N", [0, -5])
+@pytest.mark.parametrize("alpha", [RealConst.sqrt(2), RealConst.rational(Fraction(1, 4))])
+def test_weyl_rejects_empty_range(alpha, N):
+    with pytest.raises(ValueError):
+        weyl_sum([alpha], [4], N)
+
+
 def test_fit_exact_linear():
     gens = [3, 5, 9, 17]
     out = fit_generating_function(lambda s: 2 * s + 1, gens, 1)
