@@ -11,7 +11,7 @@ witnesses reference profile indices, so they are stable across runs.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations, product
 from math import factorial
 
 from .bitsets import indices_of, mask_of
@@ -91,7 +91,8 @@ class AggregationRule:
             if len(table) != election.profile_count:
                 raise ValueError("table must cover every profile")
             for pidx, oi in enumerate(table):
-                if not 0 <= oi < len(orders):
+                # type(), not isinstance(): True and False are ints too
+                if type(oi) is not int or not 0 <= oi < len(orders):
                     raise NotStrictOrder(
                         "output %r at profile %d is not a strict order" % (oi, pidx),
                         profile_index=pidx,
@@ -177,49 +178,131 @@ def _ordered_pairs(m):
     return [(a, b) for a in range(m) for b in range(m) if a != b]
 
 
+@dataclass(frozen=True)
+class _RankTable:
+    """What the axiom checks read of an election, decoded once.
+
+    ``pos[o][c]`` is candidate c's place in order o (0 = worst), and
+    ``below[o][c]`` the mask of candidates ranked below c in o.
+    ``raised[o][c]`` is the order index of o with c moved one place up, or
+    None when c is o's top.  ``profiles[p]`` holds profile p's per-voter
+    order indices, and ``weights[v]`` the place value of voter v's digit in
+    a profile index."""
+
+    pos: tuple
+    below: tuple
+    raised: tuple
+    profiles: tuple
+    weights: tuple
+
+
+@lru_cache(maxsize=4)
+def _rank_table(election):
+    m = election.candidates
+    orders = all_orders(m)
+    lookup = _order_index(m)
+    pos = tuple(tuple(o.index(c) for c in range(m)) for o in orders)
+    below = tuple(tuple(mask_of(o[: p[c]]) for c in range(m)) for o, p in zip(orders, pos))
+    raised = []
+    for o, p in zip(orders, pos):
+        row = []
+        for c in range(m):
+            i = p[c]
+            if i == m - 1:
+                row.append(None)
+            else:
+                row.append(lookup[o[:i] + (o[i + 1], c) + o[i + 2 :]])
+        raised.append(tuple(row))
+    k = len(orders)
+    n = election.voters
+    return _RankTable(
+        pos=pos,
+        below=below,
+        raised=tuple(raised),
+        profiles=tuple(product(range(k), repeat=n)),
+        weights=tuple(k ** (n - 1 - v) for v in range(n)),
+    )
+
+
+def _precedes(ranks, a, b):
+    """lt[o]: a ≺ b in order o, for every order index o."""
+    return [p[a] < p[b] for p in ranks.pos]
+
+
 def check_iia(rule):
     """(IIA): profiles agreeing on every voter's a-vs-b comparison must agree
     on the social a-vs-b comparison."""
     el = rule.election
-    for a, b in _ordered_pairs(el.candidates):
+    ranks = _rank_table(el)
+    table = rule.table
+    # (b, a) groups the same profiles as (a, b) with every comparison
+    # flipped, and comes later in the scan order of ordered pairs, so the
+    # pairs with a < b find the same first witness
+    for a, b in combinations(range(el.candidates), 2):
+        lt = _precedes(ranks, a, b)
         groups = {}
-        for pidx in range(el.profile_count):
-            key = tuple(prec(o, a, b) for o in profile_orders(el, pidx))
-            soc = prec(rule.order(pidx), a, b)
-            if key not in groups:
-                groups[key] = (pidx, soc)
-            elif groups[key][1] != soc:
-                return False, (groups[key][0], pidx, (a, b))
+        for pidx, orders in enumerate(ranks.profiles):
+            soc = lt[table[pidx]]
+            first, first_soc = groups.setdefault(tuple(map(lt.__getitem__, orders)), (pidx, soc))
+            if first_soc != soc:
+                return False, (first, pidx, (a, b))
     return True, None
 
 
 def check_monotone(rule):
     """(M): if candidate a weakly rises in every voter's order while all
-    other relative comparisons are fixed, a's social standing cannot drop."""
+    other relative comparisons are fixed, a's social standing cannot drop.
+
+    Such rises form a product of per-voter chains, whose covering steps are
+    single raises: one voter moves a one place up.  So {p : b ≺_soc a} is
+    closed under rises iff it is closed under single raises, and the check
+    visits profiles × voters × candidates raises (Kirman–Sondermann).  Only a
+    failure pays for the search of the first witness in scan order."""
     el = rule.election
+    ranks = _rank_table(el)
+    table, below, raised, weights = rule.table, ranks.below, ranks.raised, ranks.weights
     for a in range(el.candidates):
-        groups = {}
-        for pidx in range(el.profile_count):
-            orders = profile_orders(el, pidx)
-            key = tuple(tuple(c for c in o if c != a) for o in orders)
-            groups.setdefault(key, []).append(pidx)
-        for pidxs in groups.values():
-            for p1 in pidxs:
-                orders1 = profile_orders(el, p1)
-                below1 = [frozenset(c for c in o if prec(o, c, a)) for o in orders1]
-                for p2 in pidxs:
-                    orders2 = profile_orders(el, p2)
-                    if not all(
-                        below1[v] <= frozenset(c for c in o if prec(o, c, a))
-                        for v, o in enumerate(orders2)
-                    ):
-                        continue
-                    for b in range(el.candidates):
-                        if b == a:
-                            continue
-                        if prec(rule.order(p1), b, a) and not prec(rule.order(p2), b, a):
-                            return False, (p1, p2, (b, a))
+        for p, orders in enumerate(ranks.profiles):
+            soc_below = below[table[p]][a]
+            if not soc_below:
+                continue
+            for v, o in enumerate(orders):
+                up = raised[o][a]
+                if up is not None and soc_below & ~below[table[p + (up - o) * weights[v]]][a]:
+                    return False, _first_monotone_witness(rule, ranks, a)
     return True, None
+
+
+def _first_monotone_witness(rule, ranks, a):
+    """The first (p1, p2, (b, a)) in the order of the pairwise scan: groups
+    of profiles that agree up to a's place, in order of first appearance;
+    p1 ascending in its group; p2 ascending in p1's up-set (a weakly higher
+    for every voter); the least b with b ≺_soc a at p1 but not at p2."""
+    table, below, raised, weights = rule.table, ranks.below, ranks.raised, ranks.weights
+    orders = all_orders(rule.election.candidates)
+    rest = [tuple(c for c in o if c != a) for o in orders]
+    groups = {}
+    for p, prof in enumerate(ranks.profiles):
+        groups.setdefault(tuple(rest[o] for o in prof), []).append(p)
+    for members in groups.values():
+        for p1 in members:
+            soc_below = below[table[p1]][a]
+            if not soc_below:
+                continue
+            # per voter, the place values of a's weakly higher places, so
+            # that product() runs through the up-set in ascending index
+            steps = []
+            for o, w in zip(ranks.profiles[p1], weights):
+                chain = [o]
+                while raised[chain[-1]][a] is not None:
+                    chain.append(raised[chain[-1]][a])
+                steps.append(sorted(x * w for x in chain))
+            for digits in product(*steps):
+                p2 = sum(digits)
+                lost = soc_below & ~below[table[p2]][a]
+                if lost:
+                    return p1, p2, ((lost & -lost).bit_length() - 1, a)
+    raise AssertionError("a single raise failed but no rise does")
 
 
 def check_unanimity(rule):
@@ -255,15 +338,14 @@ def check_axioms(rule):
 def pairwise_decisive(rule, a, b):
     """Coalitions whose unanimous a ≺ b forces a ≺_soc b."""
     el = rule.election
-    rows = []
-    for pidx in range(el.profile_count):
-        orders = profile_orders(el, pidx)
-        supporters = mask_of(v for v in range(el.voters) if prec(orders[v], a, b))
-        rows.append((supporters, prec(rule.order(pidx), a, b)))
-    masks = []
-    for coalition in range(1 << el.voters):
-        if all(soc for supporters, soc in rows if coalition & ~supporters == 0):
-            masks.append(coalition)
+    ranks = _rank_table(el)
+    lt = _precedes(ranks, a, b)
+    # supporter masks of the profiles where a ≺_soc b fails
+    against = set()
+    for pidx, orders in enumerate(ranks.profiles):
+        if not lt[rule.table[pidx]]:
+            against.add(mask_of(v for v, o in enumerate(orders) if lt[o]))
+    masks = [c for c in range(1 << el.voters) if all(c & ~s for s in against)]
     return SetFamily.from_masks(GroundSet(el.voters), masks)
 
 

@@ -157,6 +157,23 @@ class SearchBudget:
             raise ValueError("caps must be positive")
 
 
+def _node_meter(budget):
+    """A function to call once per search node.  It raises BudgetExhausted
+    once the nodes exceed ``budget.node_cap`` or its time cap has passed
+    (the default SearchBudget when ``budget`` is None)."""
+    budget = budget or SearchBudget()
+    deadline = time.monotonic() + budget.time_cap_ms / 1000.0
+    nodes = 0
+
+    def tick():
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget.node_cap or time.monotonic() > deadline:
+            raise BudgetExhausted("search budget exhausted", nodes=nodes)
+
+    return tick
+
+
 def finite_combinations(xs, mode="sums"):
     """All combinations of non-empty index subsets of ``xs``: sums,
     products, or unions (elements must then be sets), deduplicated.
@@ -194,21 +211,16 @@ def find_mono_fs(coloring, k, budget=None, distinct=True):
     BudgetExhausted when the node budget runs out first (a strictly weaker
     answer than None).
     """
-    budget = budget or SearchBudget()
+    tick = _node_meter(budget)
     n = coloring.n
-    deadline = time.monotonic() + budget.time_cap_ms / 1000.0
-    nodes = 0
     gap = 1 if distinct else 0
 
     def extend(gens, sums, color):
-        nonlocal nodes
         if len(gens) == k:
             return FSWitness(tuple(gens), color, tuple(sorted(set(sums))))
         lo = gens[-1] + gap if gens else 1
         for g in range(lo, n + 1):
-            nodes += 1
-            if nodes > budget.node_cap or time.monotonic() > deadline:
-                raise BudgetExhausted("search budget exhausted", nodes=nodes)
+            tick()
             new = [g] + [s + g for s in sums]
             if new[-1] > n:
                 # sums only grow with g; no larger generator can fit
@@ -477,19 +489,22 @@ def partition_harness(base, parts, predicate):
     return {"regular_here": False, "surviving_part": None}
 
 
-def ipstar_probe(a, n, k, scope="sums"):
+def ipstar_probe(a, n, k, scope="sums", budget=None):
     """Does ``a`` ⊆ [1..n] meet FS(x_1..x_k) for every increasing tuple?
 
     ``scope`` controls the tuple space: "sums" requires every subset sum
     ≤ n (the default bounded reading), "generators" only bounds the
     generators themselves by n, with sums allowed to leave [1..n].
     The counterexample is the lexicographically least failing tuple.
+    Each generator tried is one node of ``budget`` (a SearchBudget);
+    BudgetExhausted is raised when its node or time cap runs out first.
     """
     if scope not in ("sums", "generators"):
         raise ValueError("scope must be 'sums' or 'generators'")
     if n < 1 or k < 1:
         raise ValueError("n and k must be at least 1")
     a = set(a)
+    tick = _node_meter(budget)
 
     def rec(gens, sums):
         if len(gens) == k:
@@ -498,6 +513,7 @@ def ipstar_probe(a, n, k, scope="sums"):
             return None
         lo = gens[-1] + 1 if gens else 1
         for g in range(lo, n + 1):
+            tick()
             new = [g] + [s + g for s in sums]
             if scope == "sums" and new[-1] > n:
                 break

@@ -1,6 +1,9 @@
 """Preference aggregation: axiom checks with witnesses, decisive-coalition
 families, the dictatorship analysis, and the ultrafilter correspondence."""
 
+import random
+from math import factorial
+
 import pytest
 
 from ufw.arrow import (
@@ -25,7 +28,7 @@ from ufw.arrow import (
 )
 from ufw.errors import NotStrictOrder
 from ufw.largeness.checkers import check_dictator
-from ufw.setfam import GroundSet, classify_family, enumerate_ultrafilters
+from ufw.setfam import GroundSet, SetFamily, classify_family, enumerate_ultrafilters
 
 
 # --- profiles and orders ---------------------------------------------------
@@ -173,3 +176,125 @@ def test_rule_json_roundtrip():
     rule = dictator_rule(el, 0)
     again = AggregationRule.from_json(rule.to_json())
     assert again.table == rule.table
+
+
+# --- agreement with the pairwise scans --------------------------------------
+
+
+def _decoded(el):
+    return [profile_orders(el, pidx) for pidx in range(el.profile_count)]
+
+
+def _pairwise_monotone(rule):
+    """Reference for ``check_monotone``, sharing no code with it: for each
+    candidate a, group the profiles that agree up to a's place (groups in
+    order of first appearance), and compare every pair p1, p2 of a group in
+    which a weakly rises for every voter."""
+    el = rule.election
+    decoded = _decoded(el)
+    social = [rule.order(pidx) for pidx in range(el.profile_count)]
+    for a in range(el.candidates):
+        groups = {}
+        for pidx, orders in enumerate(decoded):
+            key = tuple(tuple(c for c in o if c != a) for o in orders)
+            groups.setdefault(key, []).append(pidx)
+        for pidxs in groups.values():
+            for p1 in pidxs:
+                for p2 in pidxs:
+                    if any(
+                        o1.index(a) > o2.index(a) for o1, o2 in zip(decoded[p1], decoded[p2])
+                    ):
+                        continue
+                    for b in range(el.candidates):
+                        if b != a and prec(social[p1], b, a) and not prec(social[p2], b, a):
+                            return False, (p1, p2, (b, a))
+    return True, None
+
+
+def _decoding_iia(rule):
+    """Reference for ``check_iia`` that decodes every profile per pair."""
+    el = rule.election
+    for a in range(el.candidates):
+        for b in range(el.candidates):
+            if a == b:
+                continue
+            groups = {}
+            for pidx in range(el.profile_count):
+                key = tuple(prec(o, a, b) for o in profile_orders(el, pidx))
+                soc = prec(rule.order(pidx), a, b)
+                if key not in groups:
+                    groups[key] = (pidx, soc)
+                elif groups[key][1] != soc:
+                    return False, (groups[key][0], pidx, (a, b))
+    return True, None
+
+
+def _scanning_decisive(rule, a, b):
+    """Reference for ``pairwise_decisive``: test every coalition against
+    every profile."""
+    el = rule.election
+    decoded = _decoded(el)
+    masks = [
+        coalition
+        for coalition in range(1 << el.voters)
+        if all(
+            prec(rule.order(pidx), a, b)
+            for pidx, orders in enumerate(decoded)
+            if all(prec(orders[v], a, b) for v in range(el.voters) if coalition >> v & 1)
+        )
+    ]
+    return SetFamily.from_masks(GroundSet(el.voters), masks)
+
+
+#: every election with at most 576 profiles: 2^10, 6^4, 24^3, 120^2 and 720
+#: all exceed it
+SMALL_ELECTIONS = [
+    Election(v, m)
+    for m in range(2, 6)
+    for v in range(1, 10)
+    if factorial(m) ** v <= 576
+]
+
+
+def _agreement_rules(el, seed):
+    """A dictator rule, two perturbed dictators (a few table entries
+    redrawn) and two uniformly random tables, all drawn from ``seed``."""
+    rng = random.Random(seed)
+    orders = factorial(el.candidates)
+    rules = [dictator_rule(el, rng.randrange(el.voters))]
+    for flips in (1, 3):
+        table = list(dictator_rule(el, rng.randrange(el.voters)).table)
+        for _ in range(flips):
+            table[rng.randrange(len(table))] = rng.randrange(orders)
+        rules.append(AggregationRule(el, table=table))
+    for _ in range(2):
+        rules.append(
+            AggregationRule(el, table=[rng.randrange(orders) for _ in range(el.profile_count)])
+        )
+    return rules
+
+
+def _assert_agree(rule):
+    assert check_monotone(rule) == _pairwise_monotone(rule)
+    assert check_iia(rule) == _decoding_iia(rule)
+
+
+@pytest.mark.parametrize("el", SMALL_ELECTIONS, ids=lambda el: "%dx%d" % (el.voters, el.candidates))
+def test_checks_agree_with_pairwise_scans(el):
+    for rule in _agreement_rules(el, seed=el.voters * 10 + el.candidates) + [borda_rule(el)]:
+        _assert_agree(rule)
+
+
+def test_checks_agree_on_many_seeded_tables():
+    for seed in range(60):
+        el = Election(*random.Random(seed).choice([(2, 2), (3, 2), (1, 3), (2, 3), (1, 4)]))
+        for rule in _agreement_rules(el, seed):
+            _assert_agree(rule)
+
+
+def test_pairwise_decisive_agrees_with_coalition_scan():
+    for el in (Election(2, 3), Election(3, 3), Election(4, 2)):
+        for rule in _agreement_rules(el, seed=el.voters) + [borda_rule(el)]:
+            for a, b in [(0, 1), (1, 0)] + ([(2, 0)] if el.candidates > 2 else []):
+                assert pairwise_decisive(rule, a, b) == _scanning_decisive(rule, a, b)
+

@@ -194,6 +194,19 @@ def test_arrow_verify_dictator(capsys, tmp_path):
     assert code == 0 and report["result"]["dictator"] == 1
 
 
+@pytest.mark.parametrize("entry", [True, 0.5, "0"])
+def test_arrow_rejects_non_integer_table_entry(capsys, tmp_path, entry):
+    # a JSON boolean, float or string is not an order index, as an
+    # out-of-range integer is not: the rule is refused before any axiom runs
+    table = [entry, 0, 1, 0]
+    path = write_json(tmp_path, "rule.json", {"voters": 2, "candidates": 2, "table": table})
+    code, report = invoke(capsys, ["arrow", "verify", "--rule", path])
+    assert code == 1
+    assert report["result"] == {
+        "error": "NotStrictOrder: output %r at profile 0 is not a strict order" % (entry,)
+    }
+
+
 def test_fol_los(capsys, tmp_path):
     from ufw.folup import Signature, Structure
 

@@ -387,6 +387,13 @@ def test_ipstar_generator_scope_differs():
     assert ipstar_probe(set(range(1, 7)), 6, 2, scope="sums")["holds"]
 
 
+def test_ipstar_budget_exhausts():
+    # with generators alone bounded, every tuple opening with 1 meets {1},
+    # so the search wades through C(199, 5) of them before (2, ..., 7)
+    with pytest.raises(BudgetExhausted):
+        ipstar_probe({1}, 200, 6, scope="generators", budget=SearchBudget(node_cap=10**4))
+
+
 @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=12))
 @settings(max_examples=300, deadline=None)
 def test_fs_contains_multiple_of_length(xs):
