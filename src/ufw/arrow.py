@@ -27,6 +27,9 @@ class Election:
     candidates: int
 
     def __post_init__(self):
+        # type(), not isinstance(): True and False are ints too
+        if type(self.voters) is not int or type(self.candidates) is not int:
+            raise ValueError("voter and candidate counts must be integers")
         if self.voters < 1 or self.candidates < 2:
             raise ValueError("need ≥ 1 voter and ≥ 2 candidates")
 

@@ -17,47 +17,39 @@ class IndexOutOfRange(UfwError, IndexError):
     """An element or subset referenced an index outside the ground set."""
 
 
-class NotFIP(UfwError):
+class WitnessError(UfwError):
+    """A failed property check; ``witness`` is the violating instance."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
+class NotFIP(WitnessError):
     """Family lacks the finite intersection property.
 
     ``witness`` is the offending sub-family (tuple of sorted index tuples).
     """
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+
+class NotAFilter(WitnessError):
+    pass
 
 
-class NotAFilter(UfwError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+class NotUltrafilter(WitnessError):
+    pass
 
 
-class NotUltrafilter(UfwError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+class NotMeasure(WitnessError):
+    pass
 
 
-class NotMeasure(UfwError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
-class NotAssociative(UfwError):
+class NotAssociative(WitnessError):
     """Cayley table fails associativity; ``witness`` is the first bad triple."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
-
-class NotCommutative(UfwError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+class NotCommutative(WitnessError):
+    pass
 
 
 class NotIdempotent(UfwError):

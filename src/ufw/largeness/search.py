@@ -6,15 +6,18 @@ cubes Σ^n (alphabet 0-based, words in lex order with position 0 most
 significant).  Abstract index sets [m] elsewhere in the package are
 0-based; intervals here start at 1.
 
-Witness searches are deterministic; the universal (for-all-colorings)
-checks behind :func:`threshold_number` run a pruned depth-first search,
-:func:`first_uncovered_coloring`, with color 0 pinned at the first domain
-position (a sound color-symmetry reduction).
+One enumerator, :func:`_instances`, lists the instances of each pattern
+in a fixed order.  The point searches (``find_mono_*``) return the first
+monochromatic one, and :func:`pattern_configs` hands all of them to the
+universal (for-all-colorings) check behind :func:`threshold_number`, a
+pruned depth-first search, :func:`first_uncovered_coloring`, with color 0
+pinned at the first domain position (a sound color-symmetry reduction).
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product as iproduct
+from math import comb
 
 from ..errors import BudgetExhausted
 
@@ -36,11 +39,6 @@ class IntervalColoring:
             raise ValueError("colors must lie in [0..r)")
         object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "r", r)
-
-    def color(self, i):
-        if not 1 <= i <= self.n:
-            raise ValueError("element %d outside [1..%d]" % (i, self.n))
-        return self.colors[i - 1]
 
 
 @dataclass(frozen=True)
@@ -64,10 +62,6 @@ class EdgeColoring:
         object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "r", r)
 
-    def color(self, edge):
-        edge = tuple(sorted(edge))
-        return self.colors[edge_index(edge)]
-
 
 @dataclass(frozen=True)
 class WordColoring:
@@ -89,35 +83,10 @@ class WordColoring:
         object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "r", r)
 
-    def color(self, word):
-        idx = 0
-        for a in word:
-            if not 0 <= a < self.sigma:
-                raise ValueError("letter %r outside alphabet" % (a,))
-            idx = idx * self.sigma + a
-        return self.colors[idx]
-
 
 def edge_list(n, k):
     """All k-subsets of {0..n-1} in colex order (sorted by reversed tuple)."""
     return sorted(combinations(range(n), k), key=lambda e: tuple(reversed(e)))
-
-
-def edge_index(edge):
-    """Colex rank of a sorted k-subset: sum of C(v_i, i+1)."""
-    rank = 0
-    for i, v in enumerate(edge):
-        rank += _binom(v, i + 1)
-    return rank
-
-
-def _binom(n, k):
-    if k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 @dataclass(frozen=True)
@@ -201,6 +170,93 @@ def finite_combinations(xs, mode="sums"):
     raise ValueError("mode must be sums, products, or unions")
 
 
+def _fs_tuples(n, k, gap, bounded, tick, keep):
+    """Yield (generators, sums) for each tuple of k generators in [1..n],
+    in lex order, each generator at least ``gap`` above the one before;
+    ``sums`` lists the 2^k−1 index-subset sums, repeats included.
+
+    ``bounded`` requires every sum ≤ n.  ``tick()`` is called once per
+    generator tried, and ``keep(sums, new)`` decides whether the tuple so
+    far, with sums ``sums`` and the latest generator's new sums ``new``,
+    is extended.
+    """
+
+    def walk(gens, sums):
+        if len(gens) == k:
+            yield gens, sums
+            return
+        for g in range(gens[-1] + gap if gens else 1, n + 1):
+            tick()
+            new = [g] + [s + g for s in sums]
+            if bounded and new[-1] > n:
+                break  # sums only grow with g; no larger generator can fit
+            if keep(sums, new):
+                yield from walk(gens + (g,), sums + new)
+
+    return walk((), [])
+
+
+def _keep_all(sums, new):
+    return True
+
+
+def _instances(pattern, size):
+    """Yield (key, positions) for each instance of ``pattern`` in the
+    size-``size`` domain (see :func:`pattern_configs`), in scan order:
+
+    - ap: key (start, step), by start then step;
+    - fs: key the generator tuple, non-decreasing (x+x=2x counts, so fs(2)
+      is the classical Schur pattern {x, y, x+y} with x ≤ y), lex order;
+    - clique: key the vertex subset, lex order;
+    - line: key the variable word (None marks the variable), lex order
+      over Σ ∪ {variable} with the variable last.
+
+    ``positions`` is the sorted tuple of distinct domain positions.
+    """
+    _check_pattern(pattern)
+    kind = pattern[0]
+    if kind == "ap":
+        length = pattern[1]
+        for start in range(size):
+            steps = (size - 1 - start) // (length - 1) if length > 1 else 1
+            for step in range(1, steps + 1):
+                yield (start + 1, step), tuple(range(start, start + length * step, step))
+    elif kind == "fs":
+        for gens, sums in _fs_tuples(size, pattern[1], 0, True, lambda: None, _keep_all):
+            yield gens, tuple(sorted({s - 1 for s in sums}))
+    elif kind == "clique":
+        k, m = pattern[1], pattern[2]
+        index = {e: i for i, e in enumerate(edge_list(size, k))}
+        for subset in combinations(range(size), m):
+            yield subset, tuple(sorted(index[e] for e in combinations(subset, k)))
+    elif kind == "line":
+        sigma = pattern[1]
+        powers = [sigma ** (size - 1 - i) for i in range(size)]
+        for letters in iproduct(range(sigma + 1), repeat=size):
+            if sigma not in letters:
+                continue
+            # the point whose variable letter is a has lex rank base + a·weight
+            base = sum(p * a for p, a in zip(powers, letters) if a != sigma)
+            weight = sum(p for p, a in zip(powers, letters) if a == sigma)
+            word = tuple(None if a == sigma else a for a in letters)
+            yield word, tuple(base + a * weight for a in range(sigma))
+    else:
+        raise ValueError("unknown pattern kind %r" % (kind,))
+
+
+def _first_mono(colors, instances):
+    """(key, color) of the first instance whose positions all share one
+    color, or None."""
+    for key, positions in instances:
+        c = colors[positions[0]]
+        for p in positions:
+            if colors[p] != c:
+                break
+        else:
+            return key, c
+    return None
+
+
 def find_mono_fs(coloring, k, budget=None, distinct=True):
     """Search [1..N] for generators x_1<…<x_k whose 2^k−1 index-subset sums
     are all ≤ N and monochromatic.
@@ -211,84 +267,43 @@ def find_mono_fs(coloring, k, budget=None, distinct=True):
     BudgetExhausted when the node budget runs out first (a strictly weaker
     answer than None).
     """
-    tick = _node_meter(budget)
-    n = coloring.n
-    gap = 1 if distinct else 0
+    colors = coloring.colors
 
-    def extend(gens, sums, color):
-        if len(gens) == k:
-            return FSWitness(tuple(gens), color, tuple(sorted(set(sums))))
-        lo = gens[-1] + gap if gens else 1
-        for g in range(lo, n + 1):
-            tick()
-            new = [g] + [s + g for s in sums]
-            if new[-1] > n:
-                # sums only grow with g; no larger generator can fit
-                break
-            if distinct and len(set(sums + new)) < len(sums) + len(new):
-                # proper FS witnesses carry 2^k−1 pairwise distinct sums
-                continue
-            c = color if color is not None else coloring.color(g)
-            if any(coloring.color(s) != c for s in new):
-                continue
-            found = extend(gens + [g], sums + new, c)
-            if found is not None:
-                return found
-        return None
+    def keep(sums, new):
+        if distinct and len(set(sums + new)) < len(sums) + len(new):
+            return False  # proper FS witnesses carry 2^k−1 pairwise distinct sums
+        c = colors[(sums or new)[0] - 1]
+        for s in new:
+            if colors[s - 1] != c:
+                return False
+        return True
 
-    return extend([], [], None)
+    tuples = _fs_tuples(coloring.n, k, 1 if distinct else 0, True, _node_meter(budget), keep)
+    for gens, sums in tuples:  # the first tuple kept to length k
+        return FSWitness(gens, colors[gens[0] - 1] if gens else None, tuple(sorted(set(sums))))
+    return None
 
 
 def find_mono_ap(coloring, length):
     """First monochromatic arithmetic progression of the given length in
     [1..N] (by start, then step), or None; the scan is exhaustive."""
-    n = coloring.n
-    for start in range(1, n + 1):
-        for step in range(1, (n - start) // max(length - 1, 1) + 1):
-            terms = [start + i * step for i in range(length)]
-            if terms[-1] > n:
-                break
-            c = coloring.color(terms[0])
-            if all(coloring.color(t) == c for t in terms[1:]):
-                return APWitness(start, step, length, c)
-    return None
-
-
-def combinatorial_lines(sigma, n):
-    """All variable words over Σ^n (None marks the variable), lex order with
-    fixed letters first and variable positions by subset enumeration."""
-    out = []
-    for pattern in iproduct(range(sigma + 1), repeat=n):
-        word = tuple(None if a == sigma else a for a in pattern)
-        if any(a is None for a in word):
-            out.append(word)
-    return out
-
-
-def line_points(word, sigma):
-    return [tuple(a if w is None else w for w in word) for a in range(sigma)]
+    hit = _first_mono(coloring.colors, _instances(("ap", length), coloring.n))
+    return None if hit is None else APWitness(*hit[0], length, hit[1])
 
 
 def find_mono_line(coloring):
     """First monochromatic combinatorial line of the word coloring, or
     None; the scan over all variable words is exhaustive."""
-    for word in combinatorial_lines(coloring.sigma, coloring.n):
-        pts = line_points(word, coloring.sigma)
-        c = coloring.color(pts[0])
-        if all(coloring.color(p) == c for p in pts[1:]):
-            return LineWitness(word, c)
-    return None
+    hit = _first_mono(coloring.colors, _instances(("line", coloring.sigma), coloring.n))
+    return None if hit is None else LineWitness(*hit)
 
 
 def find_mono_clique(coloring, m):
     """First vertex subset of size m (lex order) whose k-edges all share
-    one color, or None; the scan is exhaustive."""
-    for subset in combinations(range(coloring.n), m):
-        edges = list(combinations(subset, coloring.k))
-        c = coloring.color(edges[0])
-        if all(coloring.color(e) == c for e in edges[1:]):
-            return (subset, c)
-    return None
+    one color, as (subset, color), or None; the scan is exhaustive."""
+    if m < coloring.k:
+        raise ValueError("a clique of size %d has no %d-edges to color" % (m, coloring.k))
+    return _first_mono(coloring.colors, _instances(("clique", coloring.k, m), coloring.n))
 
 
 # --- universal checks / threshold numbers ---------------------------------
@@ -299,58 +314,15 @@ def pattern_configs(pattern, size):
 
     Domains: ap/fs → [1..size] (position = value−1); clique → edges of the
     complete k-graph on ``size`` vertices, colex; line → words of Σ^size,
-    lex.  Each config is the tuple of positions of one pattern instance.
+    lex.  Each config is the sorted tuple of positions of one pattern
+    instance.
     """
-    _check_pattern(pattern)
-    kind = pattern[0]
-    if kind == "ap":
-        length = pattern[1]
-        configs = []
-        for start in range(1, size + 1):
-            for step in range(1, size + 1):
-                terms = [start + i * step for i in range(length)]
-                if terms[-1] > size:
-                    break
-                configs.append(tuple(t - 1 for t in terms))
-        return size, configs
-    if kind == "fs":
-        # Non-decreasing generators (x+x=2x counts), so fs(2) is the
-        # classical Schur pattern {x, y, x+y} with x ≤ y.
-        k = pattern[1]
-        configs = []
-
-        def rec(gens, sums):
-            if len(gens) == k:
-                configs.append(tuple(sorted({s - 1 for s in sums})))
-                return
-            lo = gens[-1] if gens else 1
-            for g in range(lo, size + 1):
-                new = [g] + [s + g for s in sums]
-                if new[-1] > size:
-                    break
-                rec(gens + [g], sums + new)
-
-        rec([], [])
-        return size, configs
-    if kind == "clique":
-        k, m = pattern[1], pattern[2]
-        edges = edge_list(size, k)
-        index = {e: i for i, e in enumerate(edges)}
-        configs = [
-            tuple(sorted(index[e] for e in combinations(subset, k)))
-            for subset in combinations(range(size), m)
-        ]
-        return len(edges), configs
-    if kind == "line":
-        sigma = pattern[1]
-        words = list(iproduct(range(sigma), repeat=size))
-        index = {w: i for i, w in enumerate(words)}
-        configs = [
-            tuple(sorted(index[p] for p in line_points(word, sigma)))
-            for word in combinatorial_lines(sigma, size)
-        ]
-        return len(words), configs
-    raise ValueError("unknown pattern kind %r" % (kind,))
+    configs = [positions for _, positions in _instances(pattern, size)]
+    if pattern[0] == "clique":
+        return comb(size, pattern[1]), configs
+    if pattern[0] == "line":
+        return pattern[1] ** size, configs
+    return size, configs
 
 
 @dataclass(frozen=True)
@@ -504,28 +476,10 @@ def ipstar_probe(a, n, k, scope="sums", budget=None):
     if n < 1 or k < 1:
         raise ValueError("n and k must be at least 1")
     a = set(a)
-    tick = _node_meter(budget)
-
-    def rec(gens, sums):
-        if len(gens) == k:
-            if not (a & set(sums)):
-                return tuple(gens)
-            return None
-        lo = gens[-1] + 1 if gens else 1
-        for g in range(lo, n + 1):
-            tick()
-            new = [g] + [s + g for s in sums]
-            if scope == "sums" and new[-1] > n:
-                break
-            bad = rec(gens + [g], sums + new)
-            if bad is not None:
-                return bad
-        return None
-
-    counterexample = rec([], [])
-    if counterexample is None:
-        return {"holds": True, "counterexample": None}
-    return {"holds": False, "counterexample": counterexample}
+    for gens, sums in _fs_tuples(n, k, 1, scope == "sums", _node_meter(budget), _keep_all):
+        if a.isdisjoint(sums):
+            return {"holds": False, "counterexample": gens}
+    return {"holds": True, "counterexample": None}
 
 
 def fs_multiple_window(xs):

@@ -34,8 +34,9 @@ class CayleyTable:
         if n < 1:
             raise ValueError("table must have order ≥ 1")
         for row in mul:
-            if len(row) != n or any(not 0 <= v < n for v in row):
-                raise ValueError("table rows must be length n with entries < n")
+            # type(), not isinstance(): True and False are ints too
+            if len(row) != n or any(type(v) is not int or not 0 <= v < n for v in row):
+                raise ValueError("table rows must be length n with integer entries < n")
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "associative", _assoc_witness(mul) is None)

@@ -35,6 +35,9 @@ class GroundSet:
     labels: tuple = None
 
     def __post_init__(self):
+        # type(), not isinstance(): True and False are ints too
+        if type(self.size) is not int:
+            raise ValueError("ground set size must be an integer")
         if self.size < 1:
             raise ValueError("ground set must be non-empty")
         if self.labels is not None:

@@ -207,6 +207,26 @@ def test_arrow_rejects_non_integer_table_entry(capsys, tmp_path, entry):
     }
 
 
+@pytest.mark.parametrize(
+    "argv,body",
+    [
+        (["arrow", "verify", "--rule"], {"voters": True, "candidates": 2, "table": [0, 1]}),
+        (["arrow", "verify", "--rule"], {"voters": 2.0, "candidates": 2, "table": [0, 1, 1, 0]}),
+        (["arrow", "verify", "--rule"], {"voters": 1, "candidates": 2.0, "table": [0, 1]}),
+        (["setfam", "classify", "--in"], {"ground": True, "members": [[0]]}),
+        (["setfam", "classify", "--in"], {"ground": 2.0, "members": [[0]]}),
+        (["sg", "report", "--in"], {"mul": [[True, False], [False, True]]}),
+        (["sg", "report", "--in"], {"mul": [[0.0, 1.0], [1.0, 0.0]]}),
+    ],
+)
+def test_non_integer_counts_are_input_errors(capsys, tmp_path, argv, body):
+    # JSON true and 2.0 are not counts or table entries, though Python
+    # compares them equal to 1 and 2
+    code, report = invoke(capsys, argv + [write_json(tmp_path, "in.json", body)])
+    assert code == 3
+    assert report["result"]["error"].startswith("ValueError: ")
+
+
 def test_fol_los(capsys, tmp_path):
     from ufw.folup import Signature, Structure
 
@@ -290,3 +310,19 @@ def test_closed_stdout_exits_without_traceback():
     stderr = proc.stderr.decode(errors="replace")
     assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
     assert proc.returncode == 141
+
+
+# --- golden digests --------------------------------------------------------
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c.get("argv", ["verify"])))
+def test_golden_digests(capsys, tmp_path, case):
+    # search and verify calls whose exit codes and output digests were
+    # recorded before the searches shared one instance enumerator
+    argv = case.get("argv")
+    if argv is None:
+        argv = ["verify", "--certificate", write_json(tmp_path, "cert.json", case["certificate"])]
+    code, report = invoke(capsys, argv)
+    assert (code, report["manifest"]["output_digest"]) == (case["exit"], case["output_digest"])

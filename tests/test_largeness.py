@@ -3,6 +3,7 @@ validity under the independent checkers, agreement of the search kernel
 with a brute-force oracle, and exhaustiveness of proven-absent answers."""
 
 import sys
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from ufw.errors import BudgetExhausted
 from ufw.largeness import (
+    APWitness,
     EdgeColoring,
+    FSWitness,
     IntervalColoring,
     SearchBudget,
     WordColoring,
@@ -229,6 +232,209 @@ def test_bad_pattern_parameters_raise(pattern):
     # also when the cap leaves no size to scan
     with pytest.raises(ValueError):
         threshold_number(pattern, 2, 0)
+
+
+# --- agreement with scan-order oracles ---------------------------------------
+#
+# Plain-loop references for the order in which each pattern's instances are
+# scanned, sharing no code with the searches.  Each returns (key, values)
+# pairs: the point searches must return the first monochromatic instance
+# and ``pattern_configs`` the position tuples of all of them.
+
+
+def _ap_oracle(n, length):
+    """Progressions in [1..n] by start, then step; one step for 1 term."""
+    out = []
+    for start in range(1, n + 1):
+        for step in range(1, n + 1 if length > 1 else 2):
+            terms = [start + i * step for i in range(length)]
+            if terms[-1] <= n:
+                out.append(((start, step), terms))
+    return out
+
+
+def _fs_oracle(n, k, distinct, bounded=True):
+    """Generator tuples in [1..n] in lex order (increasing when
+    ``distinct``, else non-decreasing) with their index-subset sums, which
+    must all be ≤ n when ``bounded``."""
+    tuples = combinations if distinct else combinations_with_replacement
+    out = []
+    for gens in tuples(range(1, n + 1), k):
+        sums = [sum(sub) for j in range(1, k + 1) for sub in combinations(gens, j)]
+        if not bounded or sum(gens) <= n:
+            out.append((gens, sums))
+    return out
+
+
+def _clique_oracle(n, k, m):
+    """Vertex subsets in lex order with the colex ranks of their k-edges."""
+    rank = {e: i for i, e in enumerate(sorted(combinations(range(n), k), key=lambda e: e[::-1]))}
+    return [(sub, [rank[e] for e in combinations(sub, k)]) for sub in combinations(range(n), m)]
+
+
+def _line_oracle(sigma, n):
+    """Variable words (None marks the variable) in lex order over
+    0 < … < σ−1 < variable, with the lex ranks of their points."""
+    out = []
+    for letters in product(list(range(sigma)) + [None], repeat=n):
+        if None not in letters:
+            continue
+        ranks = []
+        for a in range(sigma):
+            rank = 0
+            for x in letters:
+                rank = rank * sigma + (a if x is None else x)
+            ranks.append(rank)
+        out.append((letters, ranks))
+    return out
+
+
+def _first_mono_oracle(colors, instances, offset=0):
+    for key, values in instances:
+        if len({colors[v - offset] for v in values}) == 1:
+            return key, colors[values[0] - offset]
+    return None
+
+
+def _colors(draw, count, r):
+    return tuple(draw(st.lists(st.integers(0, r - 1), min_size=count, max_size=count)))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_point_searches_match_scan_order_oracles(data):
+    draw = data.draw
+    r = draw(st.integers(1, 3))
+
+    n, length = draw(st.integers(1, 14)), draw(st.integers(1, 5))
+    colors = _colors(draw, n, r)
+    hit = _first_mono_oracle(colors, _ap_oracle(n, length), offset=1)
+    expect = None if hit is None else APWitness(*hit[0], length, hit[1])
+    assert find_mono_ap(IntervalColoring(n, colors, r), length) == expect
+
+    n, k = draw(st.integers(1, 16)), draw(st.integers(1, 3))
+    colors = _colors(draw, n, r)
+    for distinct in (True, False):
+        expect = None
+        for gens, sums in _fs_oracle(n, k, distinct):
+            proper = not distinct or len(set(sums)) == len(sums)
+            if proper and len({colors[s - 1] for s in sums}) == 1:
+                expect = FSWitness(gens, colors[gens[0] - 1], tuple(sorted(set(sums))))
+                break
+        assert find_mono_fs(IntervalColoring(n, colors, r), k, distinct=distinct) == expect
+
+    k = draw(st.integers(1, 3))
+    n, m = draw(st.integers(k, 7)), draw(st.integers(k, 5))
+    colors = _colors(draw, len(edge_list(n, k)), r)
+    expect = _first_mono_oracle(colors, _clique_oracle(n, k, m))
+    assert find_mono_clique(EdgeColoring(n, k, colors, r), m) == expect
+
+    sigma = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    colors = _colors(draw, sigma**n, r)
+    hit = _first_mono_oracle(colors, _line_oracle(sigma, n))
+    got = find_mono_line(WordColoring(sigma, n, colors, r))
+    assert (None if got is None else (got.word, got.color)) == hit
+
+
+@given(st.integers(1, 20), st.integers(1, 4), st.sets(st.integers(1, 25)))
+@settings(max_examples=150, deadline=None)
+def test_ipstar_matches_lex_order_oracle(n, k, a):
+    for scope in ("sums", "generators"):
+        missing = [
+            gens
+            for gens, sums in _fs_oracle(n, k, True, bounded=scope == "sums")
+            if a.isdisjoint(sums)
+        ]
+        expect = {"holds": not missing, "counterexample": missing[0] if missing else None}
+        assert ipstar_probe(a, n, k, scope=scope) == expect
+
+
+@pytest.mark.parametrize(
+    "kind,params,sizes",
+    [
+        ("ap", (1,), range(0, 6)),
+        ("ap", (2,), range(0, 8)),
+        ("ap", (3,), range(0, 16)),
+        ("ap", (5,), range(0, 16)),
+        ("fs", (0,), range(0, 4)),
+        ("fs", (1,), range(0, 6)),
+        ("fs", (2,), range(0, 16)),
+        ("fs", (3,), range(0, 20)),
+        ("clique", (2, 1), range(0, 5)),
+        ("clique", (2, 3), range(0, 8)),
+        ("clique", (2, 4), range(0, 7)),
+        ("clique", (3, 4), range(0, 7)),
+        ("line", (0,), range(0, 3)),
+        ("line", (1,), range(0, 4)),
+        ("line", (2,), range(0, 5)),
+        ("line", (3,), range(0, 4)),
+    ],
+)
+def test_pattern_configs_match_scan_order_oracles(kind, params, sizes):
+    for size in sizes:
+        if kind == "ap":
+            domain, instances, offset = size, _ap_oracle(size, *params), 1
+        elif kind == "fs":
+            domain, instances, offset = size, _fs_oracle(size, *params, distinct=False), 1
+        elif kind == "clique":
+            instances, offset = _clique_oracle(size, *params), 0
+            domain = len(list(combinations(range(size), params[0])))
+        else:
+            domain, instances, offset = params[0] ** size, _line_oracle(params[0], size), 0
+        configs = [tuple(sorted({v - offset for v in values})) for _, values in instances]
+        assert pattern_configs((kind,) + params, size) == (domain, configs)
+
+
+# Least node caps at which these searches finish, as measured before the
+# searches shared one walker; each generator tried is one node.
+@pytest.mark.parametrize(
+    "search,nodes,result",
+    [
+        (lambda b: find_mono_fs(IntervalColoring(12, (0, 1) * 6), 4, b), 61, None),
+        (
+            lambda b: find_mono_fs(IntervalColoring(12, (0, 1) * 6), 2, b),
+            15,
+            FSWitness((2, 4), 1, (2, 4, 6)),
+        ),
+        (
+            lambda b: ipstar_probe({1}, 30, 3, "generators", b),
+            439,
+            {"holds": False, "counterexample": (2, 3, 4)},
+        ),
+        (
+            lambda b: ipstar_probe(set(range(1, 11, 2)), 10, 2, "sums", b),
+            13,
+            {"holds": False, "counterexample": (2, 4)},
+        ),
+        (
+            lambda b: ipstar_probe(set(range(3, 31, 3)), 30, 3, "sums", b),
+            1054,
+            {"holds": True, "counterexample": None},
+        ),
+    ],
+)
+def test_budget_node_counts_pinned(search, nodes, result):
+    assert search(SearchBudget(node_cap=nodes)) == result
+    with pytest.raises(BudgetExhausted) as err:
+        search(SearchBudget(node_cap=nodes - 1))
+    assert err.value.nodes == nodes
+
+
+def test_one_term_progression_in_a_singleton():
+    colors = (0,)
+    assert find_mono_ap(IntervalColoring(1, colors), 1) == APWitness(1, 1, 1, 0)
+    assert checkers.check_ap_witness(colors, 1, 1, 1, 0)
+    # a 1-term progression needs one step only
+    assert pattern_configs(("ap", 1), 4) == (4, [(0,), (1,), (2,), (3,)])
+
+
+def test_point_searches_reject_empty_patterns():
+    with pytest.raises(ValueError):
+        find_mono_ap(IntervalColoring(3, (0, 1, 0)), 0)
+    # a vertex subset smaller than an edge has no edges to color
+    with pytest.raises(ValueError):
+        find_mono_clique(EdgeColoring(4, 2, (0,) * 6), 1)
 
 
 # --- kernel ----------------------------------------------------------------
