@@ -28,10 +28,6 @@ def indices_of(mask):
     return tuple(out)
 
 
-def popcount(mask):
-    return bin(mask).count("1")
-
-
 @lru_cache(maxsize=None)
 def subsets_lex(n):
     """All subsets of {0..n-1} as masks, ordered lexicographically by their
@@ -39,11 +35,3 @@ def subsets_lex(n):
     masks = list(range(1 << n))
     masks.sort(key=indices_of)
     return tuple(masks)
-
-
-def subsets_by_size(n):
-    """All subsets grouped by cardinality, lexicographic within each size."""
-    groups = [[] for _ in range(n + 1)]
-    for m in subsets_lex(n):
-        groups[popcount(m)].append(m)
-    return groups

@@ -11,7 +11,7 @@ absent, failed verification, failed axiom); 2 budget or cap exhausted;
 (``ufw … | head``) exits 141, the shell's status for SIGPIPE.
 
 Each handler imports the layers it uses, so a call loads only those (and
-numpy only where the transfer sweep or the Weyl sum runs).
+numpy only where the Weyl sum runs).
 """
 
 import argparse
@@ -23,7 +23,14 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .errors import BudgetExhausted, CapExceeded, ParseError, UfwError
+from .errors import (
+    ArityMismatch,
+    BudgetExhausted,
+    CapExceeded,
+    IndexOutOfRange,
+    ParseError,
+    UfwError,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -495,7 +502,7 @@ def run(argv):
     except _InputError as err:
         _emit({"error": str(err)}, argv, seed, digests, start)
         return EXIT_INPUT
-    except (ParseError, ValueError, KeyError, TypeError) as err:
+    except (ParseError, IndexOutOfRange, ArityMismatch, ValueError, KeyError, TypeError) as err:
         _emit({"error": "%s: %s" % (type(err).__name__, err)}, argv, seed, digests, start)
         return EXIT_INPUT
     except (BudgetExhausted, CapExceeded) as err:

@@ -3,6 +3,7 @@ evaluation, ultraproducts over finite index sets, fundamental-theorem
 (transfer) checking, and normalization of non-normal models."""
 
 from .semantics import Structure, eval_formula, normalize
+from .sweep import exhaustive_transfer_sweep
 from .syntax import (
     Signature,
     formula_vars,
@@ -30,13 +31,3 @@ __all__ = [
     "print_term",
     "ultraproduct",
 ]
-
-
-def __getattr__(name):
-    """The sweep is imported on first use (PEP 562): it needs numpy, which
-    nothing else in the package does."""
-    if name == "exhaustive_transfer_sweep":
-        from .sweep import exhaustive_transfer_sweep
-
-        return exhaustive_transfer_sweep
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))

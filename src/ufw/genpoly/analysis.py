@@ -85,7 +85,7 @@ def weyl_sum(alphas, ks, N):
         for k, a in zip(ks, alphas):
             iv = a.bracket(64)
             theta_f += k * float((iv.lo + iv.hi) / 2)
-    import numpy as np  # genpoly's only numpy use, so loaded here
+    import numpy as np  # the package's only numpy use, so loaded here
 
     n = np.arange(1, N + 1, dtype=np.float64)
     s = np.exp(2j * np.pi * theta_f * n).sum() / N

@@ -267,6 +267,8 @@ def find_mono_fs(coloring, k, budget=None, distinct=True):
     BudgetExhausted when the node budget runs out first (a strictly weaker
     answer than None).
     """
+    if k < 1:
+        raise ValueError("a finite-sums pattern needs at least one generator, got k=%d" % k)
     colors = coloring.colors
 
     def keep(sums, new):

@@ -61,7 +61,11 @@ class SetFamily:
         :meth:`from_masks`)."""
         masks = set()
         for member in members:
-            m = mask_of(member)
+            indices = tuple(member)
+            # type(), not isinstance(): JSON true would read as element 1
+            if any(type(i) is not int for i in indices):
+                raise ValueError("member %r has a non-integer element" % (member,))
+            m = mask_of(indices)
             if m > ground.full_mask:
                 raise IndexOutOfRange("member %r outside ground set" % (member,))
             masks.add(m)
@@ -241,11 +245,7 @@ def enumerate_ultrafilters(ground):
     """All ultrafilters on the ground set: exactly the principal ones."""
     if ground.size > ULTRAFILTER_CAP:
         raise CapExceeded("ground size %d exceeds cap %d" % (ground.size, ULTRAFILTER_CAP))
-    out = []
-    for x in range(ground.size):
-        masks = [a for a in range(1 << ground.size) if a & (1 << x)]
-        out.append(SetFamily.from_masks(ground, masks))
-    return out
+    return [principal_ultrafilter(ground, x) for x in range(ground.size)]
 
 
 def principal_ultrafilter(ground, x):

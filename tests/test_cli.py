@@ -217,6 +217,7 @@ def test_arrow_rejects_non_integer_table_entry(capsys, tmp_path, entry):
         (["setfam", "classify", "--in"], {"ground": 2.0, "members": [[0]]}),
         (["sg", "report", "--in"], {"mul": [[True, False], [False, True]]}),
         (["sg", "report", "--in"], {"mul": [[0.0, 1.0], [1.0, 0.0]]}),
+        (["setfam", "classify", "--in"], {"ground": 2, "members": [[True]]}),
     ],
 )
 def test_non_integer_counts_are_input_errors(capsys, tmp_path, argv, body):
@@ -225,6 +226,25 @@ def test_non_integer_counts_are_input_errors(capsys, tmp_path, argv, body):
     code, report = invoke(capsys, argv + [write_json(tmp_path, "in.json", body)])
     assert code == 3
     assert report["result"]["error"].startswith("ValueError: ")
+
+
+def test_member_outside_ground_is_input_error(capsys, tmp_path):
+    path = write_json(tmp_path, "fam.json", {"ground": 2, "members": [[5]]})
+    code, report = invoke(capsys, ["setfam", "classify", "--in", path])
+    assert code == 3
+    assert report["result"] == {"error": "IndexOutOfRange: member [5] outside ground set"}
+
+
+def test_arity_mismatch_is_input_error(capsys, tmp_path):
+    from ufw.folup import Signature, Structure
+
+    sig = Signature(functions=(("f", 2),))
+    sig_path = write_json(tmp_path, "sig.json", sig.to_json())
+    s1 = write_json(tmp_path, "s1.json", Structure(sig, 1, funcs={"f": [[0]]}).to_json())
+    argv = ["fol", "eval", "--sig", sig_path, "--structs", s1, "--formula", "f(x) = x"]
+    code, report = invoke(capsys, argv)
+    assert code == 3
+    assert report["result"]["error"].startswith("ArityMismatch: ")
 
 
 def test_fol_los(capsys, tmp_path):

@@ -1,6 +1,6 @@
 """First-order evaluation over finite structures, ultraproducts, and the
 transfer property: parser/printer roundtrips, evaluation oracles, product
-construction laws, and the vectorized sweep cross-checked against the slow
+construction laws, and the bit-parallel sweep cross-checked against the slow
 evaluator."""
 
 import random
@@ -24,6 +24,7 @@ from ufw.folup import (
     ultraproduct,
 )
 from ufw.folup.semantics import equality_axiom_witness
+from ufw.folup import sweep
 from ufw.folup.sweep import build_corpus, corpus_formula, factor_structures
 from ufw.setfam import GroundSet, SetFamily, principal_ultrafilter
 
@@ -261,6 +262,71 @@ def test_sweep_tiny_is_clean():
     report = exhaustive_transfer_sweep(max_x=2, max_nodes=3)
     assert report["violations"] == []
     assert report["pairs"] == 17 + 2 * 17**2
+
+
+# (formulas, pairs, checked) for max_x = 1..3 and max_nodes = 1..3, as the
+# numpy implementation reported them
+SWEEP_COUNTS = {
+    (1, 1): (36, 17, 2340),
+    (1, 2): (144, 17, 9360),
+    (1, 3): (1764, 17, 114660),
+    (2, 1): (36, 595, 306540),
+    (2, 2): (144, 595, 1226160),
+    (2, 3): (1764, 595, 15020460),
+    (3, 1): (36, 15334, 29966040),
+    (3, 2): (144, 15334, 119864160),
+    (3, 3): (1764, 15334, 1468335960),
+}
+
+
+@pytest.mark.parametrize("max_x, max_nodes", sorted(SWEEP_COUNTS))
+def test_sweep_counts_pinned(max_x, max_nodes):
+    report = exhaustive_transfer_sweep(max_x, max_nodes)
+    assert report["violations"] == []
+    counts = (report["formulas"], report["pairs"], report["checked"])
+    assert counts == SWEEP_COUNTS[max_x, max_nodes]
+
+
+def test_sweep_reports_a_corrupted_product(monkeypatch):
+    # one wrong entry in the f-table of the product of factors 5 and 9
+    # (both of size 2, so the product has 4 elements)
+    build = sweep._product_table
+
+    def corrupted(tup, structs, prefixes):
+        u, table = build(tup, structs, prefixes)
+        if tup == (5, 9):
+            table = list(table)
+            table[1 * u + 2] = (table[1 * u + 2] + 1) % u
+        return u, table
+
+    monkeypatch.setattr(sweep, "_product_table", corrupted)
+    violations = exhaustive_transfer_sweep(max_x=2, max_nodes=3)["violations"]
+    assert violations
+    assert {v["factors"] for v in violations} == {(5, 9)}
+
+
+def test_sweep_truth_tables_match_slow_evaluator():
+    # every formula with <= 3 nodes on every factor, at every assignment: a
+    # mistake that both sides of the sweep share (say, f(y,x) read as
+    # f(x,y)) keeps the transfer property and shows only here
+    nodes = build_corpus(3)
+    sig = Signature(functions=(("f", 2),))
+    for size, f in factor_structures():
+        structure = Structure(sig, size, funcs={"f": f})
+        table = [v for row in f for v in row]
+        masks = sweep._masks(nodes, *sweep._context(size, table, 1, size))
+        for i, m in enumerate(masks):
+            phi = corpus_formula(nodes, i)
+            for vx in range(size):
+                for vy in range(size):
+                    expected = eval_formula(structure, phi, {"x": vx, "y": vy})
+                    assert (m >> (vx * 8 + vy) & 1) == expected, (i, vx, vy)
+
+
+def test_sweep_rejects_products_beyond_the_cell_layout():
+    # four 2-element factors make 16 elements; the 8×8 layout holds 8
+    with pytest.raises(ValueError):
+        exhaustive_transfer_sweep(max_x=4, max_nodes=1)
 
 
 def test_corpus_counts():

@@ -91,6 +91,14 @@ def test_fs_strict_counterexample_at_5():
     assert find_mono_fs(IntervalColoring(5, (0, 1, 0, 1, 0)), 2) is None
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_fs_needs_a_generator(k):
+    # no witness with no colour, and no "proven absent" for a pattern that
+    # does not exist
+    with pytest.raises(ValueError):
+        find_mono_fs(IntervalColoring(3, (0, 1, 0)), k)
+
+
 def test_fs_budget_exhaustion_distinguished():
     c = IntervalColoring(12, tuple(i % 2 for i in range(12)))
     with pytest.raises(BudgetExhausted) as err:

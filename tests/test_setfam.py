@@ -49,6 +49,13 @@ def test_out_of_range_member_rejected():
         SetFamily(G3, [[3]])
 
 
+@pytest.mark.parametrize("element", [True, 1.0, "1"])
+def test_non_integer_member_rejected(element):
+    # type(), not isinstance(): True would otherwise read as element 1
+    with pytest.raises(ValueError):
+        SetFamily(G3, [[0], [element]])
+
+
 def test_json_roundtrip():
     fam = SetFamily(G3, [[0], [0, 2]])
     assert SetFamily.from_json(fam.to_json()) == fam
