@@ -6,7 +6,9 @@ dictator recovery, and the converse rule-from-ultrafilter construction.
 Orders are strict total orders, stored as permutations of the candidate set
 read worst-to-best: a ≺ b iff a appears earlier.  Profiles are indexed in
 mixed radix over per-voter permutation indices (voter 0 most significant);
-witnesses reference profile indices, so they are stable across runs.
+witnesses reference profile indices, so they are stable across runs.  The
+rule builders and the axiom checks read profiles through one cached rank
+table per election.
 """
 
 from dataclasses import dataclass
@@ -49,132 +51,9 @@ def _order_index(m):
     return {p: i for i, p in enumerate(all_orders(m))}
 
 
-def prec(order, a, b):
-    """a ≺ b in the worst-to-best permutation ``order``."""
-    return order.index(a) < order.index(b)
-
-
-def profile_orders(election, pidx):
-    """Decode a profile index into per-voter orders (voter 0 most
-    significant in the mixed-radix encoding)."""
-    orders = all_orders(election.candidates)
-    base = len(orders)
-    out = [None] * election.voters
-    for v in range(election.voters - 1, -1, -1):
-        out[v] = orders[pidx % base]
-        pidx //= base
-    return tuple(out)
-
-
-def profile_index(election, orders):
-    """Inverse of profile_orders."""
-    lookup = _order_index(election.candidates)
-    idx = 0
-    for order in orders:
-        idx = idx * factorial(election.candidates) + lookup[tuple(order)]
-    return idx
-
-
-class AggregationRule:
-    """A total map from profiles to strict orders, stored as a table of
-    permutation indices.  Construction rejects any non-total-order output
-    with the offending profile."""
-
-    __slots__ = ("election", "table")
-
-    def __init__(self, election, table=None, func=None):
-        if election.profile_count > PROFILE_CAP:
-            raise CapExceeded("profile space exceeds cap %d" % PROFILE_CAP)
-        if (table is None) == (func is None):
-            raise ValueError("provide exactly one of table / func")
-        orders = all_orders(election.candidates)
-        lookup = _order_index(election.candidates)
-        if table is not None:
-            table = tuple(table)
-            if len(table) != election.profile_count:
-                raise ValueError("table must cover every profile")
-            for pidx, oi in enumerate(table):
-                # type(), not isinstance(): True and False are ints too
-                if type(oi) is not int or not 0 <= oi < len(orders):
-                    raise NotStrictOrder(
-                        "output %r at profile %d is not a strict order" % (oi, pidx),
-                        profile_index=pidx,
-                    )
-        else:
-            rows = []
-            for pidx in range(election.profile_count):
-                out = func(profile_orders(election, pidx))
-                out = tuple(out)
-                if out not in lookup:
-                    raise NotStrictOrder(
-                        "output %r at profile %d is not a strict order" % (out, pidx),
-                        profile_index=pidx,
-                    )
-                rows.append(lookup[out])
-            table = tuple(rows)
-        object.__setattr__(self, "election", election)
-        object.__setattr__(self, "table", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AggregationRule is immutable")
-
-    def order(self, pidx):
-        return all_orders(self.election.candidates)[self.table[pidx]]
-
-    def to_json(self):
-        return {
-            "voters": self.election.voters,
-            "candidates": self.election.candidates,
-            "table": list(self.table),
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(Election(obj["voters"], obj["candidates"]), table=obj["table"])
-
-
-def dictator_rule(election, voter):
-    """The rule that copies the given voter's order."""
-    return AggregationRule(election, func=lambda orders: orders[voter])
-
-
-def borda_rule(election):
-    """Borda count with lexicographic tie-break (lower index preferred on
-    equal score); the classic IIA violator."""
-
-    def social(orders):
-        m = election.candidates
-        score = [0] * m
-        for order in orders:
-            for pos, cand in enumerate(order):
-                score[cand] += pos  # worst-to-best: later = better
-        # Worst-to-best output: ascending score; ties broken so the lower
-        # candidate index ends up better (later).
-        return tuple(sorted(range(m), key=lambda c: (score[c], c)))
-
-    return AggregationRule(election, func=social)
-
-
-def pairwise_majority_rule(election):
-    """Pairwise-majority 'rule'; raises NotStrictOrder on the first profile
-    (e.g. a Condorcet cycle) whose tally is not a total order."""
-
-    def social(orders):
-        m = election.candidates
-        beats = [[0] * m for _ in range(m)]
-        for a in range(m):
-            for b in range(m):
-                if a != b:
-                    beats[a][b] = sum(1 for o in orders if prec(o, b, a))
-        # b "beats" a when a majority ranks b above a; count wins.
-        wins = [sum(1 for b in range(m) if b != a and beats[a][b] > beats[b][a]) for a in range(m)]
-        order = tuple(sorted(range(m), key=lambda c: wins[c]))
-        # Valid only when win counts are all distinct (a linear tournament).
-        if len(set(wins)) != m:
-            return ("cycle",)
-        return order
-
-    return AggregationRule(election, func=social)
+def _check_cap(election):
+    if election.profile_count > PROFILE_CAP:
+        raise CapExceeded("profile space exceeds cap %d" % PROFILE_CAP)
 
 
 def _ordered_pairs(m):
@@ -183,7 +62,8 @@ def _ordered_pairs(m):
 
 @dataclass(frozen=True)
 class _RankTable:
-    """What the axiom checks read of an election, decoded once.
+    """How the rule builders and the axiom checks read an election's
+    profiles, decoded once.
 
     ``pos[o][c]`` is candidate c's place in order o (0 = worst), and
     ``below[o][c]`` the mask of candidates ranked below c in o.
@@ -201,6 +81,7 @@ class _RankTable:
 
 @lru_cache(maxsize=4)
 def _rank_table(election):
+    _check_cap(election)
     m = election.candidates
     orders = all_orders(m)
     lookup = _order_index(m)
@@ -230,6 +111,101 @@ def _rank_table(election):
 def _precedes(ranks, a, b):
     """lt[o]: a ≺ b in order o, for every order index o."""
     return [p[a] < p[b] for p in ranks.pos]
+
+
+def _supporters(ranks, a, b, weights):
+    """Per profile, in index order: the sum of weights[v] over the voters v
+    with a ≺ b.  One product() over the voters' orders walks the profiles
+    in index order, as it built them."""
+    lt = _precedes(ranks, a, b)
+    return map(sum, product(*([w if x else 0 for x in lt] for w in weights)))
+
+
+class AggregationRule:
+    """A total map from profiles to strict orders, stored as a table of
+    permutation indices.  Construction rejects any entry that is not an
+    order index, with the offending profile."""
+
+    __slots__ = ("election", "table")
+
+    def __init__(self, election, table):
+        _check_cap(election)
+        table = tuple(table)
+        if len(table) != election.profile_count:
+            raise ValueError("table must cover every profile")
+        k = factorial(election.candidates)
+        for pidx, oi in enumerate(table):
+            # type(), not isinstance(): True and False are ints too
+            if type(oi) is not int or not 0 <= oi < k:
+                raise NotStrictOrder(
+                    "output %r at profile %d is not a strict order" % (oi, pidx),
+                    profile_index=pidx,
+                )
+        object.__setattr__(self, "election", election)
+        object.__setattr__(self, "table", table)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AggregationRule is immutable")
+
+    def order(self, pidx):
+        return all_orders(self.election.candidates)[self.table[pidx]]
+
+    def to_json(self):
+        return {
+            "voters": self.election.voters,
+            "candidates": self.election.candidates,
+            "table": list(self.table),
+        }
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls(Election(obj["voters"], obj["candidates"]), table=obj["table"])
+
+
+def dictator_rule(election, voter):
+    """The rule that copies the given voter's order."""
+    ranks = _rank_table(election)
+    return AggregationRule(election, table=[orders[voter] for orders in ranks.profiles])
+
+
+def borda_rule(election):
+    """Borda count with lexicographic tie-break (higher index preferred on
+    equal score); the classic IIA violator."""
+    ranks = _rank_table(election)
+    lookup = _order_index(election.candidates)
+    table = []
+    for orders in ranks.profiles:
+        # a candidate scores its places, 0 = worst, summed over voters
+        score = [sum(col) for col in zip(*map(ranks.pos.__getitem__, orders))]
+        # Worst-to-best output: ascending score; the stable sort leaves the
+        # lower candidate index worse (earlier) on a tie
+        table.append(lookup[tuple(sorted(range(election.candidates), key=score.__getitem__))])
+    return AggregationRule(election, table=table)
+
+
+def pairwise_majority_rule(election):
+    """Pairwise-majority 'rule'; raises NotStrictOrder on the first profile
+    (e.g. a Condorcet cycle) whose tally is not a total order."""
+    ranks = _rank_table(election)
+    n, pos = election.voters, ranks.pos
+    by_places = {p: o for o, p in enumerate(pos)}
+    table = []
+    for pidx, orders in enumerate(ranks.profiles):
+        # a candidate's place is the number of pairwise majorities it wins;
+        # the places form an order only when they are all distinct
+        wins = [0] * election.candidates
+        for a, b in combinations(range(election.candidates), 2):
+            b_over_a = 2 * sum(pos[o][a] < pos[o][b] for o in orders)
+            if b_over_a != n:
+                wins[b if b_over_a > n else a] += 1
+        o = by_places.get(tuple(wins))
+        if o is None:
+            raise NotStrictOrder(
+                "pairwise majority at profile %d is not a strict order" % pidx,
+                profile_index=pidx,
+            )
+        table.append(o)
+    return AggregationRule(election, table=table)
 
 
 def check_iia(rule):
@@ -311,14 +287,15 @@ def _first_monotone_witness(rule, ranks, a):
 def check_unanimity(rule):
     """(NI)/unanimity: a unanimous profile maps to the common order."""
     el = rule.election
-    for order in all_orders(el.candidates):
-        pidx = profile_index(el, [order] * el.voters)
-        soc = rule.order(pidx)
-        if soc != order:
+    ranks = _rank_table(el)
+    # every voter's digit is o in the unanimous profile for order o
+    step = sum(ranks.weights)
+    for o, p in enumerate(ranks.pos):
+        pidx = o * step
+        soc = ranks.pos[rule.table[pidx]]
+        if soc != p:
             pair = next(
-                (a, b)
-                for a, b in _ordered_pairs(el.candidates)
-                if prec(order, a, b) and not prec(soc, a, b)
+                (a, b) for a, b in _ordered_pairs(el.candidates) if p[a] < p[b] and soc[a] > soc[b]
             )
             return False, (pidx, pidx, pair)
     return True, None
@@ -343,11 +320,9 @@ def pairwise_decisive(rule, a, b):
     el = rule.election
     ranks = _rank_table(el)
     lt = _precedes(ranks, a, b)
+    bits = [1 << v for v in range(el.voters)]
     # supporter masks of the profiles where a ≺_soc b fails
-    against = set()
-    for pidx, orders in enumerate(ranks.profiles):
-        if not lt[rule.table[pidx]]:
-            against.add(mask_of(v for v, o in enumerate(orders) if lt[o]))
+    against = {s for soc, s in zip(rule.table, _supporters(ranks, a, b, bits)) if not lt[soc]}
     masks = [c for c in range(1 << el.voters) if all(c & ~s for s in against)]
     return SetFamily.from_masks(GroundSet(el.voters), masks)
 
@@ -394,20 +369,16 @@ def rule_from_ultrafilter(u, election):
     if verdict.kind != "ultrafilter":
         raise NotUltrafilter("family is %s" % verdict.kind, verdict.witness)
 
-    def social(orders):
-        m = election.candidates
-        below_count = [0] * m
-        for a in range(m):
-            for b in range(m):
-                if a != b:
-                    supporters = mask_of(
-                        v for v in range(election.voters) if prec(orders[v], a, b)
-                    )
-                    if u.has_mask(supporters):
-                        below_count[b] += 1
-        return tuple(sorted(range(m), key=lambda c: below_count[c]))
-
-    return AggregationRule(election, func=social)
+    ranks = _rank_table(election)
+    # a ≺_soc b puts b one place higher
+    places = [[0] * election.candidates for _ in ranks.profiles]
+    bits = [1 << v for v in range(election.voters)]
+    for a, b in _ordered_pairs(election.candidates):
+        for place, supporters in zip(places, _supporters(ranks, a, b, bits)):
+            if u.has_mask(supporters):
+                place[b] += 1
+    by_places = {p: o for o, p in enumerate(ranks.pos)}
+    return AggregationRule(election, table=[by_places[tuple(p)] for p in places])
 
 
 def weighted_threshold_rule(weights, t, election):
@@ -422,17 +393,11 @@ def weighted_threshold_rule(weights, t, election):
     if not 0 < t < sum(weights):
         raise ValueError("threshold must satisfy 0 < t < Σ weights")
 
-    def social(orders):
-        yes = sum(w for w, o in zip(weights, orders) if prec(o, 0, 1))
-        return (0, 1) if yes > t else (1, 0)
-
-    rule = AggregationRule(election, func=social)
-    dictator = None
-    for v in range(election.voters):
-        if all(
-            rule.order(pidx) == profile_orders(election, pidx)[v]
-            for pidx in range(election.profile_count)
-        ):
-            dictator = v
-            break
+    ranks = _rank_table(election)
+    # orders (0, 1) and (1, 0) are indices 0 and 1
+    rule = AggregationRule(
+        election, table=[0 if yes > t else 1 for yes in _supporters(ranks, 0, 1, weights)]
+    )
+    # zip(*profiles) yields each voter's column: a dictator's is the table
+    dictator = next((v for v, col in enumerate(zip(*ranks.profiles)) if col == rule.table), None)
     return {"rule": rule, "dictator": dictator}

@@ -313,9 +313,14 @@ def _cmd_fol(args, digests):
     phi = folup.parse_formula(args.formula, sig)
     if args.action == "eval":
         env = {}
+        size = min(s.size for s in structs)
         for item in args.env.split(",") if args.env else []:
             name, _, value = item.partition("=")
-            env[name.strip()] = int(value)
+            value = int(value)
+            # a negative value would index a table from its end
+            if not 0 <= value < size:
+                raise IndexOutOfRange("%s is outside a universe of size %d" % (item.strip(), size))
+            env[name.strip()] = value
         values = [folup.eval_formula(s, phi, env) for s in structs]
         return {"formula": folup.print_formula(phi), "values": values}, EXIT_OK
     u = setfam.SetFamily.from_json(_load_json(args.uf, digests))

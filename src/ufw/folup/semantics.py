@@ -23,6 +23,9 @@ class Structure:
         funcs = dict(funcs or {})
         rels = {name: frozenset(map(tuple, tups)) for name, tups in dict(rels or {}).items()}
         consts = dict(consts or {})
+        # type(), not isinstance(): True and False are ints too
+        if type(size) is not int:
+            raise ValueError("universe size must be an integer")
         if size < 1:
             raise ValueError("universe must be non-empty")
         if "=" not in rels:
@@ -35,10 +38,10 @@ class Structure:
             if name not in rels:
                 raise ValueError("missing relation table %r" % name)
             for tup in rels[name]:
-                if len(tup) != arity or any(not 0 <= v < size for v in tup):
+                if len(tup) != arity or not all(_is_element(v, size) for v in tup):
                     raise ValueError("relation %r contains invalid tuple %r" % (name, tup))
         for name in sig.constants:
-            if name not in consts or not 0 <= consts[name] < size:
+            if name not in consts or not _is_element(consts[name], size):
                 raise ValueError("missing or invalid constant %r" % name)
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "size", size)
@@ -85,10 +88,14 @@ class Structure:
         )
 
 
+def _is_element(v, size):
+    return type(v) is int and 0 <= v < size
+
+
 def _freeze_table(table, arity, size, name):
     if arity == 0:
-        if not 0 <= table < size:
-            raise ValueError("nullary function %r out of range" % name)
+        if not _is_element(table, size):
+            raise ValueError("function %r has entry %r outside the universe" % (name, table))
         return table
     table = tuple(table)
     if len(table) != size:

@@ -24,6 +24,13 @@ class Dfao:
     out_base: int
 
     def __post_init__(self):
+        # type(), not isinstance(): True and False are ints too.  Base 1 or
+        # 0 has no digit expansion: _base_digits would never end, or divide
+        # by zero
+        if type(self.in_base) is not int or self.in_base < 2:
+            raise ValueError("input base must be an integer ≥ 2")
+        if type(self.out_base) is not int:
+            raise ValueError("output base must be an integer")
         tau = tuple(tuple(row) for row in self.tau)
         lam = tuple(tuple(row) for row in self.lam)
         object.__setattr__(self, "tau", tau)

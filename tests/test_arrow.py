@@ -2,10 +2,12 @@
 families, the dictatorship analysis, and the ultrafilter correspondence."""
 
 import random
+from itertools import permutations
 from math import factorial
 
 import pytest
 
+from ufw import arrow
 from ufw.arrow import (
     AggregationRule,
     Election,
@@ -19,36 +21,53 @@ from ufw.arrow import (
     dictator_rule,
     pairwise_decisive,
     pairwise_majority_rule,
-    prec,
-    profile_index,
-    profile_orders,
     rule_from_ultrafilter,
     verify_arrow,
     weighted_threshold_rule,
 )
-from ufw.errors import NotStrictOrder
+from ufw.errors import CapExceeded, NotStrictOrder
 from ufw.largeness.checkers import check_dictator
-from ufw.setfam import GroundSet, SetFamily, classify_family, enumerate_ultrafilters
+from ufw.setfam import (
+    GroundSet,
+    SetFamily,
+    classify_family,
+    enumerate_ultrafilters,
+    principal_ultrafilter,
+)
 
 
 # --- profiles and orders ---------------------------------------------------
+#
+# The tests decode profiles themselves, sharing no code with ufw.arrow: an
+# order lists the candidates worst-to-best, and a profile index is a mixed
+# radix number over the voters' order indices, voter 0 most significant.
+
+
+def _decode(el, pidx):
+    """Profile pidx as a tuple of per-voter orders."""
+    orders = list(permutations(range(el.candidates)))
+    out = []
+    for _ in range(el.voters):
+        pidx, digit = divmod(pidx, len(orders))
+        out.append(orders[digit])
+    return tuple(reversed(out))
+
+
+def _prec(order, a, b):
+    """a ≺ b in the worst-to-best order: a appears earlier."""
+    return order.index(a) < order.index(b)
+
+
+def _table(el, social):
+    """The order-index table of the rule that applies ``social`` to every
+    decoded profile."""
+    orders = list(permutations(range(el.candidates)))
+    return tuple(orders.index(tuple(social(_decode(el, p)))) for p in range(el.profile_count))
 
 
 def test_orders_are_lex_permutations():
     assert all_orders(3)[0] == (0, 1, 2)
     assert len(all_orders(3)) == 6
-
-
-def test_prec_reads_worst_to_best():
-    # order lists candidates worst-to-best: later = preferred
-    order = (2, 0, 1)
-    assert prec(order, 2, 1) and not prec(order, 1, 2)
-
-
-def test_profile_roundtrip():
-    el = Election(3, 3)
-    for pidx in (0, 17, el.profile_count - 1):
-        assert profile_index(el, profile_orders(el, pidx)) == pidx
 
 
 # --- rules and axioms ------------------------------------------------------
@@ -68,9 +87,9 @@ def test_borda_violates_iia_with_witness():
     p1, p2, pair = witness
     # replay the witness: same relative (a,b) positions, different social order
     a, b = pair
-    o1, o2 = profile_orders(el, p1), profile_orders(el, p2)
-    assert all(prec(x, a, b) == prec(y, a, b) for x, y in zip(o1, o2))
-    assert prec(rule.order(p1), a, b) != prec(rule.order(p2), a, b)
+    o1, o2 = _decode(el, p1), _decode(el, p2)
+    assert all(_prec(x, a, b) == _prec(y, a, b) for x, y in zip(o1, o2))
+    assert _prec(rule.order(p1), a, b) != _prec(rule.order(p2), a, b)
 
 
 def test_majority_cycle_detected():
@@ -83,30 +102,56 @@ def test_majority_cycle_detected():
 def test_unanimity_witness_for_antidictator():
     el = Election(2, 2)
     # reverse voter 0's order: violates unanimity on unanimous profiles
-    rule = AggregationRule(el, func=lambda orders: tuple(reversed(orders[0])))
+    rule = AggregationRule(el, table=_table(el, lambda orders: reversed(orders[0])))
     ok, witness = check_unanimity(rule)
-    assert not ok and witness is not None
+    assert (ok, witness) == (False, (0, 0, (0, 1)))
+    p1, p2, (a, b) = witness
+    orders = _decode(el, p1)
+    assert p1 == p2 and len(set(orders)) == 1
+    assert _prec(orders[0], a, b) and not _prec(rule.order(p1), a, b)
 
 
 def test_monotone_witness_for_antidictator():
     el = Election(2, 3)
-    rule = AggregationRule(el, func=lambda orders: tuple(reversed(orders[0])))
+    rule = AggregationRule(el, table=_table(el, lambda orders: reversed(orders[0])))
     ok, witness = check_monotone(rule)
     assert (ok, witness) == (False, (0, 12, (1, 0)))
     # replay: a weakly rises for every voter, the others keep their order,
     # yet b ≺ a socially before the rise and not after it
     p1, p2, (b, a) = witness
-    for o1, o2 in zip(profile_orders(el, p1), profile_orders(el, p2)):
+    for o1, o2 in zip(_decode(el, p1), _decode(el, p2)):
         assert [c for c in o1 if c != a] == [c for c in o2 if c != a]
         assert o1.index(a) <= o2.index(a)
-    assert prec(rule.order(p1), b, a)
-    assert not prec(rule.order(p2), b, a)
+    assert _prec(rule.order(p1), b, a)
+    assert not _prec(rule.order(p2), b, a)
+
+
+def test_profile_cap_comes_before_any_profile_is_built(monkeypatch):
+    # 24^9 profiles: a builder that decoded them before the cap check would
+    # exhaust memory instead of raising
+    def no_profiles(*args, **kwargs):
+        raise AssertionError("profiles built before the cap check")
+
+    monkeypatch.setattr(arrow, "product", no_profiles)
+    el = Election(9, 4)
+    u = principal_ultrafilter(GroundSet(9), 0)
+    for build in (
+        lambda: rule_from_ultrafilter(u, el),
+        lambda: dictator_rule(el, 0),
+        lambda: borda_rule(el),
+        lambda: pairwise_majority_rule(el),
+    ):
+        with pytest.raises(CapExceeded):
+            build()
 
 
 def test_rules_reject_non_order_output():
+    # two candidates have the orders 0 and 1 only
     el = Election(2, 2)
-    with pytest.raises(NotStrictOrder):
-        AggregationRule(el, func=lambda orders: (0, 0))
+    for bad in (2, -1):
+        with pytest.raises(NotStrictOrder) as err:
+            AggregationRule(el, table=[0, 1, bad, 0])
+        assert err.value.profile_index == 2
 
 
 # --- decisive families and the dictatorship analysis -----------------------
@@ -182,7 +227,7 @@ def test_rule_json_roundtrip():
 
 
 def _decoded(el):
-    return [profile_orders(el, pidx) for pidx in range(el.profile_count)]
+    return [_decode(el, pidx) for pidx in range(el.profile_count)]
 
 
 def _pairwise_monotone(rule):
@@ -206,7 +251,7 @@ def _pairwise_monotone(rule):
                     ):
                         continue
                     for b in range(el.candidates):
-                        if b != a and prec(social[p1], b, a) and not prec(social[p2], b, a):
+                        if b != a and _prec(social[p1], b, a) and not _prec(social[p2], b, a):
                             return False, (p1, p2, (b, a))
     return True, None
 
@@ -220,8 +265,8 @@ def _decoding_iia(rule):
                 continue
             groups = {}
             for pidx in range(el.profile_count):
-                key = tuple(prec(o, a, b) for o in profile_orders(el, pidx))
-                soc = prec(rule.order(pidx), a, b)
+                key = tuple(_prec(o, a, b) for o in _decode(el, pidx))
+                soc = _prec(rule.order(pidx), a, b)
                 if key not in groups:
                     groups[key] = (pidx, soc)
                 elif groups[key][1] != soc:
@@ -238,9 +283,9 @@ def _scanning_decisive(rule, a, b):
         coalition
         for coalition in range(1 << el.voters)
         if all(
-            prec(rule.order(pidx), a, b)
+            _prec(rule.order(pidx), a, b)
             for pidx, orders in enumerate(decoded)
-            if all(prec(orders[v], a, b) for v in range(el.voters) if coalition >> v & 1)
+            if all(_prec(orders[v], a, b) for v in range(el.voters) if coalition >> v & 1)
         )
     ]
     return SetFamily.from_masks(GroundSet(el.voters), masks)
@@ -298,3 +343,79 @@ def test_pairwise_decisive_agrees_with_coalition_scan():
             for a, b in [(0, 1), (1, 0)] + ([(2, 0)] if el.candidates > 2 else []):
                 assert pairwise_decisive(rule, a, b) == _scanning_decisive(rule, a, b)
 
+
+
+# --- agreement of the rule builders with decode-and-apply oracles -----------
+
+
+def _borda(orders):
+    m = len(orders[0])
+    score = [sum(o.index(c) for o in orders) for c in range(m)]
+    # ties: the lower candidate index first, that is worse
+    return sorted(range(m), key=lambda c: (score[c], c))
+
+
+def _majority(orders):
+    """The order by pairwise-majority win counts, or None when two
+    candidates win equally often (a cycle, or ties from an even split)."""
+    m = len(orders[0])
+    wins = [
+        sum(1 for b in range(m) if b != a and 2 * sum(_prec(o, b, a) for o in orders) > len(orders))
+        for a in range(m)
+    ]
+    if len(set(wins)) != m:
+        return None
+    return sorted(range(m), key=wins.__getitem__)
+
+
+def _by_ultrafilter(u):
+    """a ≺_soc b iff the set of voters with a ≺ b is a member of u."""
+    members = {frozenset(s) for s in u.members}
+
+    def social(orders):
+        m = len(orders[0])
+        placed = [
+            sum(
+                frozenset(v for v, o in enumerate(orders) if _prec(o, a, b)) in members
+                for a in range(m)
+                if a != b
+            )
+            for b in range(m)
+        ]
+        return sorted(range(m), key=placed.__getitem__)
+
+    return social
+
+
+def _by_weights(weights, t):
+    def social(orders):
+        yes = sum(w for w, o in zip(weights, orders) if _prec(o, 0, 1))
+        return (0, 1) if yes > t else (1, 0)
+
+    return social
+
+
+@pytest.mark.parametrize("el", SMALL_ELECTIONS, ids=lambda el: "%dx%d" % (el.voters, el.candidates))
+def test_builders_agree_with_decoding_oracles(el):
+    for voter in range(el.voters):
+        assert dictator_rule(el, voter).table == _table(el, lambda orders: orders[voter])
+        u = principal_ultrafilter(GroundSet(el.voters), voter)
+        assert rule_from_ultrafilter(u, el).table == _table(el, _by_ultrafilter(u))
+    assert borda_rule(el).table == _table(el, _borda)
+    socials = [_majority(_decode(el, p)) for p in range(el.profile_count)]
+    if None in socials:
+        with pytest.raises(NotStrictOrder) as err:
+            pairwise_majority_rule(el)
+        assert err.value.profile_index == socials.index(None)
+    else:
+        assert pairwise_majority_rule(el).table == _table(el, _majority)
+    if el.candidates == 2:
+        # equal weights, and powers of two under which the last voter
+        # outweighs all the others
+        n = el.voters
+        for weights, t in (([1] * n, n / 2), ([2**v for v in range(n)], 2 ** (n - 1) - 0.5)):
+            out = weighted_threshold_rule(weights, t, el)
+            assert out["rule"].table == _table(el, _by_weights(weights, t))
+            columns = [_table(el, lambda orders: orders[v]) for v in range(n)]
+            dictators = [v for v in range(n) if columns[v] == out["rule"].table]
+            assert out["dictator"] == (dictators[0] if dictators else None)

@@ -185,6 +185,14 @@ def test_gp_eval_serializes_fractions(capsys):
     assert report["result"]["value"] == "9/2"
 
 
+def test_gp_dfao_input_base_zero_is_input_error(capsys, tmp_path):
+    dfao = {"states": 1, "init": 0, "tau": [[]], "lam": [[]], "in_base": 0, "out_base": 2}
+    path = write_json(tmp_path, "m.json", dfao)
+    code, report = invoke(capsys, ["gp", "dfao", "-n", "5", "--in", path])
+    assert code == 3
+    assert report["result"] == {"error": "ValueError: input base must be an integer ≥ 2"}
+
+
 def test_arrow_verify_dictator(capsys, tmp_path):
     from ufw.arrow import Election, dictator_rule
 
@@ -207,6 +215,12 @@ def test_arrow_rejects_non_integer_table_entry(capsys, tmp_path, entry):
     }
 
 
+SIGNATURE = {"functions": {"f": 1}, "relations": {"r": 1}, "constants": ["c"]}
+STRUCTURE = {"universe": 2, "functions": {"f": [1, 0]}, "relations": {"r": [[0]]},
+             "constants": {"c": 0}}
+FOL_EVAL = ["fol", "eval", "--sig", "sig.json", "--formula", "x = x", "--structs"]
+
+
 @pytest.mark.parametrize(
     "argv,body",
     [
@@ -218,11 +232,18 @@ def test_arrow_rejects_non_integer_table_entry(capsys, tmp_path, entry):
         (["sg", "report", "--in"], {"mul": [[True, False], [False, True]]}),
         (["sg", "report", "--in"], {"mul": [[0.0, 1.0], [1.0, 0.0]]}),
         (["setfam", "classify", "--in"], {"ground": 2, "members": [[True]]}),
+        (FOL_EVAL, dict(STRUCTURE, universe=True, functions={"f": [0]})),
+        (FOL_EVAL, dict(STRUCTURE, universe=2.0)),
+        (FOL_EVAL, dict(STRUCTURE, functions={"f": [True, False]})),
+        (FOL_EVAL, dict(STRUCTURE, relations={"r": [[True]]})),
+        (FOL_EVAL, dict(STRUCTURE, constants={"c": True})),
     ],
 )
 def test_non_integer_counts_are_input_errors(capsys, tmp_path, argv, body):
     # JSON true and 2.0 are not counts or table entries, though Python
     # compares them equal to 1 and 2
+    write_json(tmp_path, "sig.json", SIGNATURE)
+    argv = [str(tmp_path / a) if a == "sig.json" else a for a in argv]
     code, report = invoke(capsys, argv + [write_json(tmp_path, "in.json", body)])
     assert code == 3
     assert report["result"]["error"].startswith("ValueError: ")
@@ -245,6 +266,27 @@ def test_arity_mismatch_is_input_error(capsys, tmp_path):
     code, report = invoke(capsys, argv)
     assert code == 3
     assert report["result"]["error"].startswith("ArityMismatch: ")
+
+
+@pytest.mark.parametrize("value, code", [("5", 3), ("-1", 3), ("2", 3), ("1", 0)])
+def test_fol_env_outside_universe_is_input_error(capsys, tmp_path, value, code):
+    # a value past the universe once ended in an IndexError traceback, and a
+    # negative one was read from the end of the function table
+    from ufw.folup import Signature, Structure
+
+    sig = Signature(functions=(("f", 2),))
+    sig_path = write_json(tmp_path, "sig.json", sig.to_json())
+    s2 = write_json(tmp_path, "s2.json", Structure(sig, 2, funcs={"f": [[0, 1], [1, 0]]}).to_json())
+    argv = ["fol", "eval", "--sig", sig_path, "--structs", s2, "--formula", "f(x, x) = x",
+            "--env", "x=" + value]
+    got, report = invoke(capsys, argv)
+    assert got == code
+    if code == 3:
+        assert report["result"] == {
+            "error": "IndexOutOfRange: x=%s is outside a universe of size 2" % value
+        }
+    else:
+        assert report["result"]["values"] == [False]
 
 
 def test_fol_los(capsys, tmp_path):
@@ -339,10 +381,14 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c.get("argv", ["verify"])))
 def test_golden_digests(capsys, tmp_path, case):
-    # search and verify calls whose exit codes and output digests were
-    # recorded before the searches shared one instance enumerator
+    # exit codes and output digests recorded before a rewrite that must not
+    # change them: the search and verify calls before the searches shared
+    # one instance enumerator, the arrow calls before the rule builders read
+    # the rank table.  An argv entry naming one of the case's inline files
+    # stands for that file's path.
+    paths = {name: write_json(tmp_path, name, body) for name, body in case.get("files", {}).items()}
     argv = case.get("argv")
     if argv is None:
         argv = ["verify", "--certificate", write_json(tmp_path, "cert.json", case["certificate"])]
-    code, report = invoke(capsys, argv)
+    code, report = invoke(capsys, [paths.get(a, a) for a in argv])
     assert (code, report["manifest"]["output_digest"]) == (case["exit"], case["output_digest"])

@@ -246,6 +246,16 @@ def test_thue_morse_style_parity_automaton():
     assert validate_bijective(m)
 
 
+@pytest.mark.parametrize("in_base, out_base", [(1, 2), (0, 2), (True, 2), (2.0, 2), (2, 1.5)])
+def test_dfao_rejects_bases_that_are_not_integers_or_below_two(in_base, out_base):
+    # an input base of 1 made the digit expansion loop forever and one of 0
+    # divide by zero; the rows fit the base, so only the base check can
+    # refuse them, and no automaton is ever run
+    digits = int(in_base)
+    with pytest.raises(ValueError):
+        Dfao(1, 0, [[0] * digits], [[0] * digits], in_base, out_base)
+
+
 def test_dfao_json_roundtrip():
     m = digit_sum_dfao(4)
     assert Dfao.from_json(m.to_json()) == m

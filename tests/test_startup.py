@@ -16,6 +16,9 @@ import ufw
 
 LAYERS = {"arrow", "discalc", "folup", "genpoly", "largeness", "semigroup", "setfam"}
 AVOIDING_AP3 = {"kind": "avoiding", "pattern": ["ap", 3], "r": 2, "colors": [0, 1, 0, 1, 1, 0, 1, 0]}
+#: the 2×3 rule that copies voter 0, whose order index is the profile's
+#: leading base-6 digit
+DICTATOR_2X3 = {"voters": 2, "candidates": 3, "table": [p // 6 for p in range(36)]}
 
 
 def fresh(code):
@@ -47,6 +50,8 @@ def loaded_after_run(argv):
         pytest.param(["search", "vdw", "--len", "3", "--cap", "10"], {"largeness"}, False,
                      id="search"),
         pytest.param(["verify", "--certificate", "{cert}"], {"largeness"}, False, id="verify"),
+        pytest.param(["arrow", "verify", "--rule", "{rule}"], {"arrow", "setfam"}, False,
+                     id="arrow-verify"),
         pytest.param(["gp", "eval", "--expr", "n * 3/2", "-n", "3"], {"genpoly", "discalc"},
                      False, id="gp-eval"),
         # the Weyl sum is the only numpy user, so numpy must show here
@@ -57,7 +62,9 @@ def loaded_after_run(argv):
 def test_cli_loads_only_the_subcommands_layers(tmp_path, argv, layers, numpy):
     cert = tmp_path / "cert.json"
     cert.write_text(json.dumps(AVOIDING_AP3))
-    report = loaded_after_run([a.format(cert=cert) for a in argv])
+    rule = tmp_path / "rule.json"
+    rule.write_text(json.dumps(DICTATOR_2X3))
+    report = loaded_after_run([a.format(cert=cert, rule=rule) for a in argv])
     assert report["code"] == 0
     assert set(report["layers"]) & LAYERS == layers
     assert report["numpy"] is numpy
