@@ -24,13 +24,15 @@ class Dfao:
     out_base: int
 
     def __post_init__(self):
-        # type(), not isinstance(): True and False are ints too.  Base 1 or
-        # 0 has no digit expansion: _base_digits would never end, or divide
-        # by zero
+        # type(), not isinstance(): True and False are ints too, and a float
+        # in lam would make dfao_eval return a float.  Base 1 or 0 has no
+        # digit expansion: _base_digits would never end, or divide by zero
         if type(self.in_base) is not int or self.in_base < 2:
             raise ValueError("input base must be an integer ≥ 2")
         if type(self.out_base) is not int:
             raise ValueError("output base must be an integer")
+        if type(self.states) is not int or type(self.init) is not int:
+            raise ValueError("states and init must be integers")
         tau = tuple(tuple(row) for row in self.tau)
         lam = tuple(tuple(row) for row in self.lam)
         object.__setattr__(self, "tau", tau)
@@ -38,11 +40,13 @@ class Dfao:
         if len(tau) != self.states or len(lam) != self.states:
             raise ValueError("tau/lam must have one row per state")
         for row in tau:
-            if len(row) != self.in_base or any(not 0 <= q < self.states for q in row):
+            if len(row) != self.in_base or any(
+                type(q) is not int or not 0 <= q < self.states for q in row
+            ):
                 raise ValueError("tau rows must map every digit to a state")
         for row in lam:
-            if len(row) != self.in_base or any(v < 0 for v in row):
-                raise ValueError("lam rows must be non-negative, one per digit")
+            if len(row) != self.in_base or any(type(v) is not int or v < 0 for v in row):
+                raise ValueError("lam rows must be non-negative integers, one per digit")
         if not 0 <= self.init < self.states:
             raise ValueError("initial state out of range")
 

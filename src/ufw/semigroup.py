@@ -8,14 +8,14 @@ Elements are 0-based indices; the pair (a, b) in a direct product of orders
 
 from dataclasses import dataclass, field
 
-from .bitsets import indices_of, mask_of
+from .bitsets import indices_of
 from .errors import (
     NotAssociative,
     NotCommutative,
     NotIdempotent,
     NotUltrafilter,
 )
-from .setfam import GroundSet, SetFamily, classify_family, quotient_set
+from .setfam import GroundSet, SetFamily, classify_family
 
 
 @dataclass(frozen=True)
@@ -257,14 +257,21 @@ def ultrafilter_product(table, u, v):
                 "%s argument is %s, not an ultrafilter" % (name, verdict.kind),
                 verdict.witness,
             )
+    # rows[x][y] is the bit of x·y, so x⁻¹A = {y : x·y ∈ A} collects the y
+    # whose bit meets A
+    rows = [[1 << xy for xy in row] for row in table.mul]
     out = []
-    for a_mask in range(1 << n):
-        a = indices_of(a_mask)
-        inner = mask_of(
-            x for x in range(n) if v.has_mask(mask_of(quotient_set(table, x, a, "left")))
-        )
+    for a in range(1 << n):
+        inner = 0
+        for x, row in enumerate(rows):
+            quotient = 0
+            for y, xy in enumerate(row):
+                if xy & a:
+                    quotient |= 1 << y
+            if v.has_mask(quotient):
+                inner |= 1 << x
         if u.has_mask(inner):
-            out.append(a_mask)
+            out.append(a)
     return SetFamily.from_masks(GroundSet(n), out)
 
 

@@ -7,8 +7,6 @@ lexicographically least violating instance under the documented scan order.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 
 from .bitsets import indices_of, mask_of, subsets_lex
 from .errors import (
@@ -134,111 +132,190 @@ class FamilyVerdict:
     witness: tuple = None
 
 
+def _meet(f):
+    """Intersection of all members (the ground set for the empty family)."""
+    meet = f.ground.full_mask
+    for m in f.masks:
+        meet &= m
+    return meet
+
+
+def _supersets(a, full):
+    """Every mask between ``a`` and ``full``."""
+    free = full & ~a
+    s = free
+    while True:
+        yield a | s
+        if not s:
+            return
+        s = (s - 1) & free
+
+
+def _lex_first(masks):
+    """The mask whose sorted index tuple is lexicographically least."""
+    return min(masks, key=indices_of)
+
+
 def fip_check(f):
     """Finite intersection property.
 
     Returns ``(True, None)`` or ``(False, witness)`` where the witness is the
     smallest (then lexicographically least) sub-family with empty
-    intersection.  Sub-families of size ≤ ground+1 suffice: each member added
-    to a minimal witness must strictly shrink the running intersection.
+    intersection.
+    """
+    if _meet(f):
+        return True, None
+    return False, _fip_witness(f)
+
+
+def _fip_witness(f):
+    """The smallest, then lexicographically least, sub-family with empty
+    intersection, for a family whose meet is empty.
+
+    need(u), the fewest members whose intersection with u is empty, is
+    memoised over the intersections reachable from X.  With k = need(X), take
+    members in lexicographic order: at each step the first member after the
+    last one taken that leaves a remainder coverable by the members still to
+    be chosen.  No step needs to backtrack: were some completion to use an
+    earlier member, sorting the whole witness would show an earlier member
+    that also passes at some step before.
     """
     masks = f.masks
-    if not masks:
-        return True, None
-    total = f.ground.full_mask
-    for m in masks:
-        total &= m
-    if total:
-        return True, None
-    max_size = min(len(masks), f.ground.size + 1)
-    masks_lex = sorted(masks, key=indices_of)
-    for size in range(1, max_size + 1):
-        for combo in combinations(masks_lex, size):
-            inter = f.ground.full_mask
-            for m in combo:
-                inter &= m
-            if not inter:
-                return False, tuple(indices_of(m) for m in combo)
-    raise AssertionError("unreachable: empty total intersection implies a witness")
+    memo = {0: 0}
+    # u -> [children of u sorted by size, next child to try, best, cut]
+    frames = {}
+
+    def need(root):
+        # Branch and bound: every member removes at most ``cut`` elements of
+        # u or of any subset of it, so child c needs at least ceil(|c| / cut)
+        # more, and once that bound reaches the best count found so far no
+        # later (larger) child can improve on it.  An explicit stack, as
+        # chains of ever smaller intersections can be as long as the ground.
+        stack = [root]
+        while stack:
+            u = stack[-1]
+            if u in memo:
+                stack.pop()
+                continue
+            frame = frames.get(u)
+            if frame is None:
+                children = {u & m for m in masks}
+                children.discard(u)
+                children = sorted(children, key=int.bit_count)
+                size = u.bit_count()
+                frame = frames[u] = [children, 0, size, size - children[0].bit_count()]
+            children, pos, best, cut = frame
+            while pos < len(children):
+                c = children[pos]
+                if 1 - (-c.bit_count() // cut) >= best:
+                    pos = len(children)
+                elif c in memo:
+                    best = min(best, 1 + memo[c])
+                    pos += 1
+                else:
+                    break
+            frame[1:3] = pos, best
+            if pos < len(children):
+                stack.append(children[pos])
+            else:
+                memo[u] = best
+                del frames[u]
+        return memo[root]
+
+    lex = sorted(masks, key=indices_of)
+    u = f.ground.full_mask
+    witness = []
+    start = 0
+    for left in range(need(u) - 1, -1, -1):
+        for i in range(start, len(lex)):
+            if need(u & lex[i]) <= left:
+                break
+        witness.append(indices_of(lex[i]))
+        u &= lex[i]
+        start = i + 1
+    return tuple(witness)
 
 
 def _filter_axiom_witness(f):
-    """First failing filter-axiom instance, or None.
+    """First failing filter-axiom instance of a family that has a non-empty
+    meet but is not a filter.
 
     Scan order: (1) X ∈ F, (2) ∅ ∉ F, (3) upward closure, (4) closure under
-    pairwise intersection; subsets in lexicographic index order.
+    pairwise intersection; members and subsets in lexicographic index order,
+    and (3) and (4) report the first member with a failing partner, then its
+    first failing partner.  Step (2) cannot fail once the meet is non-empty.
     """
     n = f.ground.size
     full = f.ground.full_mask
     if not f.has_mask(full):
         return (tuple(range(n)),)
-    if f.has_mask(0):
-        return ((),)
-    all_subs = subsets_lex(n)
-    lex_members = [m for m in all_subs if f.has_mask(m)]
-    for a in lex_members:
-        for b in all_subs:
-            if (a & b) == a and not f.has_mask(b):
-                return (indices_of(a), indices_of(b))
-    for a in lex_members:
-        for b in lex_members:
-            if not f.has_mask(a & b):
-                return (indices_of(a), indices_of(b))
-    return None
+    # (3) a has a non-member superset iff a lies below a non-member
+    everything = (1 << (1 << n)) - 1
+    below_missing = _down_closure(everything ^ _family_bits(f.masks), n)
+    digits = _digits(below_missing, n)
+    failing = [a for a in f.masks if digits[full ^ a] == "1"]
+    if failing:
+        a = _lex_first(failing)
+        b = _lex_first(b for b in _supersets(a, full) if not f.has_mask(b))
+        return (indices_of(a), indices_of(b))
+    # (4) F is now an up-set.  a ∩ b ∈ F for every member b iff a contains
+    # every minimal member, that is their union: for minimal b, a ∩ b ⊆ b is
+    # a member only if it is b itself.  i belongs to that union iff some
+    # member c ∋ i has c ∖ {i} outside F.
+    union = 0
+    for c in f.masks:
+        for i in indices_of(c):
+            if not f.has_mask(c ^ (1 << i)):
+                union |= 1 << i
+    a = _lex_first(a for a in f.masks if a & union != union)
+    b = _lex_first(b for b in f.masks if not f.has_mask(a & b))
+    return (indices_of(a), indices_of(b))
 
 
-def _union_split_witness(f):
-    """For a filter: first A with neither A nor its complement a member."""
-    full = f.ground.full_mask
-    for a in subsets_lex(f.ground.size):
-        if not f.has_mask(a) and not f.has_mask(full & ~a):
-            return (indices_of(a), indices_of(full & ~a))
-    return None
+def _union_split_witness(ground, meet):
+    """For the principal filter at ``meet``, |meet| ≥ 2: the first A in
+    lexicographic order with neither A nor its complement a member.
+
+    A member must contain all of meet, its complement none of it, so A must
+    cut meet.  Every tuple before (0, 1, …, min meet) in lexicographic order
+    is a shorter prefix of it, which misses meet, and that prefix itself
+    meets meet in {min meet} alone.
+    """
+    low = meet & -meet
+    a = (low << 1) - 1
+    return (indices_of(a), indices_of(ground.full_mask & ~a))
 
 
 def classify_family(f):
     """Classify a family as not-fip / fip-only / filter / ultrafilter.
 
-    For a filter, the ultrafilter test uses the complement form of the
-    union-splitting axiom (equivalent over filters): some A has neither A nor
-    A^c in the family.
+    On a finite ground set every filter is the principal filter at the meet
+    m of its members, so F is a filter iff m is non-empty and F has all
+    2^(n−|m|) supersets of m as members (it cannot have more), and an
+    ultrafilter iff also |m| = 1.  Witnesses are searched only when a test
+    fails.  For a filter, the ultrafilter test uses the complement form of
+    the union-splitting axiom (equivalent over filters): some A has neither A
+    nor A^c in the family.
     """
-    ok, witness = fip_check(f)
-    if not ok:
-        return FamilyVerdict("not-fip", witness)
-    witness = _filter_axiom_witness(f)
-    if witness is not None:
-        return FamilyVerdict("fip-only", witness)
-    witness = _union_split_witness(f)
-    if witness is not None:
-        return FamilyVerdict("filter", witness)
-    return FamilyVerdict("ultrafilter", None)
+    meet = _meet(f)
+    if not meet:
+        return FamilyVerdict("not-fip", _fip_witness(f))
+    if len(f.masks) == 1 << (f.ground.size - meet.bit_count()):
+        if meet.bit_count() == 1:
+            return FamilyVerdict("ultrafilter", None)
+        return FamilyVerdict("filter", _union_split_witness(f.ground, meet))
+    return FamilyVerdict("fip-only", _filter_axiom_witness(f))
 
 
 def filter_closure(f):
     """Smallest filter containing ``f``: all supersets of finite
-    intersections of members."""
-    ok, witness = fip_check(f)
-    if not ok:
-        raise NotFIP("family lacks the finite intersection property", witness)
-    n = f.ground.size
-    if n > POWERSET_CAP:
+    intersections of members, which is the principal filter at their meet."""
+    meet = _meet(f)
+    if not meet:
+        raise NotFIP("family lacks the finite intersection property", _fip_witness(f))
+    if f.ground.size > POWERSET_CAP:
         raise CapExceeded("filter_closure materializes the powerset; ground ≤ %d" % POWERSET_CAP)
-    full = f.ground.full_mask
-    # Closure of {X} ∪ members under pairwise intersection = all finite
-    # intersections of members.
-    bases = {full}
-    frontier = [full]
-    while frontier:
-        a = frontier.pop()
-        for m in f.masks:
-            b = a & m
-            if b not in bases:
-                bases.add(b)
-                frontier.append(b)
-    minimal = [b for b in bases if not any(c != b and (c & b) == c for c in bases)]
-    out = [a for a in range(1 << n) if any((b & a) == b for b in minimal)]
-    return SetFamily.from_masks(f.ground, out)
+    return SetFamily.from_masks(f.ground, _supersets(meet, f.ground.full_mask))
 
 
 def enumerate_ultrafilters(ground):
@@ -252,41 +329,59 @@ def principal_ultrafilter(ground, x):
     """The family of all subsets containing ``x``."""
     if not 0 <= x < ground.size:
         raise IndexOutOfRange("element %d outside ground set" % x)
-    return SetFamily.from_masks(
-        ground, [a for a in range(1 << ground.size) if a & (1 << x)]
-    )
+    return SetFamily.from_masks(ground, _supersets(1 << x, ground.full_mask))
 
 
-@lru_cache(maxsize=None)
-def _hit_rows(n):
-    """hit_rows[a] = bitmask over all subsets b of whether a ∩ b ≠ ∅."""
-    rows = []
-    for a in range(1 << n):
-        row = 0
-        for b in range(1 << n):
-            if a & b:
-                row |= 1 << b
-        rows.append(row)
-    return tuple(rows)
+# A family of subsets of {0..n-1} as one int of 2ⁿ bits: bit a is set iff
+# the subset with mask a belongs to it.
 
 
-def _star_bits(n, masks):
-    """Star of a family given by member masks, as a bitmask over all subsets."""
-    acc = (1 << (1 << n)) - 1
-    rows = _hit_rows(n)
-    for a in masks:
-        acc &= rows[a]
-    return acc
+def _family_bits(masks):
+    if not masks:
+        return 0
+    buf = bytearray((max(masks) >> 3) + 1)
+    for m in masks:
+        buf[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _digits(bits, n):
+    """``bits`` as a 2ⁿ-digit binary numeral: digit j is bit 2ⁿ−1−j, which
+    is the bit of the complement X∖j."""
+    return format(bits, "0%db" % (1 << n))
+
+
+def _without(n, i):
+    """The subsets of {0..n-1} that do not contain i."""
+    step = 1 << i
+    bits, width = (1 << step) - 1, 2 * step
+    while width < 1 << n:
+        bits |= bits << width
+        width *= 2
+    return bits
+
+
+def _up_closure(bits, n):
+    """Every subset that contains a subset in ``bits``: one sweep per element."""
+    for i in range(n):
+        bits |= (bits & _without(n, i)) << (1 << i)
+    return bits
+
+
+def _down_closure(bits, n):
+    """Every subset contained in a subset in ``bits``."""
+    for i in range(n):
+        bits |= (bits >> (1 << i)) & _without(n, i)
+    return bits
 
 
 def star(f):
-    """{B : every member of f meets B}."""
+    """{B : every member of f meets B}: B belongs iff X∖B contains no member."""
     n = f.ground.size
     if n > POWERSET_CAP:
         raise CapExceeded("star materializes the powerset; ground ≤ %d" % POWERSET_CAP)
-    bits = _star_bits(n, f.masks)
-    out = [b for b in range(1 << n) if (bits >> b) & 1]
-    return SetFamily.from_masks(f.ground, out)
+    digits = _digits(_up_closure(_family_bits(f.masks), n), n)
+    return SetFamily.from_masks(f.ground, [b for b, d in enumerate(digits) if d == "0"])
 
 
 @dataclass(frozen=True)
@@ -319,6 +414,11 @@ def from_measure(m):
         raise NotMeasure("value(∅) must be 0", ((),))
     if full not in m.one_masks:
         raise NotMeasure("value(X) must be 1", (indices_of(full),))
+    fam = SetFamily.from_masks(m.ground, m.one_masks)
+    # With value(∅) = 0 and value(X) = 1, a 0/1 measure is additive iff its
+    # 1-class is an ultrafilter: the pair scan only looks for the witness.
+    if classify_family(fam).kind == "ultrafilter":
+        return fam
     subs = subsets_lex(m.ground.size)
     for a in subs:
         for b in subs:
@@ -331,11 +431,7 @@ def from_measure(m):
                 raise NotMeasure(
                     "not additive on disjoint pair", (indices_of(a), indices_of(b))
                 )
-    fam = SetFamily.from_masks(m.ground, m.one_masks)
-    verdict = classify_family(fam)
-    if verdict.kind != "ultrafilter":  # pragma: no cover - excluded by the axioms
-        raise NotMeasure("1-class is not an ultrafilter", verdict.witness)
-    return fam
+    raise AssertionError("unreachable: the 1-class of an additive measure is an ultrafilter")
 
 
 def generalized_limit(f, fam):

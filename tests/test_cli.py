@@ -193,6 +193,18 @@ def test_gp_dfao_input_base_zero_is_input_error(capsys, tmp_path):
     assert report["result"] == {"error": "ValueError: input base must be an integer ≥ 2"}
 
 
+def test_gp_dfao_non_integer_entries_are_input_errors(capsys, tmp_path):
+    # true in tau and lam, 0.5 in lam: read as 1 and run, this gave value 7
+    dfao = {
+        "states": 2, "init": 0, "tau": [[True, 0], [0, 1]],
+        "lam": [[1, True], [0.5, 1]], "in_base": 2, "out_base": 2,
+    }
+    path = write_json(tmp_path, "m.json", dfao)
+    code, report = invoke(capsys, ["gp", "dfao", "-n", "5", "--in", path])
+    assert code == 3
+    assert report["result"] == {"error": "ValueError: tau rows must map every digit to a state"}
+
+
 def test_arrow_verify_dictator(capsys, tmp_path):
     from ufw.arrow import Election, dictator_rule
 
@@ -384,8 +396,10 @@ def test_golden_digests(capsys, tmp_path, case):
     # exit codes and output digests recorded before a rewrite that must not
     # change them: the search and verify calls before the searches shared
     # one instance enumerator, the arrow calls before the rule builders read
-    # the rank table.  An argv entry naming one of the case's inline files
-    # stands for that file's path.
+    # the rank table, the setfam and sg calls before families were decided
+    # by their meet and the ultrafilter product read row masks.  An argv
+    # entry naming one of the case's inline files stands for that file's
+    # path.
     paths = {name: write_json(tmp_path, name, body) for name, body in case.get("files", {}).items()}
     argv = case.get("argv")
     if argv is None:

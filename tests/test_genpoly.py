@@ -256,6 +256,24 @@ def test_dfao_rejects_bases_that_are_not_integers_or_below_two(in_base, out_base
         Dfao(1, 0, [[0] * digits], [[0] * digits], in_base, out_base)
 
 
+@pytest.mark.parametrize(
+    "states, init, tau, lam",
+    [
+        (2, 0, [[True, 0], [0, 1]], [[1, 1], [0, 1]]),
+        (2, 0, [[1, 0], [0, 1]], [[1, True], [0, 1]]),
+        (2, 0, [[1, 0], [0, 1]], [[1, 1], [0.5, 1]]),
+        (2, 0, [[1.0, 0], [0, 1]], [[1, 1], [0, 1]]),
+        (2, True, [[1, 0], [0, 1]], [[1, 1], [0, 1]]),
+        (2.0, 0, [[1, 0], [0, 1]], [[1, 1], [0, 1]]),
+    ],
+)
+def test_dfao_rejects_entries_that_are_not_exact_integers(states, init, tau, lam):
+    # JSON true passed as state or output 1, and a float in lam made
+    # dfao_eval return a float
+    with pytest.raises(ValueError):
+        Dfao(states, init, tau, lam, 2, 2)
+
+
 def test_dfao_json_roundtrip():
     m = digit_sum_dfao(4)
     assert Dfao.from_json(m.to_json()) == m

@@ -1,6 +1,9 @@
 """Finite semigroups: table validation, ideal structure, kernels, the
 idempotent order, direct products, and the ultrafilter product."""
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -244,3 +247,51 @@ def test_product_associativity_principal(n, x, y, z):
     left = ultrafilter_product(t, ultrafilter_product(t, ux, uy), uz)
     right = ultrafilter_product(t, ux, ultrafilter_product(t, uy, uz))
     assert left == right
+
+
+def _associative_tables(n):
+    """Every associative table of order n, by brute force over all tables."""
+    for cells in product(range(n), repeat=n * n):
+        mul = [cells[i * n:(i + 1) * n] for i in range(n)]
+        if all(mul[mul[a][b]][c] == mul[a][mul[b][c]]
+               for a in range(n) for b in range(n) for c in range(n)):
+            yield mul
+
+
+def _product_oracle(mul, u, v):
+    """A ∈ 𝓤·𝓥 iff {x : x⁻¹A ∈ 𝓥} ∈ 𝓤, with x⁻¹A = {y : x·y ∈ A}; families
+    are sets of frozensets, and nothing is shared with ufw."""
+    n = len(mul)
+    out = set()
+    for bits in product((0, 1), repeat=n):
+        a = frozenset(z for z in range(n) if bits[z])
+        xs = frozenset(x for x in range(n) if frozenset(y for y in range(n) if mul[x][y] in a) in v)
+        if xs in u:
+            out.add(a)
+    return out
+
+
+def _principal(n, x):
+    return {frozenset(z for z in range(n) if bits[z]) for bits in product((0, 1), repeat=n) if bits[x]}
+
+
+def _check_products(mul):
+    n = len(mul)
+    table, ground = CayleyTable(mul), GroundSet(n)
+    for x in range(n):
+        for y in range(n):
+            got = ultrafilter_product(table, principal_ultrafilter(ground, x), principal_ultrafilter(ground, y))
+            expect = _product_oracle(mul, _principal(n, x), _principal(n, y))
+            assert {frozenset(m) for m in got.members} == expect
+
+
+def test_ultrafilter_product_matches_definition_through_order_3():
+    tables = [mul for n in (1, 2, 3) for mul in _associative_tables(n)]
+    assert len(tables) == 1 + 8 + 113
+    for mul in tables:
+        _check_products(mul)
+
+
+def test_ultrafilter_product_matches_definition_on_order_4_sample():
+    for table in random.Random(4).sample(all_assoc(4), 40):
+        _check_products(table.mul)

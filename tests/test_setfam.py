@@ -1,12 +1,16 @@
 """Set families, filters, ultrafilters: oracles first, then exhaustive and
 property-based invariants on small grounds."""
 
+import json
+import signal
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ufw.cli import run
 from ufw.errors import CapExceeded, IndexOutOfRange, NotFIP, NotMeasure, NotUltrafilter
 from ufw.setfam import (
     FamilyVerdict,
@@ -274,3 +278,200 @@ def test_quotient_sets_mod_table():
     assert quotient_set(mul, 2, [0]) == (0, 2)
     assert quotient_set(mul, 2, [0], side="right") == (0, 2)
     assert quotient_set(mul, 3, [1], side="left") == (3,)
+
+
+# --- scan-order oracles ----------------------------------------------------
+#
+# Plain loops over the documented scan orders, sharing no code with
+# ufw.setfam: every witness the module reports must be the one these find.
+
+
+def _indices(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _lex_subsets(n):
+    return sorted(range(1 << n), key=_indices)
+
+
+def _fip_oracle(n, masks):
+    """Smallest, then lexicographically least, sub-family with empty
+    intersection, by trying every combination size by size."""
+    total = (1 << n) - 1
+    for m in masks:
+        total &= m
+    if total:
+        return None
+    lex = sorted(masks, key=_indices)
+    for size in range(1, len(lex) + 1):
+        for combo in combinations(lex, size):
+            inter = (1 << n) - 1
+            for m in combo:
+                inter &= m
+            if not inter:
+                return tuple(_indices(m) for m in combo)
+
+
+def _classify_oracle(n, masks):
+    """FIP, then (1) X ∈ F, (2) ∅ ∉ F, (3) upward closure, (4) pairwise
+    intersections, then union splitting; subsets in lexicographic order."""
+    fam = set(masks)
+    full = (1 << n) - 1
+    witness = _fip_oracle(n, masks)
+    if witness is not None:
+        return FamilyVerdict("not-fip", witness)
+    subs = _lex_subsets(n)
+    members = [a for a in subs if a in fam]
+    if full not in fam:
+        return FamilyVerdict("fip-only", (_indices(full),))
+    if 0 in fam:
+        return FamilyVerdict("fip-only", ((),))
+    for a in members:
+        for b in subs:
+            if a & b == a and b not in fam:
+                return FamilyVerdict("fip-only", (_indices(a), _indices(b)))
+    for a in members:
+        for b in members:
+            if a & b not in fam:
+                return FamilyVerdict("fip-only", (_indices(a), _indices(b)))
+    for a in subs:
+        if a not in fam and full ^ a not in fam:
+            return FamilyVerdict("filter", (_indices(a), _indices(full ^ a)))
+    return FamilyVerdict("ultrafilter", None)
+
+
+@st.composite
+def families(draw, max_n):
+    """A ground size and member masks: either a few arbitrary sets, or an
+    up-set with up to two sets toggled, so that every scan step can fail."""
+    n = draw(st.integers(1, max_n))
+    subsets = st.integers(0, (1 << n) - 1)
+    if draw(st.booleans()):
+        return n, draw(st.sets(subsets, max_size=12))
+    gens = draw(st.lists(subsets, min_size=1, max_size=3))
+    masks = {a for a in range(1 << n) if any(a & g == g for g in gens)}
+    return n, masks ^ draw(st.sets(subsets, max_size=2))
+
+
+@given(families(6))
+@settings(max_examples=400, deadline=None)
+def test_classify_matches_scan_order_oracle(case):
+    n, masks = case
+    fam = SetFamily.from_masks(GroundSet(n), masks)
+    assert classify_family(fam) == _classify_oracle(n, masks)
+
+
+def test_classify_every_principal_filter_matches_oracle():
+    for n in range(1, 7):
+        for meet in range(1, 1 << n):
+            masks = [a for a in range(1 << n) if a & meet == meet]
+            fam = SetFamily.from_masks(GroundSet(n), masks)
+            assert classify_family(fam) == _classify_oracle(n, masks)
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.integers(0, (1 << n) - 1), max_size=16))))
+@settings(max_examples=300, deadline=None)
+def test_fip_witness_matches_combinations_oracle(case):
+    n, masks = case
+    witness = _fip_oracle(n, masks)
+    assert fip_check(SetFamily.from_masks(GroundSet(n), masks)) == (witness is None, witness)
+
+
+@given(families(6))
+@settings(max_examples=200, deadline=None)
+def test_star_matches_definition(case):
+    n, masks = case
+    expect = [b for b in range(1 << n) if all(a & b for a in masks)]
+    assert list(star(SetFamily.from_masks(GroundSet(n), masks)).masks) == expect
+
+
+@given(families(4))
+@settings(max_examples=300, deadline=None)
+def test_from_measure_witness_matches_pair_scan(case):
+    n, ones = case
+    full = (1 << n) - 1
+    if 0 in ones:
+        expect = ((),)
+    elif full not in ones:
+        expect = (_indices(full),)
+    else:
+        subs = _lex_subsets(n)
+        expect = next(
+            ((_indices(a), _indices(b)) for a in subs for b in subs
+             if not a & b and (a in ones) + (b in ones) != ((a | b) in ones)),
+            None,
+        )
+    measure = Measure01(GroundSet(n), frozenset(ones))
+    if expect is None:
+        assert from_measure(measure).masks == tuple(sorted(ones))
+    else:
+        with pytest.raises(NotMeasure) as err:
+            from_measure(measure)
+        assert err.value.witness == expect
+
+
+# --- hang regressions ------------------------------------------------------
+
+
+class _Overtime(Exception):
+    pass
+
+
+@contextmanager
+def _wall_clock(seconds):
+    def expire(signum, frame):
+        raise _Overtime("still running after %s s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _cli(capsys, tmp_path, argv, family):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family))
+    try:
+        with _wall_clock(5):
+            code = run(argv + ["--in", str(path)])
+    except _Overtime as err:
+        pytest.fail(str(err), pytrace=False)
+    return code, json.loads(capsys.readouterr().out)["result"]
+
+
+def _pair_cover(n):
+    """All subsets with at least n−2 elements, n even."""
+    return [a for a in range(1 << n) if bin(a).count("1") >= n - 2]
+
+
+def _pair_cover_witness(n):
+    # the complements of a witness partition X into pairs, and X∖{a, b}
+    # comes earlier in lexicographic order the larger a is
+    full = (1 << n) - 1
+    return tuple(_indices(full ^ (3 << i)) for i in range(n - 2, -1, -2))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_pair_cover_witness_matches_combinations_oracle(n):
+    assert _fip_oracle(n, _pair_cover(n)) == _pair_cover_witness(n)
+
+
+def test_classify_pair_cover_at_ground_14_is_fast(capsys, tmp_path):
+    # 106 members, a witness of 7: trying every combination did not finish
+    # in 180 s
+    members = [list(_indices(a)) for a in _pair_cover(14)]
+    code, result = _cli(capsys, tmp_path, ["setfam", "classify"],
+                        {"ground": 14, "members": members})
+    assert code == 0
+    assert result == {"kind": "not-fip", "witness": [list(w) for w in _pair_cover_witness(14)]}
+
+
+def test_star_at_ground_16_is_fast(capsys, tmp_path):
+    # a table of 2ⁿ rows of 2ⁿ bits took 11 s at ground 13
+    code, result = _cli(capsys, tmp_path, ["setfam", "star"], {"ground": 16, "members": [[0]]})
+    assert code == 0
+    assert result["star"]["members"] == [list(_indices(a)) for a in range(1, 1 << 16, 2)]
