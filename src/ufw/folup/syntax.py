@@ -16,6 +16,7 @@ The printer emits a canonical form that re-parses to the same tree.
 
 import re
 from dataclasses import dataclass
+from itertools import product as iproduct
 
 from ..errors import ArityMismatch, ParseError
 
@@ -257,37 +258,24 @@ def free_vars(phi):
     return free_vars(phi[2]) - {phi[1]}
 
 
-def _terms_up_to_depth(sig, var_names, depth):
-    terms = [("var", v) for v in var_names] + [("const", c) for c in sig.constants]
-    current = list(terms)
-    for _ in range(depth):
-        new = []
-        for fname, arity in sig.functions:
-            argtuples = [()]
-            for _ in range(arity):
-                argtuples = [s + (t,) for s in argtuples for t in current]
-            new.extend(("app", fname, args) for args in argtuples)
-        for t in new:
-            if t not in terms:
-                terms.append(t)
-        current = list(terms)
-    return terms
-
-
-def generate_formulas(sig, depth, nvars, term_depth=1):
+def generate_formulas(sig, depth, nvars):
     """All formulas up to the given AST depth (atoms count 1; every
     connective/quantifier adds 1) over the first ``nvars`` variable names,
-    deduplicated by printed form.  Deterministic order: by depth, then by
-    enumeration order within each depth."""
+    deduplicated by printed form.  The atoms' terms are the variables, the
+    constants, and each function applied to those.  Deterministic order: by
+    depth, then by enumeration order within each depth."""
     var_names = ("x", "y", "z", "w")[:nvars]
-    terms = _terms_up_to_depth(sig, var_names, term_depth)
-    atoms = []
-    for rname, arity in sig.relations:
-        stack = [()]
-        for _ in range(arity):
-            stack = [s + (t,) for s in stack for t in terms]
-        for args in stack:
-            atoms.append(("atom", rname, args))
+    terms = [("var", v) for v in var_names] + [("const", c) for c in sig.constants]
+    terms += [
+        ("app", fname, args)
+        for fname, arity in sig.functions
+        for args in iproduct(terms, repeat=arity)
+    ]
+    atoms = [
+        ("atom", rname, args)
+        for rname, arity in sig.relations
+        for args in iproduct(terms, repeat=arity)
+    ]
     if depth < 1:
         return []
     layers = [atoms]

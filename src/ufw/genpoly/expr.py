@@ -23,7 +23,7 @@ DEFAULT_CAP_BITS = 1024
 @dataclass(frozen=True)
 class GPExpr:
     """Node kinds: const(RealConst), var, add, sub, mul, floor, nearest,
-    frac.  ``integer_typed`` marks nodes guaranteed to take integer values."""
+    frac."""
 
     kind: str
     children: tuple = ()
@@ -57,18 +57,6 @@ class GPExpr:
 
     def frac(self):
         return GPExpr("frac", (self,))
-
-    @property
-    def integer_typed(self):
-        if self.kind in ("var", "floor", "nearest"):
-            return True
-        if self.kind == "const":
-            return (
-                self.const.kind == "rational" and self.const.payload[0].denominator == 1
-            )
-        if self.kind in ("add", "sub", "mul"):
-            return all(c.integer_typed for c in self.children)
-        return False
 
     def __repr__(self):
         if self.kind == "const":

@@ -127,16 +127,17 @@ class SearchBudget:
 
 
 def _node_meter(budget):
-    """A function to call once per search node.  It raises BudgetExhausted
-    once the nodes exceed ``budget.node_cap`` or its time cap has passed
-    (the default SearchBudget when ``budget`` is None)."""
+    """A function to call with the number of search nodes visited since the
+    last call (one by default).  It raises BudgetExhausted once the nodes
+    exceed ``budget.node_cap`` or its time cap has passed (the default
+    SearchBudget when ``budget`` is None)."""
     budget = budget or SearchBudget()
     deadline = time.monotonic() + budget.time_cap_ms / 1000.0
     nodes = 0
 
-    def tick():
+    def tick(count=1):
         nonlocal nodes
-        nodes += 1
+        nodes += count
         if nodes > budget.node_cap or time.monotonic() > deadline:
             raise BudgetExhausted("search budget exhausted", nodes=nodes)
 
@@ -362,7 +363,10 @@ def first_uncovered_coloring(domain_size, r, configs):
     reached has the least index.  Each config is checked once, when its
     lowest position is colored, and a color completing a monochromatic
     config is rejected there.  Iterative, so large domains cannot exhaust
-    the recursion limit.
+    the recursion limit.  Each backtrack, which closes one node of the
+    search tree, counts against the default SearchBudget in batches of
+    1024; BudgetExhausted is raised when its node or time cap runs out
+    first.
     """
     if any(not cfg for cfg in configs):
         return -1  # an empty config is monochromatic under every coloring
@@ -373,6 +377,8 @@ def first_uncovered_coloring(domain_size, r, configs):
         closing[low].append(tuple(q for q in cfg if q != low))
     colors = [-1] * domain_size
     p = domain_size - 1
+    tick = _node_meter(None)
+    nodes = 0  # not yet passed to tick
     while p >= 0:
         c = colors[p] + 1
         if c == (r if p else 1):  # colors at p exhausted: backtrack
@@ -380,6 +386,10 @@ def first_uncovered_coloring(domain_size, r, configs):
             p += 1
             if p == domain_size:
                 return -1
+            nodes += 1
+            if nodes == 1024:
+                tick(nodes)
+                nodes = 0
             continue
         colors[p] = c
         for rest in closing[p]:

@@ -8,7 +8,7 @@ Elements are 0-based indices; the pair (a, b) in a direct product of orders
 
 from dataclasses import dataclass, field
 
-from .bitsets import indices_of
+from .bitsets import indices_of, mask_of
 from .errors import (
     NotAssociative,
     NotCommutative,
@@ -20,13 +20,15 @@ from .setfam import GroundSet, SetFamily, classify_family
 
 @dataclass(frozen=True)
 class CayleyTable:
-    """A finite magma given by its multiplication table; flags are computed
-    on construction, so they can never disagree with the table."""
+    """A finite magma given by its multiplication table.  The lex-first
+    witnesses of non-associativity (a, b, c) and non-commutativity (a, b)
+    are found once, on construction, so the flags read from them can never
+    disagree with the table; each is None when the law holds."""
 
     mul: tuple
     n: int = field(init=False)
-    associative: bool = field(init=False)
-    commutative: bool = field(init=False)
+    assoc_witness: tuple = field(init=False)
+    comm_witness: tuple = field(init=False)
 
     def __post_init__(self):
         mul = tuple(tuple(row) for row in self.mul)
@@ -39,8 +41,16 @@ class CayleyTable:
                 raise ValueError("table rows must be length n with integer entries < n")
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "associative", _assoc_witness(mul) is None)
-        object.__setattr__(self, "commutative", _comm_witness(mul) is None)
+        object.__setattr__(self, "assoc_witness", _assoc_witness(mul))
+        object.__setattr__(self, "comm_witness", _comm_witness(mul))
+
+    @property
+    def associative(self):
+        return self.assoc_witness is None
+
+    @property
+    def commutative(self):
+        return self.comm_witness is None
 
     def __call__(self, x, y):
         return self.mul[x][y]
@@ -76,22 +86,9 @@ def _comm_witness(mul):
     return None
 
 
-def validate(table):
-    """Associativity/commutativity report with first violating instances in
-    lexicographic order."""
-    aw = _assoc_witness(table.mul)
-    cw = _comm_witness(table.mul)
-    return {
-        "associative": aw is None,
-        "commutative": cw is None,
-        "assoc_witness": aw,
-        "comm_witness": cw,
-    }
-
-
 def _require_assoc(table):
-    if not table.associative:
-        raise NotAssociative("table is not associative", _assoc_witness(table.mul))
+    if table.assoc_witness is not None:
+        raise NotAssociative("table is not associative", table.assoc_witness)
 
 
 def idempotents(table):
@@ -106,28 +103,17 @@ def principal_left_ideal(table, x):
 
 
 def minimal_left_ideals(table):
-    """All minimal left ideals: the sets S·x with S·y = S·x for every y in
-    them (the principal-ideal minimality criterion)."""
+    """All minimal left ideals, sorted: the sets L = S·x with S·y = L for
+    every y in L (the principal-ideal minimality criterion)."""
     _require_assoc(table)
-    principal = {}
-    for x in range(table.n):
-        principal[x] = principal_left_ideal(table, x)
-    candidates = sorted(set(principal.values()))
-    out = []
-    for L in candidates:
-        if all(principal_left_ideal(table, y) == L for y in L):
-            out.append(L)
-    return out
+    principal = [principal_left_ideal(table, x) for x in range(table.n)]
+    return sorted({L for L in principal if all(principal[y] == L for y in L)})
 
 
 def kernel(table):
     """K(S): the smallest two-sided ideal, as the union of all minimal left
     ideals."""
-    _require_assoc(table)
-    members = set()
-    for L in minimal_left_ideals(table):
-        members.update(L)
-    return tuple(sorted(members))
+    return tuple(sorted(set().union(*minimal_left_ideals(table))))
 
 
 def is_minimal_element(table, x):
@@ -141,24 +127,32 @@ def is_minimal_element(table, x):
     return True
 
 
-def two_sided_ideals(table):
-    """All two-sided ideals (exhaustive over subsets; intended for small n)."""
+def _closed_subsets(table, required):
+    """The non-empty subsets, as sorted tuples in mask order, that contain
+    every element of the mask required(members) (exhaustive over subsets;
+    intended for small n)."""
     _require_assoc(table)
-    n = table.n
     out = []
-    for mask in range(1, 1 << n):
+    for mask in range(1, 1 << table.n):
         members = indices_of(mask)
-        ok = True
-        for i in members:
-            for s in range(n):
-                if not mask & (1 << table.mul[s][i]) or not mask & (1 << table.mul[i][s]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if not required(members) & ~mask:
             out.append(members)
     return out
+
+
+def two_sided_ideals(table):
+    """All two-sided ideals: the subsets I with S·I ∪ I·S ⊆ I."""
+    mul = table.mul
+    around = [{row[i] for row in mul}.union(mul[i]) for i in range(table.n)]  # S·i ∪ i·S
+    return _closed_subsets(table, lambda members: mask_of(p for i in members for p in around[i]))
+
+
+def subsemigroups(table):
+    """All non-empty subsets closed under multiplication, as sorted tuples."""
+    mul = table.mul
+    return _closed_subsets(
+        table, lambda members: mask_of(mul[a][b] for a in members for b in members)
+    )
 
 
 def idempotent_leq(table, p, q):
@@ -173,19 +167,15 @@ def idempotent_leq(table, p, q):
 def ideal_report(table):
     """One-stop structural report used by the CLI."""
     idems = idempotents(table)
-    ker = kernel(table)
-    ker_set = set(ker)
-    pairs = []
-    for p in idems:
-        for q in idems:
-            if idempotent_leq(table, p, q):
-                pairs.append((p, q))
+    lefts = minimal_left_ideals(table)
+    ker = tuple(sorted(set().union(*lefts)))
+    mul = table.mul
     return {
-        "minimal_left_ideals": minimal_left_ideals(table),
+        "minimal_left_ideals": lefts,
         "kernel": ker,
         "idempotents": idems,
-        "minimal_idempotents": tuple(e for e in idems if e in ker_set),
-        "order_pairs": pairs,
+        "minimal_idempotents": tuple(e for e in idems if e in ker),
+        "order_pairs": [(p, q) for p in idems for q in idems if mul[p][q] == p == mul[q][p]],
     }
 
 
@@ -207,9 +197,8 @@ def commutative_kernel_group(table):
     """For commutative semigroups: K(S) is a group; return its identity (the
     unique idempotent) and the inverse map."""
     _require_assoc(table)
-    cw = _comm_witness(table.mul)
-    if cw is not None:
-        raise NotCommutative("table is not commutative", cw)
+    if table.comm_witness is not None:
+        raise NotCommutative("table is not commutative", table.comm_witness)
     ker = kernel(table)
     idems_in_k = [e for e in ker if table.mul[e][e] == e]
     if len(idems_in_k) != 1:  # pragma: no cover - excluded by the theorem
@@ -223,18 +212,6 @@ def commutative_kernel_group(table):
             raise AssertionError("kernel is not a group")
         inverse[k] = inv[0]
     return {"identity": e, "inverse": inverse}
-
-
-def subsemigroups(table):
-    """All non-empty subsets closed under multiplication, as sorted tuples."""
-    _require_assoc(table)
-    n = table.n
-    out = []
-    for mask in range(1, 1 << n):
-        members = indices_of(mask)
-        if all(mask & (1 << table.mul[a][b]) for a in members for b in members):
-            out.append(members)
-    return out
 
 
 def subtable(table, members):

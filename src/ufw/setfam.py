@@ -27,10 +27,9 @@ ULTRAFILTER_CAP = 6
 
 @dataclass(frozen=True)
 class GroundSet:
-    """The finite ground set {0..size-1}, optionally with display labels."""
+    """The finite ground set {0..size-1}."""
 
     size: int
-    labels: tuple = None
 
     def __post_init__(self):
         # type(), not isinstance(): True and False are ints too
@@ -38,11 +37,6 @@ class GroundSet:
             raise ValueError("ground set size must be an integer")
         if self.size < 1:
             raise ValueError("ground set must be non-empty")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != self.size or len(set(labels)) != self.size:
-                raise ValueError("labels must be pairwise distinct, one per element")
-            object.__setattr__(self, "labels", labels)
 
     @property
     def full_mask(self):

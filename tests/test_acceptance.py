@@ -156,7 +156,7 @@ def _kernel_invariants(table):
         )
         if order_minimal != (e in ker):
             return False
-    if semigroup.validate(table)["comm_witness"] is None:
+    if table.comm_witness is None:
         group = semigroup.commutative_kernel_group(table)
         if group["identity"] not in ker:
             return False

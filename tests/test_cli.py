@@ -43,6 +43,19 @@ def test_search_cap_hit_is_budget_exit(capsys):
     assert report["result"]["threshold"] is None
 
 
+def test_search_node_budget_is_budget_exit(capsys, monkeypatch):
+    # HJ for three letters reaches 81 positions at size 4, where the coloring
+    # search thrashes; it once ran without end
+    from functools import partial
+
+    from ufw.largeness import search
+
+    monkeypatch.setattr(search, "SearchBudget", partial(search.SearchBudget, node_cap=10**5))
+    code, report = invoke(capsys, ["search", "hj", "--sigma", "3", "--cap", "7"])
+    assert code == 2
+    assert report["result"] == {"error": "BudgetExhausted: search budget exhausted"}
+
+
 def test_ipstar_negative_exit(capsys):
     code, report = invoke(
         capsys, ["search", "ipstar", "--members", "1", "--n", "10", "--k", "2"]
@@ -280,6 +293,18 @@ def test_arity_mismatch_is_input_error(capsys, tmp_path):
     assert report["result"]["error"].startswith("ArityMismatch: ")
 
 
+def test_relation_arity_mismatch_is_input_error(capsys, tmp_path):
+    from ufw.folup import Signature, Structure
+
+    sig = Signature(relations=(("R", 2),))
+    sig_path = write_json(tmp_path, "sig.json", sig.to_json())
+    s2 = write_json(tmp_path, "s2.json", Structure(sig, 2, rels={"R": [(0, 1)]}).to_json())
+    argv = ["fol", "eval", "--sig", sig_path, "--structs", s2, "--formula", "E x. R(x)"]
+    code, report = invoke(capsys, argv)
+    assert code == 3
+    assert report["result"]["error"].startswith("ArityMismatch: ")
+
+
 @pytest.mark.parametrize("value, code", [("5", 3), ("-1", 3), ("2", 3), ("1", 0)])
 def test_fol_env_outside_universe_is_input_error(capsys, tmp_path, value, code):
     # a value past the universe once ended in an IndexError traceback, and a
@@ -397,7 +422,9 @@ def test_golden_digests(capsys, tmp_path, case):
     # change them: the search and verify calls before the searches shared
     # one instance enumerator, the arrow calls before the rule builders read
     # the rank table, the setfam and sg calls before families were decided
-    # by their meet and the ultrafilter product read row masks.  An argv
+    # by their meet and the ultrafilter product read row masks, and the
+    # calc, gp, fol and remaining verify calls (each certificate kind, good
+    # and tampered) before Cayley tables kept their witnesses.  An argv
     # entry naming one of the case's inline files stands for that file's
     # path.
     paths = {name: write_json(tmp_path, name, body) for name, body in case.get("files", {}).items()}

@@ -60,6 +60,31 @@ def test_parse_print_roundtrip(text):
     assert parse_formula(print_formula(phi), SIG) == phi
 
 
+RSIG = Signature(functions=(("f", 2),), relations=(("R", 2),), constants=("c",))
+
+
+@pytest.mark.parametrize(
+    "text, atom",
+    [
+        ("R(x, y)", ("atom", "R", (("var", "x"), ("var", "y")))),
+        (
+            "!R(f(x, c), y)",
+            ("atom", "R", (("app", "f", (("var", "x"), ("const", "c"))), ("var", "y"))),
+        ),
+        ("A x. (R(x, c) -> E y. R(y, x))", ("atom", "R", (("var", "x"), ("const", "c")))),
+        ("(R(x, x) & x = c)", ("atom", "R", (("var", "x"), ("var", "x")))),
+    ],
+)
+def test_parse_print_roundtrip_with_a_binary_relation(text, atom):
+    phi = parse_formula(text, RSIG)
+    assert print_formula(phi) == text
+    assert parse_formula(print_formula(phi), RSIG) == phi
+    # the first R atom in the tree, reached through the left children
+    while phi[0] != "atom":
+        phi = phi[-1] if phi[0] in ("not", "exists", "forall") else phi[1]
+    assert phi == atom
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_formula("x =", SIG)
@@ -135,6 +160,24 @@ def test_normalize_collapses_everything_equal():
     n = normalize(s)
     assert n.size == 1
     assert n.rels["="] == frozenset({(0, 0)})
+
+
+def test_normalize_quotients_functions_and_relations():
+    # 0 = 2 in a universe of four, so the classes, by least member, are
+    # {0, 2}, {1} and {3}; g and R respect the equality
+    sig = Signature(functions=(("g", 1),), relations=(("R", 2),), constants=("c",))
+    eq = [(a, b) for a in range(4) for b in range(4) if a == b or {a, b} == {0, 2}]
+    rel = [(0, 1), (2, 1), (3, 0), (3, 2), (1, 1)]
+    s = Structure(sig, 4, funcs={"g": [1, 3, 1, 0]}, rels={"=": eq, "R": rel}, consts={"c": 2})
+    n = normalize(s)
+    cls = [0, 1, 0, 2]
+    assert n.size == 3 and n.consts == {"c": cls[2]}
+    assert n.rels["="] == frozenset((i, i) for i in range(3))
+    for a in range(4):
+        assert n.apply("g", [cls[a]]) == cls[s.apply("g", [a])]
+        for b in range(4):
+            assert n.holds("R", [cls[a], cls[b]]) == s.holds("R", [a, b])
+    assert n.rels["R"] == {(0, 1), (2, 0), (1, 1)}
 
 
 def test_normalize_is_identity_on_normal_structures():

@@ -2,7 +2,7 @@
 equidistribution diagnostics."""
 
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -139,12 +139,39 @@ def test_eval_interval_certifies_floor_decision():
 
 
 def test_unresolvable_floor_raises_not_guesses():
-    # floor of an exactly-integer irrational combination: floor(sqrt2*sqrt2)
-    # cannot be written in the grammar, so emulate a knife-edge with a fixed
-    # interval constant straddling an integer
+    # a fixed interval constant straddling an integer cannot be refined
     c = GPExpr.constant(RealConst.interval(Fraction(199, 100), Fraction(201, 100)))
     with pytest.raises(PrecisionExhausted):
         eval_exact(c.floor(), 0)
+
+
+def test_straddling_floor_is_retried_at_higher_precision():
+    # pi·2⁷⁰ is known only to within 2⁶ at 64 bits, so its floor straddles an integer
+    # there and is decided at 128
+    expr, n = parse_gpexpr("floor(pi * n)"), 2**70
+    with pytest.raises(PrecisionExhausted) as err:
+        eval_interval(expr, n, 64)
+    lo, hi = err.value.interval
+    assert lo <= PI_REF * n <= hi and floor(lo) != floor(hi)
+    assert eval_interval(expr, n, 128).lo == floor(PI_REF * n)
+    assert eval_exact(expr, n) == floor(PI_REF * n)
+
+
+def test_knife_edge_floor_exhausts_precision_with_its_interval():
+    # sqrt2·sqrt2 = 2 exactly, so every bracket of the product contains 2
+    with pytest.raises(PrecisionExhausted) as err:
+        eval_exact(parse_gpexpr("floor(sqrt2 * sqrt2)"), 0)
+    lo, hi = err.value.interval
+    assert lo < 2 < hi
+
+
+def test_irrational_value_exhausts_precision_with_its_interval():
+    with pytest.raises(PrecisionExhausted) as err:
+        eval_exact(parse_gpexpr("pi * n"), 3)
+    lo, hi = err.value.interval
+    # the bracket at the cap is far narrower than the reference's 10⁻⁷⁵
+    assert lo < hi and hi - lo <= Fraction(1, 2**1000)
+    assert abs(lo - 3 * PI_REF) < Fraction(1, 10**74)
 
 
 def test_precision_schedule_doubles():
@@ -288,6 +315,16 @@ def test_return_times_rational_step():
     members, ambiguous = return_times(expr, Fraction(1, 4), 12)
     assert members == [4, 8, 12]
     assert ambiguous == []
+
+
+def test_return_times_retries_undecided_n_at_higher_precision():
+    # at 64 bits pi·n·2⁷⁰ is known only to about n·2⁶, so no n is decided
+    expr = parse_gpexpr("pi * n * %d" % 2**70)
+    assert return_times(expr, Fraction(1, 10), 5, cap_bits=64) == ([], [1, 2, 3, 4, 5])
+    assert return_times(expr, Fraction(1, 10), 5) == ([4], [])
+    # the reference agrees: only n = 4 lies within 1/10 of an integer
+    values = [PI_REF * n * 2**70 for n in range(1, 6)]
+    assert [n for n, v in enumerate(values, 1) if abs(v - round(v)) < Fraction(1, 10)] == [4]
 
 
 def test_return_times_sqrt2_certified():

@@ -29,7 +29,6 @@ from ufw.semigroup import (
     subtable,
     two_sided_ideals,
     ultrafilter_product,
-    validate,
 )
 from ufw.setfam import GroundSet, principal_ultrafilter
 
@@ -41,30 +40,25 @@ def all_assoc(n):
 # --- construction and validation -------------------------------------------
 
 
-def test_flags_match_validate():
+def test_flags_match_witnesses():
     t = cyclic_table(3)
     assert t.associative and t.commutative
-    rep = validate(t)
-    assert rep == {
-        "associative": True,
-        "commutative": True,
-        "assoc_witness": None,
-        "comm_witness": None,
-    }
+    assert (t.assoc_witness, t.comm_witness) == (None, None)
 
 
 def test_non_associative_first_witness():
     # subtraction-like table: (a-b) mod 3
     t = CayleyTable([[(a - b) % 3 for b in range(3)] for a in range(3)])
-    rep = validate(t)
-    assert not rep["associative"]
-    assert rep["assoc_witness"] == (0, 0, 1)  # lexicographically least triple
+    assert not t.associative and not t.commutative
+    assert t.assoc_witness == (0, 0, 1)  # lexicographically least triple
+    assert t.comm_witness == (0, 1)
 
 
 def test_operations_reject_non_associative():
     t = CayleyTable([[(a - b) % 3 for b in range(3)] for a in range(3)])
-    with pytest.raises(NotAssociative):
+    with pytest.raises(NotAssociative) as err:
         idempotents(t)
+    assert err.value.witness == (0, 0, 1)
 
 
 def test_json_roundtrip():
