@@ -217,14 +217,10 @@ def _cmd_calc(args, digests):
 
 
 def _real_const(text):
-    from .genpoly import RealConst
+    from .genpoly.reals import NAMED, RealConst
 
-    if text == "pi":
-        return RealConst.pi()
-    if text == "e":
-        return RealConst.e()
-    if text == "golden":
-        return RealConst.golden()
+    if text in NAMED:
+        return NAMED[text]
     if text.startswith("sqrt"):
         return RealConst.sqrt(int(text[4:].strip()))
     return RealConst.rational(_parse_fraction(text))
@@ -340,6 +336,8 @@ def verify_certificate(cert):
     (never the producing search).  Returns (valid, mismatch-or-None)."""
     from .largeness import checkers
 
+    if not isinstance(cert, dict):
+        raise _InputError("a certificate is a JSON object, got %s" % type(cert).__name__)
     kind = cert.get("kind")
     if kind == "fs":
         ok = checkers.check_fs_witness(

@@ -78,7 +78,9 @@ class Structure:
 
     @classmethod
     def from_json(cls, sig, obj):
-        rels = {n: [tuple(t) for t in tups] for n, tups in obj.get("relations", {}).items()}
+        if not isinstance(obj, dict):
+            raise ValueError("a structure is a JSON object")
+        rels = {n: [tuple(t) for t in tups] for n, tups in dict(obj.get("relations", {})).items()}
         return cls(
             sig,
             obj["universe"],

@@ -60,9 +60,11 @@ class Signature:
 
     @classmethod
     def from_json(cls, obj):
+        if not isinstance(obj, dict):
+            raise ValueError("a signature is a JSON object")
         return cls(
-            tuple(obj.get("functions", {}).items()),
-            tuple(obj.get("relations", {}).items()),
+            tuple(dict(obj.get("functions", {})).items()),
+            tuple(dict(obj.get("relations", {})).items()),
             tuple(obj.get("constants", ())),
         )
 

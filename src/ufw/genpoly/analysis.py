@@ -13,6 +13,7 @@ from .expr import (
     DEFAULT_CAP_BITS,
     DEFAULT_START_BITS,
     eval_interval,
+    nearest_int,
     precision_schedule,
 )
 
@@ -22,16 +23,16 @@ def _dist_to_int_verdict(iv, eps):
 
     Returns True / False / None (None = undecidable at this width).
     """
-    # Candidate nearest integer for the membership test.
-    mid = (iv.lo + iv.hi) / 2
-    k = (2 * mid.numerator + mid.denominator) // (2 * mid.denominator)  # round(mid)
+    # Membership: the interval sits inside (k−eps, k+eps) for the integer
+    # nearest its midpoint.
+    k = nearest_int((iv.lo + iv.hi) / 2)
     if k - eps < iv.lo and iv.hi < k + eps:
         return True
-    # Non-membership: the interval sits inside [k+eps, k+1-eps] for some k.
-    k2 = iv.lo.numerator // iv.lo.denominator  # floor(lo)
-    for kk in (k2 - 1, k2, k2 + 1):
-        if iv.lo >= kk + eps and iv.hi <= kk + 1 - eps:
-            return False
+    # Non-membership: the interval sits inside [k+eps, k+1−eps], and only
+    # the cell k = ⌊lo⌋ can hold it.
+    k = iv.lo.numerator // iv.lo.denominator
+    if iv.lo >= k + eps and iv.hi <= k + 1 - eps:
+        return False
     return None
 
 

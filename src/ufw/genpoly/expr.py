@@ -14,10 +14,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import ParseError, PrecisionExhausted
-from .reals import Interval, RealConst
+from .reals import NAMED, Interval, RealConst
 
 DEFAULT_START_BITS = 64
 DEFAULT_CAP_BITS = 1024
+
+# node kinds by grammar symbol, the interval operation of each binary kind,
+# and the shift each rounding kind adds before its floor
+_BINARY = {"+": "add", "-": "sub", "*": "mul"}
+_ROUNDING = {"floor": "floor", "round": "nearest", "frac": "frac"}
+_SYMBOL = {kind: name for table in (_BINARY, _ROUNDING) for name, kind in table.items()}
+_INTERVAL_OP = {"add": Interval.__add__, "sub": Interval.__sub__, "mul": Interval.__mul__}
+_SHIFT = {"floor": 0, "nearest": Fraction(1, 2), "frac": Fraction(1, 2)}
 
 
 @dataclass(frozen=True)
@@ -63,11 +71,9 @@ class GPExpr:
             return repr(self.const)
         if self.kind == "var":
             return "n"
-        if self.kind in ("add", "sub", "mul"):
-            op = {"add": "+", "sub": "-", "mul": "*"}[self.kind]
-            return "(%r %s %r)" % (self.children[0], op, self.children[1])
-        name = {"floor": "floor", "nearest": "round", "frac": "frac"}[self.kind]
-        return "%s(%r)" % (name, self.children[0])
+        if self.kind in _INTERVAL_OP:
+            return "(%r %s %r)" % (self.children[0], _SYMBOL[self.kind], self.children[1])
+        return "%s(%r)" % (_SYMBOL[self.kind], self.children[0])
 
 
 def _coerce(x):
@@ -89,53 +95,36 @@ def signed_frac(q):
     return q - nearest_int(q)
 
 
-def _floor_fraction(q):
-    return q.numerator // q.denominator
-
-
 def eval_interval(expr, n, bits):
     """One bottom-up interval pass at the given precision.
 
     Raises PrecisionExhausted when a floor/nearest argument straddles a
     decision boundary at this precision (the caller refines and retries).
     """
-    if expr.kind == "const":
+    kind = expr.kind
+    if kind == "const":
         return expr.const.bracket(bits)
-    if expr.kind == "var":
+    if kind == "var":
         return Interval.point(n)
-    if expr.kind == "add":
-        return eval_interval(expr.children[0], n, bits) + eval_interval(
-            expr.children[1], n, bits
+    op = _INTERVAL_OP.get(kind)
+    if op is not None:
+        left, right = expr.children
+        return op(eval_interval(left, n, bits), eval_interval(right, n, bits))
+    shift = _SHIFT.get(kind)
+    if shift is None:
+        raise ValueError("unknown GPExpr kind %r" % kind)
+    arg = eval_interval(expr.children[0], n, bits)
+    lo, hi = arg.lo + shift, arg.hi + shift
+    k = lo.numerator // lo.denominator
+    if k != hi.numerator // hi.denominator:
+        raise PrecisionExhausted(
+            "argument interval straddles an integer boundary",
+            node=expr,
+            interval=(arg.lo, arg.hi),
         )
-    if expr.kind == "sub":
-        return eval_interval(expr.children[0], n, bits) - eval_interval(
-            expr.children[1], n, bits
-        )
-    if expr.kind == "mul":
-        return eval_interval(expr.children[0], n, bits) * eval_interval(
-            expr.children[1], n, bits
-        )
-    if expr.kind in ("floor", "nearest", "frac"):
-        arg = eval_interval(expr.children[0], n, bits)
-        if expr.kind == "floor":
-            shifted = arg
-        else:
-            half = Interval.point(Fraction(1, 2))
-            shifted = arg + half
-        flo = _floor_fraction(shifted.lo)
-        fhi = _floor_fraction(shifted.hi)
-        if flo != fhi:
-            raise PrecisionExhausted(
-                "argument interval straddles an integer boundary",
-                node=expr,
-                interval=(arg.lo, arg.hi),
-            )
-        if expr.kind == "floor":
-            return Interval.point(flo)
-        if expr.kind == "nearest":
-            return Interval.point(flo)
-        return arg - Interval.point(flo)
-    raise ValueError("unknown GPExpr kind %r" % expr.kind)
+    if kind == "frac":
+        return Interval(arg.lo - k, arg.hi - k)
+    return Interval.point(k)
 
 
 def precision_schedule(start_bits=DEFAULT_START_BITS, cap_bits=DEFAULT_CAP_BITS):
@@ -152,9 +141,15 @@ def precision_schedule(start_bits=DEFAULT_START_BITS, cap_bits=DEFAULT_CAP_BITS)
 def eval_exact(expr, n, schedule=None):
     """Certified evaluation to an exact integer or rational.
 
-    The result is identical under any two sufficient precision schedules;
-    an expression whose value cannot be certified exactly raises
-    PrecisionExhausted (never returns a guess).
+    Stops at the first precision of the schedule where every floor and
+    round is decided: the value is returned if that pass gives a point, and
+    PrecisionExhausted is raised at once if not (never a guess).  One
+    decided pass settles it, since whether a node's interval is a point
+    does not depend on the precision: rational constants, n and decided
+    floors and rounds are points of their true values; every irrational
+    bracket has positive width; widths add under + and −; and a product is
+    a point only when both factors are points or one is the point 0.  So
+    the result is identical under any two sufficient schedules.
     """
     if schedule is None:
         schedule = precision_schedule()
@@ -165,15 +160,15 @@ def eval_exact(expr, n, schedule=None):
         except PrecisionExhausted as err:
             last_err = err
             continue
-        if iv.exact:
-            q = iv.lo
-            return q.numerator if q.denominator == 1 else q
-        last_err = PrecisionExhausted(
-            "expression value is a non-degenerate interval (wrap irrational "
-            "parts in floor/round to certify an exact value)",
-            node=expr,
-            interval=(iv.lo, iv.hi),
-        )
+        if not iv.exact:
+            raise PrecisionExhausted(
+                "expression value is a non-degenerate interval (wrap irrational "
+                "parts in floor/round to certify an exact value)",
+                node=expr,
+                interval=(iv.lo, iv.hi),
+            )
+        q = iv.lo
+        return q.numerator if q.denominator == 1 else q
     raise last_err
 
 
@@ -224,8 +219,7 @@ def parse_gpexpr(text):
         node = parse_term()
         while peek() in ("+", "-"):
             op, _ = take()
-            rhs = parse_term()
-            node = GPExpr("add" if op == "+" else "sub", (node, rhs))
+            node = GPExpr(_BINARY[op], (node, parse_term()))
         return node
 
     def parse_term():
@@ -241,31 +235,25 @@ def parse_gpexpr(text):
             node = parse_expr()
             take(")")
             return node
-        if tok in ("floor", "round", "frac"):
+        if tok in _ROUNDING:
             take("(")
             node = parse_expr()
             take(")")
-            kind = {"floor": "floor", "round": "nearest", "frac": "frac"}[tok]
-            return GPExpr(kind, (node,))
+            return GPExpr(_ROUNDING[tok], (node,))
         if tok == "n":
             return GPExpr.var()
-        if tok == "pi":
-            return GPExpr.constant(RealConst.pi())
-        if tok == "e":
-            return GPExpr.constant(RealConst.e())
-        if tok == "golden":
-            return GPExpr.constant(RealConst.golden())
+        if tok in NAMED:
+            return GPExpr.constant(NAMED[tok])
         if tok == "sqrt":
             d, _ = take()
             if not d.isdigit():
                 raise ParseError("sqrt expects an integer", position=pos)
             return GPExpr.constant(RealConst.sqrt(int(d)))
-        if re.fullmatch(r"\d+/\d+", tok) or tok.isdigit():
-            return GPExpr.constant(Fraction(tok))
-        if re.fullmatch(r"\d+\.\d+", tok):
-            whole, frac_part = tok.split(".")
-            q = Fraction(int(whole + frac_part), 10 ** len(frac_part))
-            return GPExpr.constant(q)
+        if tok[0].isdigit():  # the tokenizer's numerals: int, p/q or decimal
+            try:
+                return GPExpr.constant(Fraction(tok))
+            except ZeroDivisionError:
+                raise ParseError("zero denominator in %r" % tok, position=pos)
         raise ParseError("unexpected token %r" % tok, position=pos)
 
     node = parse_expr()

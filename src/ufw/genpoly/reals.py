@@ -12,8 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from ..errors import PrecisionExhausted
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -53,9 +51,6 @@ class Interval:
             self.hi * other.hi,
         )
         return Interval(min(products), max(products))
-
-    def __neg__(self):
-        return Interval(-self.hi, -self.lo)
 
 
 @lru_cache(maxsize=None)
@@ -123,8 +118,8 @@ def _golden_bracket(bits):
 
 @dataclass(frozen=True)
 class RealConst:
-    """A real constant: exact rational, named irrational, or a fixed
-    user-supplied interval (which cannot refine)."""
+    """A real constant: an exact rational, a square root, or a named
+    irrational (see NAMED)."""
 
     kind: str
     payload: tuple = ()
@@ -153,13 +148,8 @@ class RealConst:
     def golden(cls):
         return cls("golden")
 
-    @classmethod
-    def interval(cls, lo, hi):
-        return cls("interval", (Fraction(lo), Fraction(hi)))
-
     def bracket(self, bits):
-        """A certified rational interval of width ≤ 2^-bits (except for the
-        non-refinable 'interval' kind, which raises when too coarse)."""
+        """A certified rational interval of width ≤ 2^-bits."""
         if self.kind == "rational":
             return Interval.point(self.payload[0])
         if self.kind == "sqrt":
@@ -170,15 +160,6 @@ class RealConst:
             return _e_bracket(bits)
         if self.kind == "golden":
             return _golden_bracket(bits)
-        if self.kind == "interval":
-            iv = Interval(self.payload[0], self.payload[1])
-            if iv.width > Fraction(1, 1 << bits):
-                raise PrecisionExhausted(
-                    "fixed interval constant cannot refine to %d bits" % bits,
-                    node=self,
-                    interval=(iv.lo, iv.hi),
-                )
-            return iv
         raise ValueError("unknown RealConst kind %r" % self.kind)
 
     def __repr__(self):
@@ -187,3 +168,7 @@ class RealConst:
         if self.kind == "sqrt":
             return "RealConst(sqrt %d)" % self.payload[0]
         return "RealConst(%s)" % self.kind
+
+
+# the named irrationals of the expression grammar and the CLI
+NAMED = {"pi": RealConst.pi(), "e": RealConst.e(), "golden": RealConst.golden()}

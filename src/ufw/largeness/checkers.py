@@ -7,6 +7,10 @@ data so it can also validate certificates loaded from JSON.
 """
 
 from itertools import combinations, combinations_with_replacement, product as iproduct
+from math import comb, factorial
+
+# the number of parameters of each pattern kind
+_PARAMS = {"ap": 1, "fs": 1, "clique": 2, "line": 1}
 
 
 def check_fs_witness(colors, generators, color, sums=None, distinct=True):
@@ -47,9 +51,11 @@ def check_ap_witness(colors, start, step, length, color):
 
 
 def check_line_witness(colors, sigma, word, color):
-    """colors: one per word of Σ^n in lex order; ``word`` uses None for the
-    variable positions (at least one required)."""
+    """colors: one per word of Σ^n in lex order, n = len(word); ``word``
+    uses None for the variable positions (at least one required)."""
     if not any(w is None for w in word):
+        return False
+    if sigma < 1 or len(colors) != sigma ** len(word):
         return False
     if any(w is not None and not 0 <= w < sigma for w in word):
         return False
@@ -63,9 +69,12 @@ def check_line_witness(colors, sigma, word, color):
 
 
 def check_clique_witness(colors, nvertices, k, subset, color):
-    """colors: one per k-subset of {0..n-1} in colex order."""
+    """colors: one per k-subset of {0..n-1} in colex order; the subset
+    must hold at least one k-edge."""
     subset = sorted(subset)
-    if len(set(subset)) != len(subset):
+    if len(set(subset)) != len(subset) or not 1 <= k <= len(subset):
+        return False
+    if len(colors) != comb(nvertices, k):
         return False
     if any(not 0 <= v < nvertices for v in subset):
         return False
@@ -84,23 +93,33 @@ def check_clique_witness(colors, nvertices, k, subset, color):
 def check_avoiding_coloring(pattern, r, colors):
     """Confirm an avoiding coloring from a threshold certificate: no
     instance of the pattern is monochromatic.  Recomputes the instances
-    with plain itertools enumeration."""
-    kind = pattern[0]
+    with plain itertools enumeration.  A pattern with an unknown kind, the
+    wrong number of parameters, or a parameter below 1 (or a clique smaller
+    than its edges) names no instances: ValueError."""
+    kind = pattern[0] if pattern else None
+    params = pattern[1:]
+    if (
+        kind not in _PARAMS
+        or len(params) != _PARAMS[kind]
+        or any(type(p) is not int or p < 1 for p in params)
+        or (kind == "clique" and params[1] < params[0])
+    ):
+        raise ValueError("not a pattern: %r" % (pattern,))
     if any(not 0 <= c < r for c in colors):
         return False
     if kind == "ap":
         n, length = len(colors), pattern[1]
         for start in range(1, n + 1):
             for step in range(1, n + 1):
-                terms = [start + i * step for i in range(length)]
-                if terms[-1] > n:
+                if start + (length - 1) * step > n:
                     break
-                if len({colors[t - 1] for t in terms}) == 1:
+                if len({colors[start + i * step - 1] for i in range(length)}) == 1:
                     return False
         return True
     if kind == "fs":
         n, k = len(colors), pattern[1]
-        for gens in combinations_with_replacement(range(1, n + 1), k):
+        # all k generators sum to at most n, so none exceeds n − k + 1
+        for gens in combinations_with_replacement(range(1, n - k + 2), k):
             sums = {
                 sum(gens[i] for i in idxs)
                 for size in range(1, k + 1)
@@ -131,7 +150,7 @@ def check_avoiding_coloring(pattern, r, colors):
     if kind == "line":
         sigma = pattern[1]
         n = 0
-        while sigma**n < len(colors):
+        while sigma > 1 and sigma**n < len(colors):
             n += 1
         if sigma**n != len(colors):
             return False
@@ -146,18 +165,17 @@ def check_avoiding_coloring(pattern, r, colors):
             if len({colors[rank[p]] for p in pts}) == 1:
                 return False
         return True
-    raise ValueError("unknown pattern kind %r" % (kind,))
 
 
 def check_dictator(voters, candidates, table, dictator):
     """Confirm a dictatorship certificate for an aggregation rule given as
     a table of order indices over all profiles.  Decodes profiles and
     orders locally (orders = permutations in lex order, worst to best;
-    voter 0 is the most significant digit of the profile index)."""
-    from itertools import permutations
-
-    orders = list(permutations(range(candidates)))
-    fact = len(orders)
+    voter 0 is the most significant digit of the profile index).  The
+    dictator must be an exact int in [0, voters)."""
+    if type(dictator) is not int or not 0 <= dictator < voters:
+        return False
+    fact = factorial(candidates)
     if len(table) != fact**voters:
         return False
     for pidx, out in enumerate(table):

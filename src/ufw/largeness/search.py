@@ -268,8 +268,7 @@ def find_mono_fs(coloring, k, budget=None, distinct=True):
     BudgetExhausted when the node budget runs out first (a strictly weaker
     answer than None).
     """
-    if k < 1:
-        raise ValueError("a finite-sums pattern needs at least one generator, got k=%d" % k)
+    _check_pattern(("fs", k))
     colors = coloring.colors
 
     def keep(sums, new):
@@ -304,8 +303,7 @@ def find_mono_line(coloring):
 def find_mono_clique(coloring, m):
     """First vertex subset of size m (lex order) whose k-edges all share
     one color, as (subset, color), or None; the scan is exhaustive."""
-    if m < coloring.k:
-        raise ValueError("a clique of size %d has no %d-edges to color" % (m, coloring.k))
+    _check_pattern(("clique", coloring.k, m))
     return _first_mono(coloring.colors, _instances(("clique", coloring.k, m), coloring.n))
 
 
@@ -443,10 +441,16 @@ def _check_colors(r):
 
 
 def _check_pattern(pattern):
-    if any(p < 0 for p in pattern[1:]):
-        raise ValueError("pattern parameters must be non-negative, got %r" % (pattern,))
+    """Every parameter is at least 1 (a progression's length, a generator
+    count, an edge size, an alphabet size), and a clique has at least one
+    edge: m ≥ k."""
     if pattern[0] == "ap" and pattern[1] < 1:
         raise ValueError("a progression needs at least one term, got length %d" % pattern[1])
+    if any(p < 1 for p in pattern[1:]):
+        raise ValueError("pattern parameters must be at least 1, got %r" % (pattern,))
+    if pattern[0] == "clique" and pattern[2] < pattern[1]:
+        _, k, m = pattern
+        raise ValueError("a clique of size %d has no %d-edges to color" % (m, k))
 
 
 # --- partition regularity harness and IP* probe ---------------------------

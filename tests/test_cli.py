@@ -1,13 +1,20 @@
-"""Command-line front end: exit codes, manifest reproducibility, and the
-certificate verification round trip."""
+"""Command-line front end: exit codes, manifest reproducibility, the
+certificate verification round trip, and the exit-code contract on mutated
+inputs."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ufw
 from ufw.cli import run
@@ -112,6 +119,12 @@ def test_search_rejects_fewer_than_one_color(capsys, colors):
         ["hindman", "--k", "-1"],
         ["ramsey", "--uniform", "-1"],
         ["ramsey", "--size", "-1"],
+        # patterns with no instance: no threshold can be claimed for them
+        ["hindman", "--k", "0"],
+        ["hj", "--sigma", "0"],
+        ["ramsey", "--uniform", "0"],
+        ["ramsey", "--size", "0"],
+        ["ramsey", "--size", "1"],
         ["ipstar", "--n", "-1", "--k", "-1"],
         ["ipstar", "--n", "5", "--k", "0"],
         ["ipstar", "--n", "0"],
@@ -123,23 +136,6 @@ def test_search_rejects_bad_pattern_parameters(capsys, argv):
     assert code == 3
     assert set(report["result"]) == {"error"}
     assert report["result"]["error"].startswith("ValueError: ")
-
-
-@pytest.mark.parametrize(
-    "argv, threshold",
-    [
-        (["hindman", "--k", "0"], 1),
-        (["hj", "--sigma", "0"], 1),
-        (["ramsey", "--uniform", "0"], 3),
-        (["ramsey", "--size", "0"], 2),
-        (["ramsey", "--size", "1"], 2),
-    ],
-    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
-)
-def test_search_degenerate_zero_parameters_still_run(capsys, argv, threshold):
-    code, report = invoke(capsys, ["search", *argv, "--cap", "4"])
-    assert code == 0
-    assert report["result"]["threshold"] == threshold
 
 
 # --- verification round trip -----------------------------------------------
@@ -424,12 +420,89 @@ def test_golden_digests(capsys, tmp_path, case):
     # the rank table, the setfam and sg calls before families were decided
     # by their meet and the ultrafilter product read row masks, and the
     # calc, gp, fol and remaining verify calls (each certificate kind, good
-    # and tampered) before Cayley tables kept their witnesses.  An argv
-    # entry naming one of the case's inline files stands for that file's
-    # path.
+    # and tampered) before Cayley tables kept their witnesses.  The last
+    # cases pin claims the checkers cannot read (exit 1, or 3 for a pattern
+    # that is none), a zero denominator, and the smallest patterns; the
+    # one-vertex Ramsey case exits 3 since a clique smaller than its edges
+    # is no pattern.  An argv entry naming one of the case's inline files
+    # stands for that file's path.
     paths = {name: write_json(tmp_path, name, body) for name, body in case.get("files", {}).items()}
     argv = case.get("argv")
     if argv is None:
         argv = ["verify", "--certificate", write_json(tmp_path, "cert.json", case["certificate"])]
     code, report = invoke(capsys, [paths.get(a, a) for a in argv])
     assert (code, report["manifest"]["output_digest"]) == (case["exit"], case["output_digest"])
+
+
+# --- contract: mutated inputs ------------------------------------------------
+
+# one valid certificate of every kind: the golden ones, plus an avoiding
+# coloring of each other pattern kind
+VALID_CERTIFICATES = [
+    case["certificate"] for case in GOLDEN if "certificate" in case and case["exit"] == 0
+] + [
+    {"kind": "avoiding", "pattern": ["clique", 2, 3], "r": 2,
+     "colors": [0, 0, 1, 1, 0, 1, 1, 1, 0, 0]},
+    {"kind": "avoiding", "pattern": ["line", 2], "r": 2, "colors": [0, 1]},
+    {"kind": "avoiding", "pattern": ["fs", 2], "r": 2, "colors": [0, 1, 1, 0]},
+]
+
+
+@st.composite
+def mutated_certificates(draw):
+    cert = copy.deepcopy(draw(st.sampled_from(VALID_CERTIFICATES)))
+    keys = sorted(k for k in cert if k != "kind")
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(keys))
+        if key not in cert:
+            continue
+        value = cert[key]
+        how = draw(st.sampled_from(["drop", "shorten", "index", "type"]))
+        if how == "drop":
+            del cert[key]
+        elif how == "shorten" and isinstance(value, list) and value:
+            cert[key] = value[: draw(st.integers(0, len(value) - 1))]
+        elif how == "index":
+            bad = draw(st.sampled_from([-1, -3, 9, 12]))
+            if isinstance(value, list) and value:
+                value[draw(st.integers(0, len(value) - 1))] = bad
+            else:
+                cert[key] = bad
+        else:
+            cert[key] = draw(st.sampled_from([None, "x", 1.5, True, [], {}, [[0]], {"a": 1}]))
+    return cert
+
+
+def _run_quietly(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    return code, json.loads(out.getvalue())
+
+
+@given(mutated_certificates())
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_verify_contract_on_mutated_certificates(cert):
+    # a claim the checkers cannot read is refused (exit 1) or reported as an
+    # input error (exit 3), never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cert.json")
+        with open(path, "w") as fh:
+            json.dump(cert, fh)
+        code, report = _run_quietly(["verify", "--certificate", path])
+    assert code in (0, 1, 3)
+    assert set(report) == {"result", "manifest"}
+
+
+GP_TOKENS = [
+    "n", "pi", "e", "golden", "sqrt", "floor", "round", "frac", "(", ")", "+", "-", "*",
+    "0", "1", "2", "7", "1/2", "3/4", "1/0", "0.5", "2.25",
+]
+
+
+@given(st.lists(st.sampled_from(GP_TOKENS), max_size=14), st.integers(-5, 5))
+@settings(max_examples=400, deadline=None)
+def test_gp_eval_contract_on_token_strings(tokens, n):
+    code, report = _run_quietly(["gp", "eval", "--expr", " ".join(tokens), "-n", str(n)])
+    assert code in (0, 1, 3)
+    assert set(report) == {"result", "manifest"}

@@ -92,12 +92,6 @@ def test_golden_bracket_satisfies_equation():
     assert iv.lo * iv.lo <= iv.hi + 1 and iv.hi * iv.hi >= iv.lo + 1
 
 
-def test_fixed_interval_constant_cannot_refine():
-    c = RealConst.interval(Fraction(1, 3), Fraction(2, 3))
-    with pytest.raises(PrecisionExhausted):
-        c.bracket(64)
-
-
 # --- rounding helpers ------------------------------------------------------
 
 
@@ -139,10 +133,10 @@ def test_eval_interval_certifies_floor_decision():
 
 
 def test_unresolvable_floor_raises_not_guesses():
-    # a fixed interval constant straddling an integer cannot be refined
-    c = GPExpr.constant(RealConst.interval(Fraction(199, 100), Fraction(201, 100)))
+    # interval arithmetic does not know that both brackets are e's, so e − e
+    # straddles 0 at every precision
     with pytest.raises(PrecisionExhausted):
-        eval_exact(c.floor(), 0)
+        eval_exact(parse_gpexpr("floor(e - e)"), 0)
 
 
 def test_straddling_floor_is_retried_at_higher_precision():
@@ -166,12 +160,65 @@ def test_knife_edge_floor_exhausts_precision_with_its_interval():
 
 
 def test_irrational_value_exhausts_precision_with_its_interval():
+    # the first pass decides every floor (there is none), so its 64-bit
+    # interval is the one reported
     with pytest.raises(PrecisionExhausted) as err:
         eval_exact(parse_gpexpr("pi * n"), 3)
     lo, hi = err.value.interval
-    # the bracket at the cap is far narrower than the reference's 10⁻⁷⁵
-    assert lo < hi and hi - lo <= Fraction(1, 2**1000)
-    assert abs(lo - 3 * PI_REF) < Fraction(1, 10**74)
+    assert lo < 3 * PI_REF < hi and hi - lo <= Fraction(1, 2**60)
+
+
+def test_irrational_value_takes_one_pass(monkeypatch):
+    from ufw.genpoly import expr as expr_module
+
+    root = parse_gpexpr("pi * n")
+    passes = []
+    real = expr_module.eval_interval
+
+    def counting(e, n, bits):
+        if e is root:
+            passes.append(bits)
+        return real(e, n, bits)
+
+    monkeypatch.setattr(expr_module, "eval_interval", counting)
+    with pytest.raises(PrecisionExhausted):
+        eval_exact(root, 3)
+    assert passes == [64]
+
+
+_LEAVES = st.one_of(
+    st.sampled_from(
+        [RealConst.pi(), RealConst.e(), RealConst.golden(), RealConst.sqrt(2), RealConst.sqrt(3)]
+    ).map(GPExpr.constant),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).map(GPExpr.constant),
+    st.just(GPExpr.var()),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.one_of(
+        st.builds(
+            lambda k, a, b: GPExpr(k, (a, b)), st.sampled_from(["add", "sub", "mul"]), kids, kids
+        ),
+        st.builds(
+            lambda k, a: GPExpr(k, (a,)), st.sampled_from(["floor", "nearest", "frac"]), kids
+        ),
+    ),
+    max_leaves=10,
+)
+
+
+@given(_TREES, st.integers(min_value=-20, max_value=20))
+@settings(max_examples=300, deadline=None)
+def test_decided_passes_agree_on_exactness(expr, n):
+    # eval_exact stops at its first decided pass: sound only if whether the
+    # value is a point does not depend on the precision
+    try:
+        coarse = eval_interval(expr, n, 64)
+        fine = eval_interval(expr, n, 256)
+    except PrecisionExhausted:
+        return
+    assert coarse.exact == fine.exact
+    assert not coarse.exact or coarse == fine
 
 
 def test_precision_schedule_doubles():
@@ -185,6 +232,12 @@ def test_parse_print_oracles():
         parse_gpexpr("floor(")
     with pytest.raises(ParseError):
         parse_gpexpr("2 $ 3")
+
+
+def test_parse_rejects_a_zero_denominator_at_its_token():
+    with pytest.raises(ParseError) as err:
+        parse_gpexpr("n + 1/0")
+    assert err.value.position == 4
 
 
 def test_parse_precedence():

@@ -179,6 +179,19 @@ def test_constant_k4():
     assert checkers.check_clique_witness((0,) * 6, 4, 2, subset, color)
 
 
+def test_checkers_refuse_claims_they_cannot_read():
+    # a subset smaller than an edge has no edge to be monochromatic, and an
+    # empty alphabet has no line
+    assert not checkers.check_clique_witness((0,) * 6, 4, 2, [1], 0)
+    assert not checkers.check_line_witness([], 0, (None,), 0)
+    # Σ^n has one word for every n when σ = 1, so only n = 0 can be read
+    assert not checkers.check_avoiding_coloring(("line", 1), 2, [0, 0])
+    # patterns too large for the domain have no instance, found without
+    # listing a billion terms or every 40-tuple of generators
+    assert checkers.check_avoiding_coloring(("ap", 10**9), 2, [0, 1])
+    assert checkers.check_avoiding_coloring(("fs", 40), 2, [0, 1, 1, 0])
+
+
 def test_every_2coloring_of_k6_has_mono_triangle():
     covered, avoiding = universal_check(("clique", 2, 3), 2, 6)
     assert covered and avoiding is None
@@ -230,7 +243,10 @@ def test_threshold_monotone_in_pattern_size():
 
 @pytest.mark.parametrize(
     "pattern",
-    [("ap", 0), ("ap", -2), ("fs", -1), ("line", -1), ("clique", -1, 3), ("clique", 2, -1)],
+    [
+        ("ap", 0), ("ap", -2), ("fs", -1), ("line", -1), ("clique", -1, 3), ("clique", 2, -1),
+        ("fs", 0), ("line", 0), ("clique", 0, 3), ("clique", 2, 1), ("clique", 3, 2),
+    ],
 )
 def test_bad_pattern_parameters_raise(pattern):
     with pytest.raises(ValueError):
@@ -365,15 +381,15 @@ def test_ipstar_matches_lex_order_oracle(n, k, a):
         ("ap", (2,), range(0, 8)),
         ("ap", (3,), range(0, 16)),
         ("ap", (5,), range(0, 16)),
-        ("fs", (0,), range(0, 4)),
+        ("fs", (4,), range(0, 16)),
         ("fs", (1,), range(0, 6)),
         ("fs", (2,), range(0, 16)),
         ("fs", (3,), range(0, 20)),
-        ("clique", (2, 1), range(0, 5)),
+        ("clique", (2, 2), range(0, 5)),
         ("clique", (2, 3), range(0, 8)),
         ("clique", (2, 4), range(0, 7)),
         ("clique", (3, 4), range(0, 7)),
-        ("line", (0,), range(0, 3)),
+        ("line", (4,), range(0, 3)),
         ("line", (1,), range(0, 4)),
         ("line", (2,), range(0, 5)),
         ("line", (3,), range(0, 4)),
