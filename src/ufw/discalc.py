@@ -7,7 +7,7 @@ Everything here is exact rational arithmetic; no floats anywhere.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 NEG_INF = float("-inf")
 
@@ -18,7 +18,7 @@ class RationalPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -69,15 +69,8 @@ class RationalPoly:
 
     def shift(self, a):
         """The polynomial x ↦ f(x + a), expanded exactly."""
-        a = Fraction(a)
-        out = [Fraction(0)] * len(self.coeffs)
-        for d, c in enumerate(self.coeffs):
-            # c·(x+a)^d
-            power = Fraction(1)
-            for j in range(d, -1, -1):
-                out[j] += c * comb(d, j) * power
-                power *= a
-        return RationalPoly(out)
+        _, after, dens = _taylor_shift(self.coeffs, a)
+        return RationalPoly([Fraction(e, q) for e, q in zip(after, dens)])
 
     def __eq__(self, other):
         return isinstance(other, RationalPoly) and self.coeffs == other.coeffs
@@ -93,11 +86,57 @@ class RationalPoly:
 
     @classmethod
     def from_json(cls, obj):
+        """{"monomial": [...]} or {"binomial": [...]}, a list of exact ints
+        and rational strings such as "-3/4"."""
+        if not isinstance(obj, dict):
+            raise ValueError("expected a JSON object")
         if "monomial" in obj:
-            return cls([Fraction(s) for s in obj["monomial"]])
+            return cls(_exact_coeffs(obj["monomial"]))
         if "binomial" in obj:
-            return binomial_to_monomial(BinomialPoly([Fraction(s) for s in obj["binomial"]]))
+            return binomial_to_monomial(BinomialPoly(_exact_coeffs(obj["binomial"])))
         raise ValueError("expected a 'monomial' or 'binomial' key")
+
+
+def _exact_coeffs(entries):
+    """A JSON list of exact ints (not bools) and strings Fraction reads."""
+    if not isinstance(entries, list):
+        raise ValueError("coefficients must be a JSON list")
+    if any(type(v) is not int and not isinstance(v, str) for v in entries):
+        raise ValueError("coefficients must be exact ints or rational strings")
+    try:
+        return [Fraction(v) for v in entries]
+    except (ValueError, ZeroDivisionError) as err:
+        raise ValueError("a coefficient is not a rational number: %s" % err)
+
+
+def _common_denominator(coeffs):
+    """(nums, den) with coefficient i equal to nums[i]/den, den the lcm of
+    the denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _taylor_shift(coeffs, a):
+    """x ↦ f(x + a) on ints: (before, after, dens), where f's coefficient
+    of xⁱ is before[i]/dens[i] and that of f(x + a) is after[i]/dens[i].
+
+    With a = p/q, D the lcm of f's denominators and d = deg f,
+    D·q^d·f(x + a) = B(qx + p) for the integer polynomial B(t) = Σ bᵢ·tⁱ,
+    bᵢ = D·cᵢ·q^(d−i) = before[i].  Synthetic division of B by (t − p), d
+    times over, leaves B(t + p) = Σ eᵢ·tⁱ, and after[i] = eᵢ, so
+    dens[i] = D·q^(d−i).
+    """
+    a = Fraction(a)
+    p, q = a.numerator, a.denominator
+    nums, den = _common_denominator(coeffs)
+    d = len(coeffs) - 1
+    dens = [den * q ** (d - i) for i in range(d + 1)]
+    before = [num * q ** (d - i) for i, num in enumerate(nums)]
+    after = list(before)
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            after[j] += p * after[j + 1]
+    return before, after, dens
 
 
 class BinomialPoly:
@@ -141,13 +180,16 @@ def binomial_basis_poly(n):
 
 def delta(f, a):
     """(Δ_a f)(x) = f(x+a) − f(x)."""
-    return f.shift(a) - f
+    before, after, dens = _taylor_shift(f.coeffs, a)
+    return RationalPoly([Fraction(e - b, q) for b, e, q in zip(before, after, dens)])
 
 
 def sym_delta(f, a):
-    """(Δ̄_a f)(x) = f(x+a) − f(x) − f(a)."""
-    a = Fraction(a)
-    return f.shift(a) - f - RationalPoly([f(a)])
+    """(Δ̄_a f)(x) = f(x+a) − f(x) − f(a).  The constant term of f(x+a) is
+    f(a), so the constant term of Δ̄_a f is −f(0)."""
+    if not f.coeffs:
+        return f
+    return RationalPoly((-f.coeffs[0],) + delta(f, a).coeffs[1:])
 
 
 def sym_delta_k(f, xs, algorithm="recursive"):
@@ -166,18 +208,45 @@ def sym_delta_k(f, xs, algorithm="recursive"):
             g = sym_delta(g, a)
         return g
     if algorithm == "explicit":
-        k = len(xs)
-        total = RationalPoly([])
-        for subset in range(1, 1 << (k + 1)):
-            sign = (-1) ** (k + 1 - bin(subset).count("1"))
-            rest = sum(xs[i - 1] for i in range(1, k + 1) if subset & (1 << i))
-            if subset & 1:
-                term = f.shift(rest)
-            else:
-                term = RationalPoly([f(Fraction(rest))])
-            total = total + (term if sign > 0 else -term)
-        return total
+        return _sym_delta_k_explicit(f, xs)
     raise ValueError("algorithm must be 'recursive' or 'explicit'")
+
+
+def _sym_delta_k_explicit(f, xs):
+    """Σ_{∅≠I⊆[k+1]} (−1)^{k+1−|I|} f(Σ_{i∈I} xᵢ), grouped by monomial.
+
+    With L the lcm of the parameters' denominators and S_J = L·Σ_{j∈J} xⱼ
+    for J ⊆ [1..k], the integer power sums M_m = Σ_J (−1)^{k−|J|} S_J^m
+    carry every subset.  The subsets I = J ∪ {0} give x₀^j, j ≥ 1, the
+    coefficient Σ_d c_d·C(d, j)·M_{d−j}/L^{d−j}.  At x₀ = 0 the terms of
+    J ∪ {0} and of J cancel for every J ≠ ∅, so the constant is (−1)^k·c₀.
+    """
+    c = f.coeffs
+    if not c:
+        return RationalPoly([])
+    k, deg = len(xs), len(c) - 1
+    big_l = lcm(*(x.denominator for x in xs))
+    # S_J and (−1)^{k−|J|} for every J, the list doubling once per parameter
+    sums, signs = [0], [(-1) ** k]
+    for x in xs:
+        step = x.numerator * (big_l // x.denominator)
+        sums += [s + step for s in sums]
+        signs += [-t for t in signs]
+    power_sums = [0] * deg
+    for s, term in zip(sums, signs):
+        for m in range(deg):
+            power_sums[m] += term
+            term *= s
+    # c_d·C(d, j)·M_{d−j}/L^{d−j} over the common denominator q·L^deg
+    nums, q = _common_denominator(c)
+    scale = [big_l ** (deg - m) for m in range(deg)]
+    den = q * big_l**deg
+    out = [(-1) ** k * c[0]]
+    for j in range(1, deg + 1):
+        total = sum(nums[d] * comb(d, j) * power_sums[d - j] * scale[d - j]
+                    for d in range(j, deg + 1))
+        out.append(Fraction(total, den))
+    return RationalPoly(out)
 
 
 def sym_delta_k_eval(func, points):
@@ -206,14 +275,20 @@ def degree_leading(f, a):
 
 
 def basis_convert(f):
-    """Monomial → binomial basis, via forward differences c_n = (Δ₁ⁿf)(0)."""
+    """Monomial → binomial basis: c_n = (Δ₁ⁿf)(0), read off the
+    forward-difference table of f(0), …, f(deg f)."""
+    nums, q = _common_denominator(f.coeffs)
+    # q·f(x) at x = 0..deg f, on ints
+    row = []
+    for x in range(len(nums)):
+        acc = 0
+        for a in reversed(nums):
+            acc = acc * x + a
+        row.append(acc)
     coeffs = []
-    g = f
-    while g.degree != NEG_INF or not coeffs:
-        coeffs.append(g(Fraction(0)))
-        if g.degree == NEG_INF:
-            break
-        g = delta(g, 1)
+    while row:
+        coeffs.append(Fraction(row[0], q))
+        row = [b - a for a, b in zip(row, row[1:])]
     return BinomialPoly(coeffs)
 
 

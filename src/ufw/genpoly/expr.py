@@ -12,6 +12,8 @@ Precision exhaustion is always an explicit error, never a wrong answer.
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from ..errors import ParseError, PrecisionExhausted
 from .reals import NAMED, Interval, RealConst
@@ -19,13 +21,13 @@ from .reals import NAMED, Interval, RealConst
 DEFAULT_START_BITS = 64
 DEFAULT_CAP_BITS = 1024
 
-# node kinds by grammar symbol, the interval operation of each binary kind,
-# and the shift each rounding kind adds before its floor
+# node kinds by grammar symbol, and the shift sn/sd each rounding kind adds
+# before its floor
 _BINARY = {"+": "add", "-": "sub", "*": "mul"}
 _ROUNDING = {"floor": "floor", "round": "nearest", "frac": "frac"}
 _SYMBOL = {kind: name for table in (_BINARY, _ROUNDING) for name, kind in table.items()}
-_INTERVAL_OP = {"add": Interval.__add__, "sub": Interval.__sub__, "mul": Interval.__mul__}
-_SHIFT = {"floor": 0, "nearest": Fraction(1, 2), "frac": Fraction(1, 2)}
+_BINARY_KINDS = frozenset(_BINARY.values())
+_SHIFT = {"floor": (0, 1), "nearest": (1, 2), "frac": (1, 2)}
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ class GPExpr:
             return repr(self.const)
         if self.kind == "var":
             return "n"
-        if self.kind in _INTERVAL_OP:
+        if self.kind in _BINARY_KINDS:
             return "(%r %s %r)" % (self.children[0], _SYMBOL[self.kind], self.children[1])
         return "%s(%r)" % (_SYMBOL[self.kind], self.children[0])
 
@@ -95,38 +97,73 @@ def signed_frac(q):
     return q - nearest_int(q)
 
 
+def _postorder(expr):
+    """The nodes of expr, each after its children and a left child before
+    its sibling: the order the recursive definition evaluates them in."""
+    order, todo = [], [expr]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        todo.extend(node.children)
+    order.reverse()
+    return order
+
+
+@lru_cache(maxsize=1024)
+def _const_triple(const, bits):
+    """The bracket of const at bits as (lo, hi, den)."""
+    iv = const.bracket(bits)
+    lo, hi = iv.lo, iv.hi
+    den = lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
+
+
 def eval_interval(expr, n, bits):
     """One bottom-up interval pass at the given precision.
 
     Raises PrecisionExhausted when a floor/nearest argument straddles a
     decision boundary at this precision (the caller refines and retries).
+
+    Each node's interval is carried as [lo/den, hi/den] on three ints with
+    den > 0 and no gcd taken: the same rational intervals as Interval
+    arithmetic gives, unreduced, so every decision is the same.
     """
-    kind = expr.kind
-    if kind == "const":
-        return expr.const.bracket(bits)
-    if kind == "var":
-        return Interval.point(n)
-    op = _INTERVAL_OP.get(kind)
-    if op is not None:
-        left, right = expr.children
-        return op(eval_interval(left, n, bits), eval_interval(right, n, bits))
-    shift = _SHIFT.get(kind)
-    if shift is None:
-        raise ValueError("unknown GPExpr kind %r" % kind)
-    arg = eval_interval(expr.children[0], n, bits)
-    lo, hi = arg.lo + shift, arg.hi + shift
-    k = lo.numerator // lo.denominator
-    if k != hi.numerator // hi.denominator:
-        raise PrecisionExhausted(
-            "argument interval straddles an integer boundary",
-            node=expr,
-            interval=(arg.lo, arg.hi),
-        )
-    if kind == "frac":
-        return Interval(arg.lo - k, arg.hi - k)
-    return Interval.point(k)
+    stack = []
+    push, pop = stack.append, stack.pop
+    for node in _postorder(expr):
+        kind = node.kind
+        if kind == "const":
+            push(_const_triple(node.const, bits))
+        elif kind == "var":
+            push((n, n, 1))
+        elif kind in _BINARY_KINDS:
+            blo, bhi, bd = pop()
+            alo, ahi, ad = pop()
+            if kind == "mul":
+                p = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+                push((min(p), max(p), ad * bd))
+                continue
+            if ad != bd:
+                alo, ahi, blo, bhi, ad = alo * bd, ahi * bd, blo * ad, bhi * ad, ad * bd
+            push((alo + blo, ahi + bhi, ad) if kind == "add" else (alo - bhi, ahi - blo, ad))
+        elif kind in _SHIFT:
+            lo, hi, d = pop()
+            sn, sd = _SHIFT[kind]
+            k = (lo * sd + sn * d) // (d * sd)
+            if k != (hi * sd + sn * d) // (d * sd):
+                raise PrecisionExhausted(
+                    "argument interval straddles an integer boundary",
+                    node=node,
+                    interval=(Fraction(lo, d), Fraction(hi, d)),
+                )
+            push((lo - k * d, hi - k * d, d) if kind == "frac" else (k, k, 1))
+        else:
+            raise ValueError("unknown GPExpr kind %r" % kind)
+    lo, hi, d = stack[0]
+    return Interval(Fraction(lo, d), Fraction(hi, d))
 
 
+@lru_cache(maxsize=None)
 def precision_schedule(start_bits=DEFAULT_START_BITS, cap_bits=DEFAULT_CAP_BITS):
     """Doubling precision schedule from start to cap (inclusive)."""
     bits = start_bits
@@ -180,6 +217,10 @@ def eval_exact(expr, n, schedule=None):
 #           | ("floor"|"round"|"frac") "(" expr ")"
 #   const-name := "pi" | "e" | "golden" | "sqrt" int
 
+# the parser recurses once per open parenthesis, so it refuses to go
+# deeper than this (the evaluator has no depth limit)
+MAX_NESTING = 100
+
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+\.\d+|\d+|[A-Za-z_]+|[()+*-])")
 
 
@@ -198,9 +239,12 @@ def _tokenize(text):
 
 
 def parse_gpexpr(text):
-    """Parse the documented expression grammar into a GPExpr."""
+    """Parse the documented expression grammar into a GPExpr.  Parentheses,
+    including those of floor, round and frac, nest at most MAX_NESTING
+    deep; a deeper input is a ParseError."""
     tokens = _tokenize(text)
     idx = 0
+    depth = 0  # open parentheses around the current position
 
     def peek():
         return tokens[idx][0] if idx < len(tokens) else None
@@ -229,17 +273,23 @@ def parse_gpexpr(text):
             node = GPExpr("mul", (node, parse_factor()))
         return node
 
+    def parse_group(pos):
+        nonlocal depth
+        if depth == MAX_NESTING:
+            raise ParseError("parentheses nest deeper than %d" % MAX_NESTING, position=pos)
+        depth += 1
+        node = parse_expr()
+        take(")")
+        depth -= 1
+        return node
+
     def parse_factor():
         tok, pos = take()
         if tok == "(":
-            node = parse_expr()
-            take(")")
-            return node
+            return parse_group(pos)
         if tok in _ROUNDING:
-            take("(")
-            node = parse_expr()
-            take(")")
-            return GPExpr(_ROUNDING[tok], (node,))
+            _, pos = take("(")
+            return GPExpr(_ROUNDING[tok], (parse_group(pos),))
         if tok == "n":
             return GPExpr.var()
         if tok in NAMED:

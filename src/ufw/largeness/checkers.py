@@ -175,7 +175,14 @@ def check_dictator(voters, candidates, table, dictator):
     dictator must be an exact int in [0, voters)."""
     if type(dictator) is not int or not 0 <= dictator < voters:
         return False
+    # refuse a table too short for its claim by bit lengths, before building
+    # the big numbers: c! ≥ 2^(c−1), and c!^v ≥ 2^v once c! ≥ 2
+    bits = len(table).bit_length()
+    if type(candidates) is int and candidates > bits:
+        return False
     fact = factorial(candidates)
+    if fact >= 2 and voters > bits:
+        return False
     if len(table) != fact**voters:
         return False
     for pidx, out in enumerate(table):

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -188,6 +189,35 @@ def test_calc_basis(capsys, tmp_path):
     assert report["result"]["binomial"] == {"binomial": ["0/1", "1/1", "1/1"]}
 
 
+@pytest.mark.parametrize(
+    "poly", [{"binomial": ["1/0"]}, {"monomial": [True, 1.5]}, {"monomial": "12"}]
+)
+def test_calc_refuses_coefficients_it_cannot_read_exactly(capsys, tmp_path, poly):
+    # a zero denominator was a ZeroDivisionError traceback, and a bool, a
+    # float or a string of digits was read as 1, 3/2 or the list [1, 2]
+    path = write_json(tmp_path, "poly.json", poly)
+    code, report = invoke(capsys, ["calc", "basis", "--poly", path])
+    assert code == 3 and "ValueError" in report["result"]["error"]
+
+
+@pytest.mark.parametrize("action", ["eval", "returns"])
+def test_gp_long_flat_sum_answers(capsys, action):
+    # 1,200 terms made a tree deeper than the recursion limit
+    expr = "+".join(["n"] * 1200)
+    code, report = invoke(capsys, ["gp", action, "--expr", expr, "-n", "3", "--eps", "1/5"])
+    assert code == 0
+    if action == "eval":
+        assert report["result"]["value"] == 3600
+    else:
+        assert report["result"] == {"members": [1, 2, 3], "ambiguous": []}
+
+
+def test_gp_deep_nesting_is_input_error(capsys):
+    expr = "(" * 400 + "n" + ")" * 400
+    code, report = invoke(capsys, ["gp", "eval", "--expr", expr, "-n", "3"])
+    assert code == 3 and "ParseError" in report["result"]["error"]
+
+
 def test_gp_eval_serializes_fractions(capsys):
     code, report = invoke(capsys, ["gp", "eval", "--expr", "n * 3/2", "-n", "3"])
     assert code == 0
@@ -212,6 +242,19 @@ def test_gp_dfao_non_integer_entries_are_input_errors(capsys, tmp_path):
     code, report = invoke(capsys, ["gp", "dfao", "-n", "5", "--in", path])
     assert code == 3
     assert report["result"] == {"error": "ValueError: tau rows must map every digit to a state"}
+
+
+@pytest.mark.parametrize("voters, candidates", [(10**8, 3), (1, 10**8)])
+def test_verify_dictator_refuses_an_oversized_claim_at_once(capsys, tmp_path, voters,
+                                                            candidates):
+    # the checker built 3!**(10**8) before comparing it with the table's length
+    cert = {"kind": "dictator", "voters": voters, "candidates": candidates,
+            "table": [0], "dictator": 0}
+    path = write_json(tmp_path, "c.json", cert)
+    start = time.monotonic()
+    code, report = invoke(capsys, ["verify", "--certificate", path])
+    assert time.monotonic() - start < 1.0
+    assert code == 1 and report["result"]["valid"] is False
 
 
 def test_arrow_verify_dictator(capsys, tmp_path):

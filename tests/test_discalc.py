@@ -3,6 +3,7 @@ recursive agreement, degree/leading laws, and the binomial basis."""
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -191,3 +192,99 @@ def test_delta_degree_drop_property(coeffs, a):
         assert delta(f, a).degree == NEG_INF
     else:
         assert delta(f, a).degree == f.degree - 1
+
+
+# --- the Fraction subset-loop forms, kept as test-local oracles -------------
+# sym_delta_k("explicit") groups the subsets by monomial on integer power
+# sums, shift is a Taylor shift on ints and basis_convert reads a difference
+# table; these are the direct forms they replaced, term by term.
+
+
+def oracle_shift(f, a):
+    a = Fraction(a)
+    out = [Fraction(0)] * len(f.coeffs)
+    for d, c in enumerate(f.coeffs):
+        power = Fraction(1)
+        for j in range(d, -1, -1):
+            out[j] += c * comb(d, j) * power
+            power *= a
+    return RationalPoly(out)
+
+
+def oracle_explicit(f, xs):
+    xs = [Fraction(x) for x in xs]
+    k = len(xs)
+    total = RationalPoly([])
+    for subset in range(1, 1 << (k + 1)):
+        sign = (-1) ** (k + 1 - bin(subset).count("1"))
+        rest = sum(xs[i - 1] for i in range(1, k + 1) if subset & (1 << i))
+        term = oracle_shift(f, rest) if subset & 1 else RationalPoly([f(Fraction(rest))])
+        total = total + (term if sign > 0 else -term)
+    return total
+
+
+def oracle_basis_convert(f):
+    coeffs = []
+    g = f
+    while g.degree != NEG_INF or not coeffs:
+        coeffs.append(g(Fraction(0)))
+        if g.degree == NEG_INF:
+            break
+        g = oracle_shift(g, 1) - g
+    return BinomialPoly(coeffs)
+
+
+_POLYS = st.lists(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12), max_size=9
+).map(RationalPoly)
+_PARAMS = st.one_of(
+    st.integers(min_value=-9, max_value=9).map(Fraction),
+    st.fractions(min_value=-9, max_value=9, max_denominator=10),
+)
+
+
+@given(_POLYS, st.lists(_PARAMS, min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_explicit_matches_the_subset_loop(f, xs):
+    assert sym_delta_k(f, xs, "explicit") == oracle_explicit(f, xs)
+
+
+@given(_POLYS, _PARAMS)
+@settings(max_examples=200, deadline=None)
+def test_shift_delta_and_basis_match_the_direct_forms(f, a):
+    shifted = oracle_shift(f, a)
+    assert f.shift(a) == shifted
+    assert delta(f, a) == shifted - f
+    assert sym_delta(f, a) == shifted - f - RationalPoly([f(a)])
+    assert basis_convert(f) == oracle_basis_convert(f)
+
+
+@pytest.mark.parametrize("xs", [[1], [2, -3], [Fraction(1, 2), Fraction(-2, 3), 5]])
+def test_zero_polynomial_stays_zero(xs):
+    z = RationalPoly([])
+    assert z.shift(Fraction(1, 3)) == delta(z, 2) == sym_delta(z, 2) == z
+    assert sym_delta_k(z, xs, "explicit") == sym_delta_k(z, xs, "recursive") == z
+    assert basis_convert(z) == oracle_basis_convert(z) == BinomialPoly([])
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"binomial": ["1/0"]},
+        {"monomial": [True, 1.5]},
+        {"monomial": [1, 1.5]},
+        {"monomial": "12"},
+        {"monomial": [None]},
+        {"monomial": ["x"]},
+        ["monomial"],
+    ],
+)
+def test_from_json_refuses_what_it_cannot_read_exactly(obj):
+    with pytest.raises(ValueError):
+        RationalPoly.from_json(obj)
+
+
+def test_from_json_reads_exact_ints_and_rational_strings():
+    assert RationalPoly.from_json({"monomial": [1, "-3/4", "0.5"]}) == RationalPoly(
+        [1, Fraction(-3, 4), Fraction(1, 2)]
+    )

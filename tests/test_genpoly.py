@@ -221,6 +221,77 @@ def test_decided_passes_agree_on_exactness(expr, n):
     assert not coarse.exact or coarse == fine
 
 
+# the Fraction/Interval evaluator that the integer kernel replaced, kept as a
+# test-local oracle: the kernel must give the same rational intervals, raise
+# at the same node with the same interval, and so decide alike everywhere
+
+
+def oracle_interval(expr, n, bits):
+    kind = expr.kind
+    if kind == "const":
+        return expr.const.bracket(bits)
+    if kind == "var":
+        return Interval.point(n)
+    if kind in ("add", "sub", "mul"):
+        a, b = (oracle_interval(c, n, bits) for c in expr.children)
+        return a + b if kind == "add" else a - b if kind == "sub" else a * b
+    arg = oracle_interval(expr.children[0], n, bits)
+    shift = 0 if kind == "floor" else Fraction(1, 2)
+    k = floor(arg.lo + shift)
+    if k != floor(arg.hi + shift):
+        raise PrecisionExhausted("straddles", node=expr, interval=(arg.lo, arg.hi))
+    return Interval(arg.lo - k, arg.hi - k) if kind == "frac" else Interval.point(k)
+
+
+def _outcome(evaluate, expr, n, bits):
+    try:
+        iv = evaluate(expr, n, bits)
+    except PrecisionExhausted as err:
+        return "exhausted", id(err.node), err.interval
+    return "interval", iv.lo, iv.hi
+
+
+@given(_TREES, st.integers(min_value=-50, max_value=50), st.sampled_from([8, 16, 64, 128]))
+@settings(max_examples=400, deadline=None)
+def test_integer_kernel_matches_the_interval_oracle(expr, n, bits):
+    assert _outcome(eval_interval, expr, n, bits) == _outcome(oracle_interval, expr, n, bits)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["round(pi * n)", "floor(sqrt2 * n * n)", "frac(golden * n) + 1/3 * n",
+     "floor(pi * n) * floor(e * n) - round(golden * 3/7 * n)", "floor(sqrt2 * sqrt2)"],
+)
+def test_integer_kernel_matches_the_oracle_on_a_range_of_n(text):
+    expr = parse_gpexpr(text)
+    for n in range(-300, 301, 7):
+        for bits in (16, 64):
+            want = _outcome(oracle_interval, expr, n, bits)
+            assert _outcome(eval_interval, expr, n, bits) == want
+
+
+def test_round_pi_n_is_decided_at_n_99991():
+    assert eval_exact(parse_gpexpr("round(pi * n)"), 99991) == round(PI_REF * 99991)
+
+
+def test_a_long_flat_sum_evaluates_without_recursion():
+    # a left-deep tree 1,200 nodes deep, which the recursive evaluator could
+    # not walk
+    terms = " + ".join(["n"] * 1200)
+    assert eval_exact(parse_gpexpr(terms + " + floor(pi * n)"), 3) == 3600 + 9
+    assert return_times(parse_gpexpr(terms + " + 1/3"), Fraction(1, 5), 3) == ([], [])
+
+
+def test_parse_refuses_nesting_past_its_limit():
+    from ufw.genpoly.expr import MAX_NESTING
+
+    deep = "floor(" * MAX_NESTING + "pi * n" + ")" * MAX_NESTING
+    assert eval_exact(parse_gpexpr(deep), 2) == 6
+    with pytest.raises(ParseError) as err:
+        parse_gpexpr("(" * (MAX_NESTING + 1) + "n" + ")" * (MAX_NESTING + 1))
+    assert err.value.position == MAX_NESTING
+
+
 def test_precision_schedule_doubles():
     assert list(precision_schedule(64, 1024)) == [64, 128, 256, 512, 1024]
 
