@@ -90,6 +90,8 @@ def _load_json(path, digests):
         return json.loads(raw)
     except json.JSONDecodeError as err:
         raise _InputError("malformed JSON in %s at position %d: %s" % (path, err.pos, err.msg))
+    except RecursionError:
+        raise _InputError("JSON in %s nests too deeply" % path)
 
 
 class _InputError(Exception):

@@ -6,8 +6,9 @@ every symbol (checked on load), but it need not be literal identity —
 such "non-normal" structures arise naturally as ultraproducts and are
 collapsed by :func:`normalize`.
 
-Evaluation desugars ∨, →, ↔ and ∀ into the ¬/∧/∃ core, so a single
-induction covers the whole grammar.
+Evaluation reads every connective and quantifier directly, so each
+subformula is evaluated at most once per assignment of its free variables
+(↔ rewritten as (a→b)∧(b→a) would evaluate both sides twice per level).
 """
 
 from itertools import product as iproduct
@@ -170,24 +171,25 @@ def _eval(s, phi, env):
         return not _eval(s, phi[1], env)
     if tag == "and":
         return _eval(s, phi[1], env) and _eval(s, phi[2], env)
-    if tag == "or":  # desugared: ¬(¬f ∧ ¬g)
-        return _eval(s, ("not", ("and", ("not", phi[1]), ("not", phi[2]))), env)
+    if tag == "or":
+        return _eval(s, phi[1], env) or _eval(s, phi[2], env)
     if tag == "imp":
-        return _eval(s, ("or", ("not", phi[1]), phi[2]), env)
+        return not _eval(s, phi[1], env) or _eval(s, phi[2], env)
     if tag == "iff":
-        return _eval(s, ("and", ("imp", phi[1], phi[2]), ("imp", phi[2], phi[1])), env)
-    if tag == "exists":
-        var, body = phi[1], phi[2]
+        return _eval(s, phi[1], env) == _eval(s, phi[2], env)
+    if tag in ("exists", "forall"):
+        # ∃ stops at the first element that satisfies the body, ∀ at the
+        # first that does not
+        var, body, want = phi[1], phi[2], tag == "exists"
         saved = env.get(var, _MISSING)
+        found = False
         for v in range(s.size):
             env[var] = v
-            if _eval(s, body, env):
-                _restore(env, var, saved)
-                return True
+            if _eval(s, body, env) == want:
+                found = True
+                break
         _restore(env, var, saved)
-        return False
-    if tag == "forall":  # desugared: ¬∃¬
-        return _eval(s, ("not", ("exists", phi[1], ("not", phi[2]))), env)
+        return found == want
     raise ValueError("unknown formula tag %r" % tag)
 
 

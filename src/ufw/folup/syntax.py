@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from ..errors import ArityMismatch, ParseError
+from ..tokens import Cursor
 
 
 @dataclass(frozen=True)
@@ -70,119 +71,84 @@ class Signature:
 
 
 _TOKEN = re.compile(r"\s*(<->|->|[A-Za-z_][A-Za-z_0-9]*|[!&|().,=])")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 _BINOPS = {"&": "and", "|": "or", "->": "imp", "<->": "iff"}
 _BINOP_TEXT = {v: k for k, v in _BINOPS.items()}
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError("unexpected character %r" % text[pos], position=pos)
-            break
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
-
-
 def parse_formula(text, sig):
-    """Parse the grammar above into a formula tree."""
-    tokens = _tokenize(text)
-    idx = 0
+    """Parse the grammar above into a formula tree.  Negations, quantifier
+    bodies, parentheses and function applications together nest at most
+    MAX_NESTING (from ufw.tokens) deep; a deeper input is a ParseError."""
+    cur = Cursor(_TOKEN, text, "formulas and terms")
+    peek, take = cur.peek, cur.take
     farity = sig.function_arity
     rarity = sig.relation_arity
     consts = set(sig.constants)
 
-    def peek():
-        return tokens[idx][0] if idx < len(tokens) else None
-
-    def take(expected=None):
-        nonlocal idx
-        if idx >= len(tokens):
-            raise ParseError("unexpected end of input", position=len(text))
-        tok, pos = tokens[idx]
-        if expected is not None and tok != expected:
-            raise ParseError("expected %r, found %r" % (expected, tok), position=pos)
-        idx += 1
-        return tok, pos
+    def parse_args(kind, name, arity):
+        take("(")
+        args = [parse_term()]
+        while peek() == ",":
+            take(",")
+            args.append(parse_term())
+        take(")")
+        if len(args) != arity:
+            raise ArityMismatch(
+                "%s %s expects %d arguments, got %d" % (kind, name, arity, len(args))
+            )
+        return tuple(args)
 
     def parse_term():
         tok, pos = take()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
+        if not _NAME.fullmatch(tok):
             raise ParseError("expected a term, found %r" % tok, position=pos)
         if tok in farity:
-            take("(")
-            args = [parse_term()]
-            while peek() == ",":
-                take(",")
-                args.append(parse_term())
-            take(")")
-            if len(args) != farity[tok]:
-                raise ArityMismatch(
-                    "function %s expects %d arguments, got %d" % (tok, farity[tok], len(args))
-                )
-            return ("app", tok, tuple(args))
+            return ("app", tok, cur.nested(pos, parse_args, "function", tok, farity[tok]))
         if tok in consts:
             return ("const", tok)
         return ("var", tok)
 
     def parse_f():
-        tok = peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", position=len(text))
+        tok = peek()  # at the end of the input, parse_atom reports it
         if tok == "!":
-            take()
-            return ("not", parse_f())
+            _, pos = take()
+            return ("not", cur.nested(pos, parse_f))
         if tok in ("A", "E"):
-            take()
+            _, pos = take()
             var, vpos = take()
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", var) or var in farity or var in consts:
+            if not _NAME.fullmatch(var) or var in farity or var in consts:
                 raise ParseError("expected a variable after quantifier", position=vpos)
             take(".")
-            body = parse_f()
-            return ("forall" if tok == "A" else "exists", var, body)
+            return ("forall" if tok == "A" else "exists", var, cur.nested(pos, parse_f))
         if tok == "(":
-            take()
-            lhs = parse_f()
-            op, opos = take()
-            if op == ")":  # plain parenthesized formula, e.g. "!(x = c)"
-                return lhs
-            if op not in _BINOPS:
-                raise ParseError("expected a connective, found %r" % op, position=opos)
-            rhs = parse_f()
-            take(")")
-            return (_BINOPS[op], lhs, rhs)
+            _, pos = take()
+            return cur.nested(pos, parse_paren)
         return parse_atom()
+
+    def parse_paren():
+        lhs = parse_f()
+        op, opos = take()
+        if op == ")":  # plain parenthesized formula, e.g. "!(x = c)"
+            return lhs
+        if op not in _BINOPS:
+            raise ParseError("expected a connective, found %r" % op, position=opos)
+        rhs = parse_f()
+        take(")")
+        return (_BINOPS[op], lhs, rhs)
 
     def parse_atom():
         tok = peek()
-        pos = tokens[idx][1]
         if tok in rarity and tok != "=":
             take()
-            take("(")
-            args = [parse_term()]
-            while peek() == ",":
-                take(",")
-                args.append(parse_term())
-            take(")")
-            if len(args) != rarity[tok]:
-                raise ArityMismatch(
-                    "relation %s expects %d arguments, got %d" % (tok, rarity[tok], len(args))
-                )
-            return ("atom", tok, tuple(args))
+            return ("atom", tok, parse_args("relation", tok, rarity[tok]))
         lhs = parse_term()
         take("=")
         rhs = parse_term()
         return ("atom", "=", (lhs, rhs))
 
-    out = parse_f()
-    if idx != len(tokens):
-        raise ParseError("trailing input %r" % tokens[idx][0], position=tokens[idx][1])
-    return out
+    return cur.finish(parse_f())
 
 
 def print_term(t):
@@ -226,27 +192,14 @@ def _term_vars(t, acc):
 
 def formula_vars(phi):
     """All variables (free or bound)."""
-    acc = set()
-
-    def walk(f):
-        tag = f[0]
-        if tag == "atom":
-            for t in f[2]:
-                _term_vars(t, acc)
-        elif tag == "not":
-            walk(f[1])
-        elif tag in ("and", "or", "imp", "iff"):
-            walk(f[1])
-            walk(f[2])
-        else:
-            acc.add(f[1])
-            walk(f[2])
-
-    walk(phi)
-    return acc
+    return _vars(phi, True)
 
 
 def free_vars(phi):
+    return _vars(phi, False)
+
+
+def _vars(phi, with_bound):
     tag = phi[0]
     if tag == "atom":
         acc = set()
@@ -254,10 +207,11 @@ def free_vars(phi):
             _term_vars(t, acc)
         return acc
     if tag == "not":
-        return free_vars(phi[1])
-    if tag in ("and", "or", "imp", "iff"):
-        return free_vars(phi[1]) | free_vars(phi[2])
-    return free_vars(phi[2]) - {phi[1]}
+        return _vars(phi[1], with_bound)
+    if tag in _BINOP_TEXT:
+        return _vars(phi[1], with_bound) | _vars(phi[2], with_bound)
+    body = _vars(phi[2], with_bound)
+    return body | {phi[1]} if with_bound else body - {phi[1]}
 
 
 def generate_formulas(sig, depth, nvars):

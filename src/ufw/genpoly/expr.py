@@ -16,6 +16,7 @@ from functools import lru_cache
 from math import lcm
 
 from ..errors import ParseError, PrecisionExhausted
+from ..tokens import MAX_NESTING, Cursor  # noqa: F401 (MAX_NESTING: re-exported)
 from .reals import NAMED, Interval, RealConst
 
 DEFAULT_START_BITS = 64
@@ -30,10 +31,11 @@ _BINARY_KINDS = frozenset(_BINARY.values())
 _SHIFT = {"floor": (0, 1), "nearest": (1, 2), "frac": (1, 2)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GPExpr:
     """Node kinds: const(RealConst), var, add, sub, mul, floor, nearest,
-    frac."""
+    frac.  Nodes compare and hash by identity, so no tree, however deep,
+    is walked recursively to compare or hash it."""
 
     kind: str
     children: tuple = ()
@@ -69,13 +71,19 @@ class GPExpr:
         return GPExpr("frac", (self,))
 
     def __repr__(self):
-        if self.kind == "const":
-            return repr(self.const)
-        if self.kind == "var":
-            return "n"
-        if self.kind in _BINARY_KINDS:
-            return "(%r %s %r)" % (self.children[0], _SYMBOL[self.kind], self.children[1])
-        return "%s(%r)" % (_SYMBOL[self.kind], self.children[0])
+        texts = []
+        for node in _postorder(self):
+            kind = node.kind
+            if kind == "const":
+                texts.append(repr(node.const))
+            elif kind == "var":
+                texts.append("n")
+            elif kind in _BINARY_KINDS:
+                b = texts.pop()
+                texts.append("(%s %s %s)" % (texts.pop(), _SYMBOL[kind], b))
+            else:
+                texts.append("%s(%s)" % (_SYMBOL[kind], texts.pop()))
+        return texts[0]
 
 
 def _coerce(x):
@@ -217,47 +225,15 @@ def eval_exact(expr, n, schedule=None):
 #           | ("floor"|"round"|"frac") "(" expr ")"
 #   const-name := "pi" | "e" | "golden" | "sqrt" int
 
-# the parser recurses once per open parenthesis, so it refuses to go
-# deeper than this (the evaluator has no depth limit)
-MAX_NESTING = 100
-
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+\.\d+|\d+|[A-Za-z_]+|[()+*-])")
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError("unexpected character %r" % text[pos], position=pos)
-            break
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
 
 
 def parse_gpexpr(text):
     """Parse the documented expression grammar into a GPExpr.  Parentheses,
     including those of floor, round and frac, nest at most MAX_NESTING
     deep; a deeper input is a ParseError."""
-    tokens = _tokenize(text)
-    idx = 0
-    depth = 0  # open parentheses around the current position
-
-    def peek():
-        return tokens[idx][0] if idx < len(tokens) else None
-
-    def take(expected=None):
-        nonlocal idx
-        if idx >= len(tokens):
-            raise ParseError("unexpected end of input", position=len(text))
-        tok, pos = tokens[idx]
-        if expected is not None and tok != expected:
-            raise ParseError("expected %r, found %r" % (expected, tok), position=pos)
-        idx += 1
-        return tok, pos
+    cur = Cursor(_TOKEN, text, "parentheses")
+    peek, take = cur.peek, cur.take
 
     def parse_expr():
         node = parse_term()
@@ -273,23 +249,18 @@ def parse_gpexpr(text):
             node = GPExpr("mul", (node, parse_factor()))
         return node
 
-    def parse_group(pos):
-        nonlocal depth
-        if depth == MAX_NESTING:
-            raise ParseError("parentheses nest deeper than %d" % MAX_NESTING, position=pos)
-        depth += 1
+    def parse_group():
         node = parse_expr()
         take(")")
-        depth -= 1
         return node
 
     def parse_factor():
         tok, pos = take()
         if tok == "(":
-            return parse_group(pos)
+            return cur.nested(pos, parse_group)
         if tok in _ROUNDING:
             _, pos = take("(")
-            return GPExpr(_ROUNDING[tok], (parse_group(pos),))
+            return GPExpr(_ROUNDING[tok], (cur.nested(pos, parse_group),))
         if tok == "n":
             return GPExpr.var()
         if tok in NAMED:
@@ -306,7 +277,4 @@ def parse_gpexpr(text):
                 raise ParseError("zero denominator in %r" % tok, position=pos)
         raise ParseError("unexpected token %r" % tok, position=pos)
 
-    node = parse_expr()
-    if idx != len(tokens):
-        raise ParseError("trailing input %r" % tokens[idx][0], position=tokens[idx][1])
-    return node
+    return cur.finish(parse_expr())

@@ -6,7 +6,7 @@ principles, deliberately sharing no code with :mod:`ufw.largeness.search`
 data so it can also validate certificates loaded from JSON.
 """
 
-from itertools import combinations, combinations_with_replacement, product as iproduct
+from itertools import combinations, product as iproduct
 from math import comb, factorial
 
 # the number of parameters of each pattern kind
@@ -118,14 +118,12 @@ def check_avoiding_coloring(pattern, r, colors):
         return True
     if kind == "fs":
         n, k = len(colors), pattern[1]
-        # all k generators sum to at most n, so none exceeds n − k + 1
-        for gens in combinations_with_replacement(range(1, n - k + 2), k):
-            sums = {
-                sum(gens[i] for i in idxs)
-                for size in range(1, k + 1)
-                for idxs in combinations(range(k), size)
-            }
-            if max(sums) <= n and len({colors[s - 1] for s in sums}) == 1:
+        for gens in _sum_bounded_tuples(k, n):
+            sums = {0}
+            for g in gens:
+                sums |= {s + g for s in sums}
+            sums.discard(0)
+            if len({colors[s - 1] for s in sums}) == 1:
                 return False
         return True
     if kind == "clique":
@@ -165,6 +163,23 @@ def check_avoiding_coloring(pattern, r, colors):
             if len({colors[rank[p]] for p in pts}) == 1:
                 return False
         return True
+
+
+def _sum_bounded_tuples(k, n):
+    """The non-decreasing k-tuples of positive ints whose total, their
+    largest subset sum, is at most n, in lex order."""
+    gens = [1] * k
+    while sum(gens) <= n:
+        yield tuple(gens)
+        # raise the rightmost entry that can grow, and all after it to match
+        head = sum(gens)
+        for i in range(k - 1, -1, -1):
+            head -= gens[i]
+            if head + (k - i) * (gens[i] + 1) <= n:
+                gens[i:] = [gens[i] + 1] * (k - i)
+                break
+        else:
+            return
 
 
 def check_dictator(voters, candidates, table, dictator):

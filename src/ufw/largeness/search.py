@@ -31,14 +31,9 @@ class IntervalColoring:
     r: int = 0
 
     def __post_init__(self):
-        colors = tuple(self.colors)
-        if len(colors) != self.n or self.n < 1:
+        if self.n < 1:
             raise ValueError("need one color per element of [1..n]")
-        r = self.r or max(colors) + 1
-        if any(not 0 <= c < r for c in colors):
-            raise ValueError("colors must lie in [0..r)")
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "r", r)
+        _store_colors(self, self.n, "element of [1..n]")
 
 
 @dataclass(frozen=True)
@@ -52,15 +47,7 @@ class EdgeColoring:
     r: int = 0
 
     def __post_init__(self):
-        edges = edge_list(self.n, self.k)
-        colors = tuple(self.colors)
-        if len(colors) != len(edges):
-            raise ValueError("need one color per %d-subset" % self.k)
-        r = self.r or max(colors) + 1
-        if any(not 0 <= c < r for c in colors):
-            raise ValueError("colors must lie in [0..r)")
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "r", r)
+        _store_colors(self, len(edge_list(self.n, self.k)), "%d-subset" % self.k)
 
 
 @dataclass(frozen=True)
@@ -74,14 +61,21 @@ class WordColoring:
     r: int = 0
 
     def __post_init__(self):
-        colors = tuple(self.colors)
-        if len(colors) != self.sigma**self.n:
-            raise ValueError("need one color per word of length %d" % self.n)
-        r = self.r or max(colors) + 1
-        if any(not 0 <= c < r for c in colors):
-            raise ValueError("colors must lie in [0..r)")
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "r", r)
+        _store_colors(self, self.sigma**self.n, "word of length %d" % self.n)
+
+
+def _store_colors(coloring, count, what):
+    """Freeze a coloring's colors, which must be one per domain element
+    (count of them), and default r to the largest color + 1; every color
+    must lie in [0..r)."""
+    colors = tuple(coloring.colors)
+    if len(colors) != count:
+        raise ValueError("need one color per %s" % what)
+    r = coloring.r or max(colors) + 1
+    if any(not 0 <= c < r for c in colors):
+        raise ValueError("colors must lie in [0..r)")
+    object.__setattr__(coloring, "colors", colors)
+    object.__setattr__(coloring, "r", r)
 
 
 def edge_list(n, k):

@@ -215,7 +215,28 @@ def test_gp_long_flat_sum_answers(capsys, action):
 def test_gp_deep_nesting_is_input_error(capsys):
     expr = "(" * 400 + "n" + ")" * 400
     code, report = invoke(capsys, ["gp", "eval", "--expr", expr, "-n", "3"])
-    assert code == 3 and "ParseError" in report["result"]["error"]
+    assert code == 3
+    assert report["result"] == {"error": "ParseError: parentheses nest deeper than 100"}
+
+
+def test_fol_deep_negation_is_input_error(capsys, tmp_path):
+    # 3,000 negations ended in a RecursionError traceback
+    argv = ["fol", "eval", "--sig", write_json(tmp_path, "sig.json", SIGNATURE),
+            "--structs", write_json(tmp_path, "s.json", STRUCTURE),
+            "--formula", "!" * 3000 + "(x = x)"]
+    code, report = invoke(capsys, argv)
+    assert code == 3
+    assert report["result"] == {"error": "ParseError: formulas and terms nest deeper than 100"}
+
+
+@pytest.mark.parametrize("argv", [["verify", "--certificate"], ["setfam", "classify", "--in"]])
+def test_deeply_nested_json_is_input_error(capsys, tmp_path, argv):
+    # json.loads raised RecursionError, which ended in a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, report = invoke(capsys, argv + [str(path)])
+    assert code == 3
+    assert report["result"] == {"error": "JSON in %s nests too deeply" % path}
 
 
 def test_gp_eval_serializes_fractions(capsys):
@@ -255,6 +276,26 @@ def test_verify_dictator_refuses_an_oversized_claim_at_once(capsys, tmp_path, vo
     code, report = invoke(capsys, ["verify", "--certificate", path])
     assert time.monotonic() - start < 1.0
     assert code == 1 and report["result"]["valid"] is False
+
+
+@pytest.mark.parametrize(
+    "colors, valid",
+    [
+        # twelve 2s sum to 24, and every subset sum is even: one color
+        ([i % 2 for i in range(30)], False),
+        ([0, 0, 1, 0, 1, 1, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0,
+          0, 1], True),
+    ],
+)
+def test_verify_wide_fs_pattern_answers_in_seconds(capsys, tmp_path, colors, valid):
+    # the checker listed all 86,493,225 non-decreasing 12-tuples below 20;
+    # only the 1,552 whose total is at most 30 can have every sum in range
+    cert = {"kind": "avoiding", "pattern": ["fs", 12], "r": 2, "colors": colors}
+    path = write_json(tmp_path, "c.json", cert)
+    start = time.monotonic()
+    code, report = invoke(capsys, ["verify", "--certificate", path])
+    assert time.monotonic() - start < 5.0
+    assert (code, report["result"]["valid"]) == (0 if valid else 1, valid)
 
 
 def test_arrow_verify_dictator(capsys, tmp_path):
@@ -467,7 +508,9 @@ def test_golden_digests(capsys, tmp_path, case):
     # cases pin claims the checkers cannot read (exit 1, or 3 for a pattern
     # that is none), a zero denominator, and the smallest patterns; the
     # one-vertex Ramsey case exits 3 since a clique smaller than its edges
-    # is no pattern.  An argv entry naming one of the case's inline files
+    # is no pattern.  The fol eval and los cases after those, and the gp
+    # parse errors and depth limit, were recorded before both text grammars
+    # shared one cursor.  An argv entry naming one of the case's inline files
     # stands for that file's path.
     paths = {name: write_json(tmp_path, name, body) for name, body in case.get("files", {}).items()}
     argv = case.get("argv")
@@ -547,5 +590,26 @@ GP_TOKENS = [
 @settings(max_examples=400, deadline=None)
 def test_gp_eval_contract_on_token_strings(tokens, n):
     code, report = _run_quietly(["gp", "eval", "--expr", " ".join(tokens), "-n", str(n)])
+    assert code in (0, 1, 3)
+    assert set(report) == {"result", "manifest"}
+
+
+FOL_TOKENS = [
+    "x", "y", "c", "f", "r", "A", "E", ".", ",", "!", "&", "|", "->", "<->", "(", ")", "=",
+    "#",
+]
+
+
+@given(st.lists(st.sampled_from(FOL_TOKENS), max_size=14))
+@settings(max_examples=400, deadline=None)
+def test_fol_eval_contract_on_token_strings(tokens):
+    with tempfile.TemporaryDirectory() as tmp:
+        sig = os.path.join(tmp, "sig.json")
+        structure = os.path.join(tmp, "s.json")
+        for path, body in ((sig, SIGNATURE), (structure, STRUCTURE)):
+            with open(path, "w") as fh:
+                json.dump(body, fh)
+        code, report = _run_quietly(["fol", "eval", "--sig", sig, "--structs", structure,
+                                     "--env", "x=1", "--formula=" + " ".join(tokens)])
     assert code in (0, 1, 3)
     assert set(report) == {"result", "manifest"}

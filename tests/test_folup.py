@@ -4,8 +4,11 @@ construction laws, and the bit-parallel sweep cross-checked against the slow
 evaluator."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ufw.errors import ArityMismatch, CapExceeded, NotUltrafilter, ParseError
 from ufw.folup import (
@@ -23,10 +26,11 @@ from ufw.folup import (
     print_formula,
     ultraproduct,
 )
-from ufw.folup.semantics import equality_axiom_witness
+from ufw.folup.semantics import equality_axiom_witness, eval_term
 from ufw.folup import sweep
 from ufw.folup.sweep import build_corpus, corpus_formula, factor_structures
 from ufw.setfam import GroundSet, SetFamily, principal_ultrafilter
+from ufw.tokens import MAX_NESTING
 
 SIG = Signature(functions=(("f", 2),), constants=("c",))
 
@@ -96,6 +100,34 @@ def test_parse_errors():
         parse_formula("f(x) = y", SIG)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "!" * 3000 + "(x = x)",
+        "(" * 3000 + "x = x" + ")" * 3000,
+        "A x. " * 3000 + "x = x",
+        "f(" * 3000 + "x" + ", x)" * 3000 + " = x",
+        "(x = x & " * 3000 + "x = x" + ")" * 3000,
+    ],
+    ids=["not", "paren", "forall", "app", "and"],
+)
+def test_deep_formulas_are_parse_errors(text):
+    # each of these once ended in a RecursionError
+    with pytest.raises(ParseError, match="^formulas and terms nest deeper than 100$"):
+        parse_formula(text, SIG)
+
+
+def test_formulas_at_the_nesting_limit_parse():
+    # negations and function applications count alike
+    phi = parse_formula("!" * MAX_NESTING + "x = c", SIG)
+    assert free_vars(phi) == {"x"}
+    assert eval_formula(Z3, phi, {"x": 0}) is False
+    assert print_formula(phi) == "!" * MAX_NESTING + "(x = c)"
+    with pytest.raises(ParseError) as err:
+        parse_formula("!" * MAX_NESTING + "f(x, c) = x", SIG)
+    assert err.value.position == MAX_NESTING
+
+
 def test_variable_sets():
     phi = parse_formula("E x. f(x, y) = c", SIG)
     assert free_vars(phi) == {"y"}
@@ -127,6 +159,79 @@ def test_eval_desugared_connectives():
     assert eval_formula(Z3, parse_formula("(x = y -> c = c)", SIG), env)
     assert eval_formula(Z3, parse_formula("(x = y <-> y = x)", SIG), env)
     assert not eval_formula(Z3, parse_formula("(x = x & x = y)", SIG), env)
+
+
+def test_iff_chain_at_the_nesting_limit_evaluates_at_once():
+    # ↔ was rewritten as (a→b)∧(b→a), so every level evaluated both sides
+    # twice: a 16-deep chain took 0.6 s, and two more levels took 4× longer
+    text = "x = c"
+    for _ in range(MAX_NESTING):
+        text = "(x = c <-> %s)" % text
+    phi = parse_formula(text, SIG)
+    start = time.perf_counter()
+    # a ↔ a is true and a ↔ true is a, so an even chain is x = c
+    assert [eval_formula(Z3, phi, {"x": x}) for x in range(3)] == [False, True, False]
+    assert time.perf_counter() - start < 1.0
+
+
+def _rewriting_eval(s, phi, env):
+    """Evaluation as it was: ∨, →, ↔ and ∀ rewritten into the ¬/∧/∃ core."""
+    tag = phi[0]
+    if tag == "atom":
+        return s.holds(phi[1], [eval_term(s, t, env) for t in phi[2]])
+    if tag == "not":
+        return not _rewriting_eval(s, phi[1], env)
+    if tag == "and":
+        return _rewriting_eval(s, phi[1], env) and _rewriting_eval(s, phi[2], env)
+    if tag == "or":
+        return _rewriting_eval(s, ("not", ("and", ("not", phi[1]), ("not", phi[2]))), env)
+    if tag == "imp":
+        return _rewriting_eval(s, ("or", ("not", phi[1]), phi[2]), env)
+    if tag == "iff":
+        return _rewriting_eval(s, ("and", ("imp", phi[1], phi[2]), ("imp", phi[2], phi[1])), env)
+    if tag == "exists":
+        return any(_rewriting_eval(s, phi[2], {**env, phi[1]: v}) for v in range(s.size))
+    return _rewriting_eval(s, ("not", ("exists", phi[1], ("not", phi[2]))), env)
+
+
+_RTERMS = st.recursive(
+    st.sampled_from([("var", "x"), ("var", "y"), ("const", "c")]),
+    lambda kids: st.tuples(st.just("app"), st.just("f"), st.tuples(kids, kids)),
+    max_leaves=3,
+)
+_RFORMULAS = st.recursive(
+    st.one_of(
+        st.tuples(st.just("atom"), st.just("="), st.tuples(_RTERMS, _RTERMS)),
+        st.tuples(st.just("atom"), st.just("R"), st.tuples(_RTERMS, _RTERMS)),
+    ),
+    lambda kids: st.one_of(
+        st.tuples(st.just("not"), kids),
+        st.tuples(st.sampled_from(["and", "or", "imp", "iff"]), kids, kids),
+        st.tuples(st.sampled_from(["exists", "forall"]), st.sampled_from(["x", "y"]), kids),
+    ),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _rsig_structures(draw):
+    size = draw(st.integers(1, 3))
+    element = st.integers(0, size - 1)
+    row = st.lists(element, min_size=size, max_size=size)
+    return Structure(
+        RSIG,
+        size,
+        funcs={"f": draw(st.lists(row, min_size=size, max_size=size))},
+        rels={"R": draw(st.sets(st.tuples(element, element)))},
+        consts={"c": draw(element)},
+    )
+
+
+@given(_rsig_structures(), _RFORMULAS, st.integers(0, 2), st.integers(0, 2))
+@settings(max_examples=300, deadline=None)
+def test_direct_evaluation_matches_the_rewriting_evaluator(s, phi, x, y):
+    env = {"x": x % s.size, "y": y % s.size}
+    assert eval_formula(s, phi, env) == _rewriting_eval(s, phi, env)
 
 
 def test_structure_rejects_broken_equality():

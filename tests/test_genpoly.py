@@ -282,6 +282,16 @@ def test_a_long_flat_sum_evaluates_without_recursion():
     assert return_times(parse_gpexpr(terms + " + 1/3"), Fraction(1, 5), 3) == ([], [])
 
 
+def test_a_long_flat_sum_prints_hashes_and_compares():
+    # the generated dataclass methods recursed once per level of the tree;
+    # nodes now compare and hash by identity, and repr walks a stack
+    terms = "+".join(["n"] * 1200)
+    expr = parse_gpexpr(terms)
+    assert repr(expr) == "(" * 1199 + "n" + " + n)" * 1199
+    assert hash(expr) == hash(expr) and expr == expr
+    assert expr != parse_gpexpr(terms)
+
+
 def test_parse_refuses_nesting_past_its_limit():
     from ufw.genpoly.expr import MAX_NESTING
 

@@ -192,6 +192,24 @@ def test_checkers_refuse_claims_they_cannot_read():
     assert checkers.check_avoiding_coloring(("fs", 40), 2, [0, 1, 1, 0])
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_fs_avoiding_check_matches_listing_every_tuple(k):
+    # the checker lists only the tuples whose total is at most n; every
+    # other tuple has a sum past n, so the verdicts are those of listing all
+    def avoids(colors):
+        n = len(colors)
+        for gens in combinations_with_replacement(range(1, n + 1), k):
+            sums = {sum(c) for size in range(1, k + 1) for c in combinations(gens, size)}
+            if max(sums) <= n and len({colors[s - 1] for s in sums}) == 1:
+                return False
+        return True
+
+    for n in range(1, 9):
+        for bits in range(2**n):
+            colors = [(bits >> i) & 1 for i in range(n)]
+            assert checkers.check_avoiding_coloring(("fs", k), 2, colors) == avoids(colors)
+
+
 def test_every_2coloring_of_k6_has_mono_triangle():
     covered, avoiding = universal_check(("clique", 2, 3), 2, 6)
     assert covered and avoiding is None
