@@ -276,57 +276,80 @@ def right_zero_table(n):
     return CayleyTable([[b for b in range(n)] for _ in range(n)])
 
 
-def _partial_assoc_ok(mul, i, j, n):
-    """Check every associativity triple that became fully determined when
-    cell (i, j) was filled; unfilled cells hold -1.  A triple (a, b, c)
-    needs cells (a,b), (b,c), (ab,c), (a,bc); only triples using the new
-    cell in one of those roles can have become checkable, which keeps this
-    O(n²) per filled cell."""
-
-    def triple_ok(a, b, c):
-        ab = mul[a][b]
-        bc = mul[b][c]
-        if ab < 0 or bc < 0:
-            return True
-        left = mul[ab][c]
-        right = mul[a][bc]
-        return left < 0 or right < 0 or left == right
-
-    # (a, b) = (i, j) or (b, c) = (i, j)
-    for c in range(n):
-        if not triple_ok(i, j, c):
-            return False
-    for a in range(n):
-        if not triple_ok(a, i, j):
-            return False
-    # (i, j) plays the role of (ab, c) or (a, bc)
-    for a in range(n):
-        row = mul[a]
-        for b in range(n):
-            ab = row[b]
-            if ab == i and not triple_ok(a, b, j):
-                return False
-            if ab == j and not triple_ok(i, a, b):
-                return False
-    return True
-
-
 def enumerate_associative_tables(n):
-    """Depth-first enumeration of all associative tables of order n: cells
-    are filled in row-major order and each value is kept only if partial
-    associativity still holds."""
+    """Every associative table of order n, lazily, in lexicographic order of
+    the row-major flattening of ``mul`` (the order of
+    ``itertools.product(range(n), repeat=n*n)``).  Callers read the tables
+    by index, so this order is part of the contract.
+
+    Depth-first: cells are filled in row-major order, values ascending, and
+    a partial table (unfilled cells hold -1) is extended only while every
+    triple whose four cells (a,b), (b,c), (ab,c), (a,bc) are filled
+    associates.  Filling (i, j) completes exactly the triples in which it
+    plays one of those four roles.  As (a,b) or (b,c) it meets O(n) triples,
+    checked per value.  As (ab,c) or (a,bc) it meets the triples (a, b, j)
+    with a·b = i and (i, b, c) with b·c = j; ``pre[v]`` lists the filled
+    cells of product v, so these are read from pre[i] and pre[j], not from
+    a scan of every cell.  Each such triple that is otherwise filled names
+    the one value i·j may take: two different names kill the node, one name
+    is the only value tried.  This rejects exactly the values a check of
+    every completed triple would reject, so the tables and their order are
+    those of filtering all n^(n²) tables; each leaf is still a CayleyTable
+    that runs its own associativity scan."""
     cells = [(i, j) for i in range(n) for j in range(n)]
     mul = [[-1] * n for _ in range(n)]
+    pre = [[] for _ in range(n)]  # pre[v]: the filled cells (a, b) with a·b = v
+    values = range(n)
 
     def fill(pos):
         if pos == len(cells):
             yield CayleyTable([row[:] for row in mul])
             return
         i, j = cells[pos]
-        for v in range(n):
-            mul[i][j] = v
-            if _partial_assoc_ok(mul, i, j, n):
-                yield from fill(pos + 1)
-        mul[i][j] = -1
+        row_i, row_j = mul[i], mul[j]
+        forced = -1
+        # (i, j) as (ab, c): i·j = a·(b·j) for each filled a·b = i
+        for a, b in pre[i]:
+            bj = mul[b][j]
+            if bj >= 0:
+                x = mul[a][bj]
+                if x >= 0:
+                    if forced < 0:
+                        forced = x
+                    elif x != forced:
+                        return
+        # (i, j) as (a, bc): i·j = (i·b)·c for each filled b·c = j
+        for b, c in pre[j]:
+            ib = row_i[b]
+            if ib >= 0:
+                x = mul[ib][c]
+                if x >= 0:
+                    if forced < 0:
+                        forced = x
+                    elif x != forced:
+                        return
+        for v in values if forced < 0 else (forced,):
+            row_i[j] = v
+            row_v = mul[v]
+            # (i, j) as (a, b): (i·j)·c = i·(j·c)
+            for c in values:
+                jc = row_j[c]
+                if jc >= 0:
+                    left, right = row_v[c], row_i[jc]
+                    if left >= 0 and right >= 0 and left != right:
+                        break
+            else:
+                # (i, j) as (b, c): (a·i)·j = a·(i·j)
+                for row_a in mul:
+                    ai = row_a[i]
+                    if ai >= 0:
+                        left, right = mul[ai][j], row_a[v]
+                        if left >= 0 and right >= 0 and left != right:
+                            break
+                else:
+                    pre[v].append((i, j))
+                    yield from fill(pos + 1)
+                    pre[v].pop()
+        row_i[j] = -1
 
     yield from fill(0)

@@ -19,8 +19,12 @@ class Cursor:
         while pos < len(text):
             m = token_re.match(text, pos)
             if not m:
-                if text[pos:].strip():
-                    raise ParseError("unexpected character %r" % text[pos], position=pos)
+                rest = text[pos:].lstrip()
+                if rest:
+                    # a failed match consumes no whitespace, so skip it
+                    # here to name the bad character itself
+                    bad = len(text) - len(rest)
+                    raise ParseError("unexpected character %r" % rest[0], position=bad)
                 break
             self.tokens.append((m.group(1), m.start(1)))
             pos = m.end()

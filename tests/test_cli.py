@@ -510,8 +510,11 @@ def test_golden_digests(capsys, tmp_path, case):
     # one-vertex Ramsey case exits 3 since a clique smaller than its edges
     # is no pattern.  The fol eval and los cases after those, and the gp
     # parse errors and depth limit, were recorded before both text grammars
-    # shared one cursor.  An argv entry naming one of the case's inline files
-    # stands for that file's path.
+    # shared one cursor.  The sg input errors that close the list (a short
+    # row, a boolean entry, product without --in2, a family on the wrong
+    # ground) were recorded before the table enumerator was rewritten.  An
+    # argv entry naming one of the case's inline files stands for that
+    # file's path.
     paths = {name: write_json(tmp_path, name, body) for name, body in case.get("files", {}).items()}
     argv = case.get("argv")
     if argv is None:

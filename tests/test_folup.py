@@ -100,6 +100,12 @@ def test_parse_errors():
         parse_formula("f(x) = y", SIG)
 
 
+def test_parse_names_the_bad_character_after_whitespace():
+    with pytest.raises(ParseError, match="^unexpected character '#'$") as err:
+        parse_formula("x = #", SIG)
+    assert err.value.position == 4
+
+
 @pytest.mark.parametrize(
     "text",
     [

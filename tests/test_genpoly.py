@@ -315,6 +315,12 @@ def test_parse_print_oracles():
         parse_gpexpr("2 $ 3")
 
 
+def test_parse_names_the_bad_character_after_whitespace():
+    with pytest.raises(ParseError, match="^unexpected character '\\$'$") as err:
+        parse_gpexpr("2 $ 3")
+    assert err.value.position == 2
+
+
 def test_parse_rejects_a_zero_denominator_at_its_token():
     with pytest.raises(ParseError) as err:
         parse_gpexpr("n + 1/0")

@@ -77,6 +77,75 @@ def test_labeled_associative_counts():
     assert len(all_assoc(4)) == 3492
 
 
+def _partial_assoc_ok(mul, i, j, n):
+    """Check every associativity triple that became fully determined when
+    cell (i, j) was filled; unfilled cells hold -1.  A triple (a, b, c)
+    needs cells (a,b), (b,c), (ab,c), (a,bc); only triples using the new
+    cell in one of those roles can have become checkable, which keeps this
+    O(n²) per filled cell."""
+
+    def triple_ok(a, b, c):
+        ab = mul[a][b]
+        bc = mul[b][c]
+        if ab < 0 or bc < 0:
+            return True
+        left = mul[ab][c]
+        right = mul[a][bc]
+        return left < 0 or right < 0 or left == right
+
+    # (a, b) = (i, j) or (b, c) = (i, j)
+    for c in range(n):
+        if not triple_ok(i, j, c):
+            return False
+    for a in range(n):
+        if not triple_ok(a, i, j):
+            return False
+    # (i, j) plays the role of (ab, c) or (a, bc)
+    for a in range(n):
+        row = mul[a]
+        for b in range(n):
+            ab = row[b]
+            if ab == i and not triple_ok(a, b, j):
+                return False
+            if ab == j and not triple_ok(i, a, b):
+                return False
+    return True
+
+
+def _oracle_tables(n):
+    """The mul tuples of every associative table of order n: row-major
+    fill, values ascending, each value checked by _partial_assoc_ok alone
+    (no forcing, no index of cells by product)."""
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    mul = [[-1] * n for _ in range(n)]
+
+    def fill(pos):
+        if pos == len(cells):
+            yield tuple(tuple(row) for row in mul)
+            return
+        i, j = cells[pos]
+        for v in range(n):
+            mul[i][j] = v
+            if _partial_assoc_ok(mul, i, j, n):
+                yield from fill(pos + 1)
+        mul[i][j] = -1
+
+    return list(fill(0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumeration_matches_oracle_in_order(n):
+    assert [t.mul for t in enumerate_associative_tables(n)] == _oracle_tables(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_enumeration_order_is_lexicographic(n):
+    # the order of itertools.product over the row-major cells, which callers
+    # that read tables by index depend on
+    brute = [tuple(map(tuple, mul)) for mul in _associative_tables(n)]
+    assert [t.mul for t in enumerate_associative_tables(n)] == brute
+
+
 # --- ideal structure oracles ------------------------------------------------
 
 
