@@ -80,7 +80,8 @@ _BINOP_TEXT = {v: k for k, v in _BINOPS.items()}
 def parse_formula(text, sig):
     """Parse the grammar above into a formula tree.  Negations, quantifier
     bodies, parentheses and function applications together nest at most
-    MAX_NESTING (from ufw.tokens) deep; a deeper input is a ParseError."""
+    MAX_NESTING (from ufw.tokens) deep, a "(" right after "!" counting as
+    part of that negation's level; a deeper input is a ParseError."""
     cur = Cursor(_TOKEN, text, "formulas and terms")
     peek, take = cur.peek, cur.take
     farity = sig.function_arity
@@ -114,6 +115,11 @@ def parse_formula(text, sig):
         tok = peek()  # at the end of the input, parse_atom reports it
         if tok == "!":
             _, pos = take()
+            if peek() == "(":
+                # a "(" right after "!" shares the negation's level, so the
+                # printer's "!(x = c)" nests no deeper than "!x = c"
+                take()
+                return ("not", cur.nested(pos, parse_paren))
             return ("not", cur.nested(pos, parse_f))
         if tok in ("A", "E"):
             _, pos = take()

@@ -12,7 +12,24 @@ and with bᵢ = bⁱ it reinterprets base-a digits in base b.
 Negative n: all digits share the sign of n (the expansion of |n|, negated).
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
+
+_FIBS = [1, 2]  # the Fibonacci place values f₀, f₁, …; see _fibonacci
+
+
+def _fibonacci(count=0, above=0):
+    """The shared list of Fibonacci place values, grown until it holds at
+    least ``count`` of them and one greater than ``above``.  A longer list
+    is built aside and then bound, so a reader never sees a half-grown one."""
+    global _FIBS
+    fibs = _FIBS
+    if len(fibs) < count or fibs[-1] <= above:
+        fibs = list(fibs)
+        while len(fibs) < count or fibs[-1] <= above:
+            fibs.append(fibs[-1] + fibs[-2])
+        _FIBS = fibs
+    return fibs
 
 
 @dataclass(frozen=True)
@@ -56,12 +73,7 @@ class DigitSystem:
                 out.append(out[-1] * d)
             return out
         if self.kind == "fibonacci":
-            out = []
-            a, b = 1, 2
-            for _ in range(count):
-                out.append(a)
-                a, b = b, a + b
-            return out
+            return _fibonacci(count)[: max(count, 0)]
         raise ValueError("unknown digit system kind %r" % self.kind)
 
 
@@ -87,13 +99,9 @@ def _custom_digits(n, radices):
 
 def _zeckendorf_digits(n):
     """Greedy Fibonacci expansion; guaranteed free of adjacent ones."""
-    fibs = []
-    a, b = 1, 2
-    while a <= n:
-        fibs.append(a)
-        a, b = b, a + b
-    digits = [0] * len(fibs)
-    for i in range(len(fibs) - 1, -1, -1):
+    fibs = _fibonacci(above=n)
+    digits = [0] * bisect_right(fibs, n)
+    for i in range(len(digits) - 1, -1, -1):
         if fibs[i] <= n:
             digits[i] = 1
             n -= fibs[i]

@@ -7,6 +7,7 @@ Elements are 0-based indices; the pair (a, b) in a direct product of orders
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .bitsets import indices_of, mask_of
 from .errors import (
@@ -15,7 +16,7 @@ from .errors import (
     NotIdempotent,
     NotUltrafilter,
 )
-from .setfam import GroundSet, SetFamily, classify_family
+from .setfam import SetFamily, classify_family
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,25 @@ class CayleyTable:
 
     def __call__(self, x, y):
         return self.mul[x][y]
+
+    @cached_property
+    def preimage_masks(self):
+        """``preimage_masks[x][a]`` is the mask of x⁻¹A = {y : x·y ∈ A} for
+        A the set of mask a.  Built on first read, not on construction, so
+        tables that never meet an ultrafilter product do not pay for it.
+        n·2ⁿ steps: with col[z] the y with x·y = z, x⁻¹A = x⁻¹(A ∖ {z}) ∪
+        col[z] for z the top element of A, so each doubling of a row adds
+        one element z."""
+        out = []
+        for row in self.mul:
+            col = [0] * self.n
+            for y, z in enumerate(row):
+                col[z] |= 1 << y
+            pre = [0]
+            for c in col:
+                pre += [p | c for p in pre]
+            out.append(tuple(pre))
+        return tuple(out)
 
     def to_json(self):
         return {"n": self.n, "mul": [list(row) for row in self.mul]}
@@ -222,7 +242,10 @@ def subtable(table, members):
 
 
 def ultrafilter_product(table, u, v):
-    """The product ultrafilter: A ∈ 𝓤·𝓥 iff {x : x⁻¹A ∈ 𝓥} ∈ 𝓤."""
+    """The product ultrafilter: A ∈ 𝓤·𝓥 iff {x : x⁻¹A ∈ 𝓥} ∈ 𝓤, decided
+    for every A ⊆ X.  The quotients x⁻¹A are read from the table's
+    ``preimage_masks``, built once per table on the first product over it
+    and kept on the table; both families are classified on every call."""
     _require_assoc(table)
     n = table.n
     for name, fam in (("first", u), ("second", v)):
@@ -234,22 +257,13 @@ def ultrafilter_product(table, u, v):
                 "%s argument is %s, not an ultrafilter" % (name, verdict.kind),
                 verdict.witness,
             )
-    # rows[x][y] is the bit of x·y, so x⁻¹A = {y : x·y ∈ A} collects the y
-    # whose bit meets A
-    rows = [[1 << xy for xy in row] for row in table.mul]
-    out = []
-    for a in range(1 << n):
-        inner = 0
-        for x, row in enumerate(rows):
-            quotient = 0
-            for y, xy in enumerate(row):
-                if xy & a:
-                    quotient |= 1 << y
-            if v.has_mask(quotient):
-                inner |= 1 << x
-        if u.has_mask(inner):
-            out.append(a)
-    return SetFamily.from_masks(GroundSet(n), out)
+    # inner[a] collects the x with x⁻¹A ∈ 𝓥, one bit per row of quotients
+    in_u, in_v = u._mask_set, v._mask_set
+    inner = [0] * (1 << n)
+    for x, quotients in enumerate(table.preimage_masks):
+        bit = 1 << x
+        inner = [s | bit if q in in_v else s for s, q in zip(inner, quotients)]
+    return SetFamily.from_masks(u.ground, [a for a, s in enumerate(inner) if s in in_u])
 
 
 # ---------------------------------------------------------------------------

@@ -220,13 +220,17 @@ def test_gp_deep_nesting_is_input_error(capsys):
 
 
 def test_fol_deep_negation_is_input_error(capsys, tmp_path):
-    # 3,000 negations ended in a RecursionError traceback
-    argv = ["fol", "eval", "--sig", write_json(tmp_path, "sig.json", SIGNATURE),
-            "--structs", write_json(tmp_path, "s.json", STRUCTURE),
-            "--formula", "!" * 3000 + "(x = x)"]
-    code, report = invoke(capsys, argv)
-    assert code == 3
-    assert report["result"] == {"error": "ParseError: formulas and terms nest deeper than 100"}
+    # 3,000 negations ended in a RecursionError traceback; 101 is one past
+    # the limit, and a "(" after the last "!" adds no level
+    for formula in ("!" * 3000 + "(x = x)", "!" * 101 + "x = c", "!" * 101 + "(x = c)"):
+        argv = ["fol", "eval", "--sig", write_json(tmp_path, "sig.json", SIGNATURE),
+                "--structs", write_json(tmp_path, "s.json", STRUCTURE),
+                "--formula", formula]
+        code, report = invoke(capsys, argv)
+        assert code == 3
+        assert report["result"] == {
+            "error": "ParseError: formulas and terms nest deeper than 100"
+        }
 
 
 @pytest.mark.parametrize("argv", [["verify", "--certificate"], ["setfam", "classify", "--in"]])
@@ -512,9 +516,12 @@ def test_golden_digests(capsys, tmp_path, case):
     # parse errors and depth limit, were recorded before both text grammars
     # shared one cursor.  The sg input errors that close the list (a short
     # row, a boolean entry, product without --in2, a family on the wrong
-    # ground) were recorded before the table enumerator was rewritten.  An
-    # argv entry naming one of the case's inline files stands for that
-    # file's path.
+    # ground) were recorded before the table enumerator was rewritten.  The
+    # ultrafilter products on the order-4 left- and right-zero bands and on
+    # an order-6 table, and the calc, setfam and arrow input errors after
+    # them, were recorded before the product read preimage masks.  An argv
+    # entry naming one of the case's inline files stands for that file's
+    # path.
     paths = {name: write_json(tmp_path, name, body) for name, body in case.get("files", {}).items()}
     argv = case.get("argv")
     if argv is None:

@@ -129,9 +129,16 @@ def test_formulas_at_the_nesting_limit_parse():
     assert free_vars(phi) == {"x"}
     assert eval_formula(Z3, phi, {"x": 0}) is False
     assert print_formula(phi) == "!" * MAX_NESTING + "(x = c)"
+    # the "(" the printer puts after the last "!" shares that negation's
+    # level, so the canonical text re-parses at the limit
+    assert parse_formula(print_formula(phi), SIG) == phi
     with pytest.raises(ParseError) as err:
         parse_formula("!" * MAX_NESTING + "f(x, c) = x", SIG)
     assert err.value.position == MAX_NESTING
+    for text in ("!" * (MAX_NESTING + 1) + "x = c", "!" * (MAX_NESTING + 1) + "(x = c)",
+                 "!" * MAX_NESTING + "((x = c))"):
+        with pytest.raises(ParseError, match="^formulas and terms nest deeper than 100$"):
+            parse_formula(text, SIG)
 
 
 def test_variable_sets():

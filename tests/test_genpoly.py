@@ -367,6 +367,51 @@ def test_zeckendorf_roundtrip_and_no_adjacent_window():
         assert not any(d[i] and d[i + 1] for i in range(len(d) - 1))
 
 
+def _fibonacci_digit_map_oracle(n, weights):
+    """Fibonacci digit_map as written before the place values were shared:
+    each call rebuilds the Fibonacci numbers it needs."""
+    sign, m = (-1 if n < 0 else 1), abs(n)
+    fibs = []
+    a, b = 1, 2
+    while a <= m:
+        fibs.append(a)
+        a, b = b, a + b
+    digits = [0] * len(fibs)
+    for i in range(len(fibs) - 1, -1, -1):
+        if fibs[i] <= m:
+            digits[i] = 1
+            m -= fibs[i]
+    digits = [sign * d for d in digits]
+    if weights is None:
+        weights = fibs
+    elif weights == "ones":
+        weights = [1] * len(digits)
+    else:
+        weights = list(weights[: len(digits)])
+        if len(weights) < len(digits):
+            raise ValueError("not enough weights for the expansion")
+    return {"digits": digits, "value": sum(d * w for d, w in zip(digits, weights))}
+
+
+@pytest.mark.parametrize("weights", [None, "ones", (3, -1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8)])
+def test_fibonacci_digit_map_matches_rebuilding_oracle(weights):
+    system = DigitSystem.fibonacci(weights)
+    # large n first, so the small ones read a list grown past them
+    for n in [10**30, -(10**12), 832040, 832039] + list(range(-2000, 2001)):
+        try:
+            expect = _fibonacci_digit_map_oracle(n, weights)
+        except ValueError:
+            with pytest.raises(ValueError, match="not enough weights"):
+                digit_map(n, system)
+        else:
+            assert digit_map(n, system) == expect
+    fibs = [1, 2]
+    while len(fibs) < 40:
+        fibs.append(fibs[-1] + fibs[-2])
+    for count in range(-1, 41):
+        assert system.place_values(count) == fibs[: max(count, 0)]
+
+
 def test_negative_numbers_negate_digits():
     out = digit_map(-13, DigitSystem.base(2))
     assert out["digits"] == [-1, 0, -1, -1] and out["value"] == -13

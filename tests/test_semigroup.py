@@ -30,7 +30,7 @@ from ufw.semigroup import (
     two_sided_ideals,
     ultrafilter_product,
 )
-from ufw.setfam import GroundSet, principal_ultrafilter
+from ufw.setfam import GroundSet, SetFamily, classify_family, principal_ultrafilter
 
 
 def all_assoc(n):
@@ -293,8 +293,6 @@ def test_principal_product_law_small():
 
 def test_ultrafilter_product_rejects_non_ultrafilter():
     t = cyclic_table(3)
-    from ufw.setfam import SetFamily
-
     triv = SetFamily(GroundSet(3), [[0, 1, 2]])
     with pytest.raises(NotUltrafilter):
         ultrafilter_product(t, triv, principal_ultrafilter(GroundSet(3), 0))
@@ -358,3 +356,63 @@ def test_ultrafilter_product_matches_definition_through_order_3():
 def test_ultrafilter_product_matches_definition_on_order_4_sample():
     for table in random.Random(4).sample(all_assoc(4), 40):
         _check_products(table.mul)
+
+
+_ZOO = (cyclic_table, mult_mod_table, left_zero_table, right_zero_table)
+
+
+@st.composite
+def zoo_tables(draw):
+    """A zoo table of order 1–6, or a direct product of two of order ≤ 6."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_ZOO))(draw(st.integers(1, 6)))
+    m = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 6 // m))
+    return direct_product(draw(st.sampled_from(_ZOO))(m), draw(st.sampled_from(_ZOO))(k))
+
+
+@given(zoo_tables())
+@settings(max_examples=60, deadline=None)
+def test_ultrafilter_product_matches_definition_on_zoo_tables(table):
+    # every pair, since on a finite set every ultrafilter is principal
+    _check_products(table.mul)
+
+
+def test_ultrafilter_product_checks_in_order():
+    bad = CayleyTable([[(a - b) % 3 for b in range(3)] for a in range(3)])
+    t, g3, g2 = cyclic_table(3), GroundSet(3), GroundSet(2)
+    uf3, uf2 = principal_ultrafilter(g3, 1), principal_ultrafilter(g2, 0)
+    filt = SetFamily(g3, [[0, 1], [0, 1, 2]])
+    # the table first, whatever the families are
+    with pytest.raises(NotAssociative) as err:
+        ultrafilter_product(bad, filt, uf2)
+    assert err.value.witness == (0, 0, 1)
+    # then each argument in turn: its ground, then its verdict
+    with pytest.raises(ValueError, match="^first family ground size"):
+        ultrafilter_product(t, uf2, filt)
+    with pytest.raises(ValueError, match="^second family ground size"):
+        ultrafilter_product(t, uf3, uf2)
+    with pytest.raises(NotUltrafilter, match="^first argument is filter") as err:
+        ultrafilter_product(t, filt, uf2)
+    assert err.value.witness == classify_family(filt).witness
+    with pytest.raises(NotUltrafilter, match="^second argument is filter") as err:
+        ultrafilter_product(t, uf3, filt)
+    assert err.value.witness == classify_family(filt).witness is not None
+
+
+def test_preimage_masks_are_built_on_the_first_product_only():
+    # cached_property keeps the masks in the instance dict once built
+    tables = all_assoc(4)
+    assert len(tables) == 3492
+    assert not any("preimage_masks" in vars(t) for t in tables)
+    table, g = tables[-1], GroundSet(4)
+    u, v = principal_ultrafilter(g, 1), principal_ultrafilter(g, 2)
+    first = ultrafilter_product(table, u, v)
+    masks = vars(table)["preimage_masks"]
+    assert ultrafilter_product(table, u, v) == first
+    assert table.preimage_masks is masks
+    # x⁻¹A for every x and every mask, as the definition reads it
+    assert masks == tuple(
+        tuple(sum(1 << y for y in range(4) if a >> table.mul[x][y] & 1) for a in range(16))
+        for x in range(4)
+    )
