@@ -11,6 +11,7 @@ Subpackages:
 """
 
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -21,9 +22,33 @@ _SUBPACKAGES = (
 __all__ = ["__version__", *_SUBPACKAGES]
 
 
-def __getattr__(name):
-    """Import a subpackage on first access (PEP 562), so that a program
-    loads only the layers it uses."""
-    if name in _SUBPACKAGES:
-        return importlib.import_module("." + name, __name__)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+def lazy_getattr(package, exports, submodules=()):
+    """A module ``__getattr__`` (PEP 562) for ``package`` that imports a
+    submodule on first access to a public name, so that a program loads
+    only the modules it uses.  ``exports`` maps a submodule to the names it
+    defines, and ``submodules`` lists the submodules that are public names
+    themselves.  Loading a submodule binds all its names on the package, so
+    a function named like its own submodule (folup's ``ultraproduct``)
+    replaces the submodule attribute that the import sets.  An import of
+    such a submodule by its dotted path, before any of its names was read
+    through the package, leaves the submodule bound under that name until
+    another of its names is read."""
+    homes = {name: home for home, names in exports.items() for name in names}
+    homes.update((name, None) for name in submodules)
+
+    def __getattr__(name):
+        if name not in homes:
+            raise AttributeError("module %r has no attribute %r" % (package, name))
+        home = homes[name]
+        if home is None:
+            return importlib.import_module("." + name, package)
+        module = importlib.import_module("." + home, package)
+        namespace = vars(sys.modules[package])
+        for export in exports[home]:
+            namespace[export] = getattr(module, export)
+        return namespace[name]
+
+    return __getattr__
+
+
+__getattr__ = lazy_getattr(__name__, {}, _SUBPACKAGES)

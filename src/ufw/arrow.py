@@ -11,29 +11,29 @@ rule builders and the axiom checks read profiles through one cached rank
 table per election.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
 
 from .bitsets import indices_of, mask_of
 from .errors import CapExceeded, NotStrictOrder, NotUltrafilter
+from .record import Record
 from .setfam import GroundSet, SetFamily, classify_family
 
 PROFILE_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class Election:
-    voters: int
-    candidates: int
+class Election(Record):
+    _fields = ("voters", "candidates")
 
-    def __post_init__(self):
+    def __init__(self, voters, candidates):
         # type(), not isinstance(): True and False are ints too
-        if type(self.voters) is not int or type(self.candidates) is not int:
+        if type(voters) is not int or type(candidates) is not int:
             raise ValueError("voter and candidate counts must be integers")
-        if self.voters < 1 or self.candidates < 2:
+        if voters < 1 or candidates < 2:
             raise ValueError("need ≥ 1 voter and ≥ 2 candidates")
+        object.__setattr__(self, "voters", voters)
+        object.__setattr__(self, "candidates", candidates)
 
     @property
     def profile_count(self):
@@ -60,8 +60,7 @@ def _ordered_pairs(m):
     return [(a, b) for a in range(m) for b in range(m) if a != b]
 
 
-@dataclass(frozen=True)
-class _RankTable:
+class _RankTable(Record):
     """How the rule builders and the axiom checks read an election's
     profiles, decoded once.
 
@@ -72,11 +71,14 @@ class _RankTable:
     order indices, and ``weights[v]`` the place value of voter v's digit in
     a profile index."""
 
-    pos: tuple
-    below: tuple
-    raised: tuple
-    profiles: tuple
-    weights: tuple
+    _fields = ("pos", "below", "raised", "profiles", "weights")
+
+    def __init__(self, pos, below, raised, profiles, weights):
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "below", below)
+        object.__setattr__(self, "raised", raised)
+        object.__setattr__(self, "profiles", profiles)
+        object.__setattr__(self, "weights", weights)
 
 
 @lru_cache(maxsize=4)

@@ -10,8 +10,10 @@ absent, failed verification, failed axiom); 2 budget or cap exhausted;
 3 input error.  A run whose stdout closes before the output is written
 (``ufw … | head``) exits 141, the shell's status for SIGPIPE.
 
-Each handler imports the layers it uses, so a call loads only those (and
-numpy only where the Weyl sum runs).
+Each handler imports the layers it uses, and the lazy packages load only
+the submodules whose names it reads, so a call loads only the modules it
+runs (``verify`` the checkers, not the searches; ``gp eval`` the expression
+evaluator, not the digit systems or numpy, which only the Weyl sum loads).
 """
 
 import argparse

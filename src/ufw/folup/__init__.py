@@ -1,33 +1,20 @@
 """Mini first-order logic over finite structures: parsing, Tarskian
 evaluation, ultraproducts over finite index sets, fundamental-theorem
-(transfer) checking, and normalization of non-normal models."""
+(transfer) checking, and normalization of non-normal models.  Each public
+name imports its submodule on first access."""
 
-from .semantics import Structure, eval_formula, normalize
-from .sweep import exhaustive_transfer_sweep
-from .syntax import (
-    Signature,
-    formula_vars,
-    free_vars,
-    generate_formulas,
-    parse_formula,
-    print_formula,
-    print_term,
-)
-from .ultraproduct import UltraproductSpec, los_check, ultraproduct
+from .. import lazy_getattr
 
-__all__ = [
-    "Signature",
-    "Structure",
-    "UltraproductSpec",
-    "eval_formula",
-    "exhaustive_transfer_sweep",
-    "formula_vars",
-    "free_vars",
-    "generate_formulas",
-    "los_check",
-    "normalize",
-    "parse_formula",
-    "print_formula",
-    "print_term",
-    "ultraproduct",
-]
+_EXPORTS = {
+    "semantics": ("Structure", "eval_formula", "normalize"),
+    "sweep": ("exhaustive_transfer_sweep",),
+    "syntax": (
+        "Signature", "formula_vars", "free_vars", "generate_formulas", "parse_formula",
+        "print_formula", "print_term",
+    ),
+    "ultraproduct": ("UltraproductSpec", "los_check", "ultraproduct"),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+__getattr__ = lazy_getattr(__name__, _EXPORTS)

@@ -15,34 +15,31 @@ The printer emits a canonical form that re-parses to the same tree.
 """
 
 import re
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 from ..errors import ArityMismatch, ParseError
+from ..record import Record
 from ..tokens import Cursor
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Function/relation symbols with arities, plus constants.  The binary
     relation "=" is always present and distinguished (but non-logical: a
     structure interprets it, subject to the equality axioms)."""
 
-    functions: tuple = ()
-    relations: tuple = ()
-    constants: tuple = ()
+    _fields = ("functions", "relations", "constants")
 
-    def __post_init__(self):
-        functions = tuple(sorted(dict(self.functions).items()))
-        relations = dict(self.relations)
+    def __init__(self, functions=(), relations=(), constants=()):
+        functions = tuple(sorted(dict(functions).items()))
+        relations = dict(relations)
         relations["="] = 2
         relations = tuple(sorted(relations.items()))
-        names = [n for n, _ in functions] + [n for n, _ in relations] + list(self.constants)
+        names = [n for n, _ in functions] + [n for n, _ in relations] + list(constants)
         if len(set(names)) != len(names):
             raise ValueError("symbol names must be unique")
         object.__setattr__(self, "functions", functions)
         object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "constants", tuple(self.constants))
+        object.__setattr__(self, "constants", tuple(constants))
 
     @property
     def function_arity(self):

@@ -9,11 +9,11 @@ separate step.
 """
 
 import random
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 from ..bitsets import mask_of
 from ..errors import CapExceeded, NotUltrafilter
+from ..record import Record
 from ..setfam import classify_family
 from .semantics import Structure, eval_formula
 from .syntax import free_vars
@@ -21,27 +21,26 @@ from .syntax import free_vars
 PRODUCT_CAP = 4096
 
 
-@dataclass(frozen=True)
-class UltraproductSpec:
+class UltraproductSpec(Record):
     """factors: one Structure per index; ultrafilter: SetFamily over the
     index set."""
 
-    factors: tuple
-    ultrafilter: object
+    _fields = ("factors", "ultrafilter")
 
-    def __post_init__(self):
-        factors = tuple(self.factors)
+    def __init__(self, factors, ultrafilter):
+        factors = tuple(factors)
         if not factors:
             raise ValueError("need at least one factor")
         sig = factors[0].sig
         if any(f.sig != sig for f in factors):
             raise ValueError("factors must share one signature")
-        if self.ultrafilter.ground.size != len(factors):
+        if ultrafilter.ground.size != len(factors):
             raise ValueError("ultrafilter ground must be the index set")
-        verdict = classify_family(self.ultrafilter)
+        verdict = classify_family(ultrafilter)
         if verdict.kind != "ultrafilter":
             raise NotUltrafilter("index family is %s" % verdict.kind, verdict.witness)
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "ultrafilter", ultrafilter)
 
     @property
     def sig(self):

@@ -1,37 +1,21 @@
 """Generalized polynomials: certified evaluation with floor/nearest nodes,
 digit systems (base, mixed-radix, Zeckendorf), automatic functions via
 finite automata with output, return-time sets, Weyl-sum diagnostics, and
-generating-function fitting."""
+generating-function fitting.  Each public name imports its submodule on
+first access."""
 
-from .analysis import (
-    empirical_sym_degree,
-    fit_generating_function,
-    return_times,
-    weyl_sum,
-)
-from .dfao import Dfao, dfao_eval, digit_sum_dfao, identity_dfao, validate_bijective
-from .digits import DigitSystem, base_change, digit_map, zeckendorf_indices
-from .expr import GPExpr, eval_exact, eval_interval, parse_gpexpr
-from .reals import Interval, RealConst
+from .. import lazy_getattr
 
-__all__ = [
-    "Dfao",
-    "DigitSystem",
-    "GPExpr",
-    "Interval",
-    "RealConst",
-    "base_change",
-    "dfao_eval",
-    "digit_map",
-    "digit_sum_dfao",
-    "empirical_sym_degree",
-    "eval_exact",
-    "eval_interval",
-    "fit_generating_function",
-    "identity_dfao",
-    "parse_gpexpr",
-    "return_times",
-    "validate_bijective",
-    "weyl_sum",
-    "zeckendorf_indices",
-]
+_EXPORTS = {
+    "analysis": (
+        "empirical_sym_degree", "fit_generating_function", "return_times", "weyl_sum",
+    ),
+    "dfao": ("Dfao", "dfao_eval", "digit_sum_dfao", "identity_dfao", "validate_bijective"),
+    "digits": ("DigitSystem", "base_change", "digit_map", "zeckendorf_indices"),
+    "expr": ("GPExpr", "eval_exact", "eval_interval", "parse_gpexpr"),
+    "reals": ("Interval", "RealConst"),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+__getattr__ = lazy_getattr(__name__, _EXPORTS)

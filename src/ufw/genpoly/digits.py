@@ -13,7 +13,8 @@ Negative n: all digits share the sign of n (the expansion of |n|, negated).
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
+
+from ..record import Record
 
 _FIBS = [1, 2]  # the Fibonacci place values f₀, f₁, …; see _fibonacci
 
@@ -32,16 +33,18 @@ def _fibonacci(count=0, above=0):
     return fibs
 
 
-@dataclass(frozen=True)
-class DigitSystem:
+class DigitSystem(Record):
     """kind: 'base' (payload: radix a), 'custom' (payload: tuple of radices
     d₀, d₁, …, least-significant first), or 'fibonacci'.  ``weights``: either
     None (use place values: reconstruction), the string 'ones' (digit sum),
     or an explicit tuple bᵢ."""
 
-    kind: str
-    payload: tuple = ()
-    weights: object = None
+    _fields = ("kind", "payload", "weights")
+
+    def __init__(self, kind, payload=(), weights=None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def base(cls, a, weights=None):
@@ -69,9 +72,9 @@ class DigitSystem:
             if count > len(self.payload) + 1:
                 raise ValueError("custom system has too few radices")
             out = [1]
-            for d in self.payload[: count - 1]:
+            for d in self.payload[: max(count - 1, 0)]:
                 out.append(out[-1] * d)
-            return out
+            return out[: max(count, 0)]
         if self.kind == "fibonacci":
             return _fibonacci(count)[: max(count, 0)]
         raise ValueError("unknown digit system kind %r" % self.kind)

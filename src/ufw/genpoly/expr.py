@@ -10,12 +10,12 @@ Precision exhaustion is always an explicit error, never a wrong answer.
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 from ..errors import ParseError, PrecisionExhausted
+from ..record import Record
 from ..tokens import MAX_NESTING, Cursor  # noqa: F401 (MAX_NESTING: re-exported)
 from .reals import NAMED, Interval, RealConst
 
@@ -31,15 +31,19 @@ _BINARY_KINDS = frozenset(_BINARY.values())
 _SHIFT = {"floor": (0, 1), "nearest": (1, 2), "frac": (1, 2)}
 
 
-@dataclass(frozen=True, eq=False)
-class GPExpr:
+class GPExpr(Record):
     """Node kinds: const(RealConst), var, add, sub, mul, floor, nearest,
     frac.  Nodes compare and hash by identity, so no tree, however deep,
     is walked recursively to compare or hash it."""
 
-    kind: str
-    children: tuple = ()
-    const: RealConst = None
+    _fields = ("kind", "children", "const")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, kind, children=(), const=None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "const", const)
 
     # -- construction helpers ------------------------------------------------
     @classmethod

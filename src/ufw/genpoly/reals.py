@@ -7,22 +7,23 @@ an explicit tail bound, and the golden ratio by consecutive Fibonacci
 ratios.  All brackets are certified: the true value always lies inside.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
+from ..record import Record
 
-@dataclass(frozen=True)
-class Interval:
+
+class Interval(Record):
     """Closed rational interval [lo, hi]; exact when lo == hi."""
 
-    lo: Fraction
-    hi: Fraction
+    _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo, hi):
+        if lo > hi:
             raise ValueError("interval bounds out of order")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @classmethod
     def point(cls, q):
@@ -116,13 +117,15 @@ def _golden_bracket(bits):
     return Interval(min(r1, r2), max(r1, r2))
 
 
-@dataclass(frozen=True)
-class RealConst:
+class RealConst(Record):
     """A real constant: an exact rational, a square root, or a named
     irrational (see NAMED)."""
 
-    kind: str
-    payload: tuple = ()
+    _fields = ("kind", "payload")
+
+    def __init__(self, kind, payload=()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "payload", payload)
 
     @classmethod
     def rational(cls, q):

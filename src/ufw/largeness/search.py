@@ -15,63 +15,57 @@ pinned at the first domain position (a sound color-symmetry reduction).
 """
 
 import time
-from dataclasses import dataclass
 from itertools import combinations, product as iproduct
 from math import comb
 
 from ..errors import BudgetExhausted
+from ..record import Record
 
 
-@dataclass(frozen=True)
-class IntervalColoring:
+class IntervalColoring(Record):
     """Coloring of [1..n]; colors[i-1] is the color of i."""
 
-    n: int
-    colors: tuple
-    r: int = 0
+    _fields = ("n", "colors", "r")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n, colors, r=0):
+        if n < 1:
             raise ValueError("need one color per element of [1..n]")
-        _store_colors(self, self.n, "element of [1..n]")
+        object.__setattr__(self, "n", n)
+        _store_colors(self, colors, r, n, "element of [1..n]")
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(Record):
     """Coloring of the complete k-uniform hypergraph on vertices 0..n-1;
     colors[j] is the color of the j-th k-subset in colex order."""
 
-    n: int
-    k: int
-    colors: tuple
-    r: int = 0
+    _fields = ("n", "k", "colors", "r")
 
-    def __post_init__(self):
-        _store_colors(self, len(edge_list(self.n, self.k)), "%d-subset" % self.k)
+    def __init__(self, n, k, colors, r=0):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        _store_colors(self, colors, r, len(edge_list(n, k)), "%d-subset" % k)
 
 
-@dataclass(frozen=True)
-class WordColoring:
+class WordColoring(Record):
     """Coloring of Σ^n for Σ = {0..sigma-1}; colors[j] is the color of the
     j-th word in lex order (position 0 most significant)."""
 
-    sigma: int
-    n: int
-    colors: tuple
-    r: int = 0
+    _fields = ("sigma", "n", "colors", "r")
 
-    def __post_init__(self):
-        _store_colors(self, self.sigma**self.n, "word of length %d" % self.n)
+    def __init__(self, sigma, n, colors, r=0):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "n", n)
+        _store_colors(self, colors, r, sigma**n, "word of length %d" % n)
 
 
-def _store_colors(coloring, count, what):
-    """Freeze a coloring's colors, which must be one per domain element
-    (count of them), and default r to the largest color + 1; every color
-    must lie in [0..r)."""
-    colors = tuple(coloring.colors)
+def _store_colors(coloring, colors, r, count, what):
+    """Set a coloring's colors, frozen, which must be one per domain element
+    (count of them), and its r, defaulting to the largest color + 1; every
+    color must lie in [0..r)."""
+    colors = tuple(colors)
     if len(colors) != count:
         raise ValueError("need one color per %s" % what)
-    r = coloring.r or max(colors) + 1
+    r = r or max(colors) + 1
     if any(not 0 <= c < r for c in colors):
         raise ValueError("colors must lie in [0..r)")
     object.__setattr__(coloring, "colors", colors)
@@ -83,41 +77,47 @@ def edge_list(n, k):
     return sorted(combinations(range(n), k), key=lambda e: tuple(reversed(e)))
 
 
-@dataclass(frozen=True)
-class FSWitness:
+class FSWitness(Record):
     """Strictly increasing generators whose non-empty subset sums all share
     one color; ``sums`` lists the distinct sums in increasing order."""
 
-    generators: tuple
-    color: int
-    sums: tuple
+    _fields = ("generators", "color", "sums")
+
+    def __init__(self, generators, color, sums):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "color", color)
+        object.__setattr__(self, "sums", sums)
 
 
-@dataclass(frozen=True)
-class APWitness:
-    start: int
-    step: int
-    length: int
-    color: int
+class APWitness(Record):
+    _fields = ("start", "step", "length", "color")
+
+    def __init__(self, start, step, length, color):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "color", color)
 
 
-@dataclass(frozen=True)
-class LineWitness:
+class LineWitness(Record):
     """Variable word: tuple over Σ ∪ {None}, None marking the variable
     positions (at least one)."""
 
-    word: tuple
-    color: int
+    _fields = ("word", "color")
+
+    def __init__(self, word, color):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "color", color)
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    node_cap: int = 10**7
-    time_cap_ms: int = 60000
+class SearchBudget(Record):
+    _fields = ("node_cap", "time_cap_ms")
 
-    def __post_init__(self):
-        if self.node_cap <= 0 or self.time_cap_ms <= 0:
+    def __init__(self, node_cap=10**7, time_cap_ms=60000):
+        if node_cap <= 0 or time_cap_ms <= 0:
             raise ValueError("caps must be positive")
+        object.__setattr__(self, "node_cap", node_cap)
+        object.__setattr__(self, "time_cap_ms", time_cap_ms)
 
 
 def _node_meter(budget):
@@ -320,17 +320,19 @@ def pattern_configs(pattern, size):
     return size, configs
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(Record):
     """value: least domain size at which every r-coloring contains the
     pattern (None when the cap was reached first); failure_coloring: an
     explicit avoiding coloring at value−1 (None when value ≤ 1)."""
 
-    pattern: tuple
-    r: int
-    value: object
-    cap: int
-    failure_coloring: object = None
+    _fields = ("pattern", "r", "value", "cap", "failure_coloring")
+
+    def __init__(self, pattern, r, value, cap, failure_coloring=None):
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "failure_coloring", failure_coloring)
 
 
 def coloring_from_index(idx, domain_size, r):

@@ -6,7 +6,6 @@ Elements are 0-based indices; the pair (a, b) in a direct product of orders
 (m, n) becomes index a·n + b.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .bitsets import indices_of, mask_of
@@ -16,23 +15,20 @@ from .errors import (
     NotIdempotent,
     NotUltrafilter,
 )
+from .record import Record
 from .setfam import SetFamily, classify_family
 
 
-@dataclass(frozen=True)
-class CayleyTable:
+class CayleyTable(Record):
     """A finite magma given by its multiplication table.  The lex-first
     witnesses of non-associativity (a, b, c) and non-commutativity (a, b)
     are found once, on construction, so the flags read from them can never
     disagree with the table; each is None when the law holds."""
 
-    mul: tuple
-    n: int = field(init=False)
-    assoc_witness: tuple = field(init=False)
-    comm_witness: tuple = field(init=False)
+    _fields = ("mul", "n", "assoc_witness", "comm_witness")
 
-    def __post_init__(self):
-        mul = tuple(tuple(row) for row in self.mul)
+    def __init__(self, mul):
+        mul = tuple(tuple(row) for row in mul)
         n = len(mul)
         if n < 1:
             raise ValueError("table must have order ≥ 1")

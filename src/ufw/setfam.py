@@ -6,8 +6,6 @@ Families are canonicalized sorted-by-mask.  Witnesses always refer to the
 lexicographically least violating instance under the documented scan order.
 """
 
-from dataclasses import dataclass
-
 from .bitsets import indices_of, mask_of, subsets_lex
 from .errors import (
     CapExceeded,
@@ -17,6 +15,7 @@ from .errors import (
     NotMeasure,
     NotUltrafilter,
 )
+from .record import Record
 
 #: largest ground size for which operations materialize the full powerset
 POWERSET_CAP = 16
@@ -25,18 +24,18 @@ POWERSET_CAP = 16
 ULTRAFILTER_CAP = 6
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class GroundSet(Record):
     """The finite ground set {0..size-1}."""
 
-    size: int
+    _fields = ("size",)
 
-    def __post_init__(self):
+    def __init__(self, size):
         # type(), not isinstance(): True and False are ints too
-        if type(self.size) is not int:
+        if type(size) is not int:
             raise ValueError("ground set size must be an integer")
-        if self.size < 1:
+        if size < 1:
             raise ValueError("ground set must be non-empty")
+        object.__setattr__(self, "size", size)
 
     @property
     def full_mask(self):
@@ -70,14 +69,17 @@ class SetFamily:
 
     @classmethod
     def from_masks(cls, ground, masks):
+        mask_set = frozenset(masks)
+        ordered = tuple(sorted(mask_set))
+        full = ground.full_mask
+        # sorted, so only the largest mask need be compared with the ground
+        if ordered and ordered[-1] > full:
+            least = next(m for m in ordered if m > full)
+            raise IndexOutOfRange("mask %d outside ground set" % least)
         fam = cls.__new__(cls)
-        masks = set(masks)
-        for m in masks:
-            if m > ground.full_mask:
-                raise IndexOutOfRange("mask %d outside ground set" % m)
         object.__setattr__(fam, "ground", ground)
-        object.__setattr__(fam, "masks", tuple(sorted(masks)))
-        object.__setattr__(fam, "_mask_set", frozenset(masks))
+        object.__setattr__(fam, "masks", ordered)
+        object.__setattr__(fam, "_mask_set", mask_set)
         return fam
 
     @property
@@ -112,8 +114,7 @@ class SetFamily:
         return cls(GroundSet(obj["ground"]), obj["members"])
 
 
-@dataclass(frozen=True)
-class FamilyVerdict:
+class FamilyVerdict(Record):
     """Classification of a family with the first failing axiom instance.
 
     ``kind`` is one of ``not-fip``, ``fip-only``, ``filter``, ``ultrafilter``;
@@ -122,8 +123,11 @@ class FamilyVerdict:
     fails.
     """
 
-    kind: str
-    witness: tuple = None
+    _fields = ("kind", "witness")
+
+    def __init__(self, kind, witness=None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "witness", witness)
 
 
 def _meet(f):
@@ -378,12 +382,14 @@ def star(f):
     return SetFamily.from_masks(f.ground, [b for b, d in enumerate(digits) if d == "0"])
 
 
-@dataclass(frozen=True)
-class Measure01:
+class Measure01(Record):
     """A {0,1}-valued finitely additive measure, stored by its 1-class."""
 
-    ground: GroundSet
-    one_masks: frozenset
+    _fields = ("ground", "one_masks")
+
+    def __init__(self, ground, one_masks):
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "one_masks", one_masks)
 
     def value(self, subset):
         return 1 if mask_of(subset) in self.one_masks else 0

@@ -412,6 +412,20 @@ def test_fibonacci_digit_map_matches_rebuilding_oracle(weights):
         assert system.place_values(count) == fibs[: max(count, 0)]
 
 
+@pytest.mark.parametrize(
+    "system, values",
+    [
+        (DigitSystem.base(10), [1, 10, 100, 1000]),
+        (DigitSystem.custom((60, 60, 24)), [1, 60, 3600, 86400]),
+        (DigitSystem.fibonacci(), [1, 2, 3, 5]),
+    ],
+    ids=["base", "custom", "fibonacci"],
+)
+def test_place_values_give_count_values_for_every_kind(system, values):
+    for count in range(-1, 5):
+        assert system.place_values(count) == values[: max(count, 0)]
+
+
 def test_negative_numbers_negate_digits():
     out = digit_map(-13, DigitSystem.base(2))
     assert out["digits"] == [-1, 0, -1, -1] and out["value"] == -13

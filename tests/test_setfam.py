@@ -53,6 +53,21 @@ def test_out_of_range_member_rejected():
         SetFamily(G3, [[3]])
 
 
+def test_from_masks_canonical_and_equal_to_members():
+    fam = SetFamily.from_masks(G3, iter([6, 1, 6, 0]))
+    assert fam.masks == (0, 1, 6)
+    assert fam == SetFamily(G3, [[1, 2], [0], []])
+    assert len(SetFamily.from_masks(G3, ())) == 0
+
+
+def test_from_masks_names_the_least_out_of_range_mask():
+    with pytest.raises(IndexOutOfRange, match="^mask 9 outside ground set$"):
+        SetFamily.from_masks(G3, [64, 3, 9, 7, 17])
+    with pytest.raises(IndexOutOfRange, match="^mask 8 outside"):
+        SetFamily.from_masks(G3, [8])
+    assert SetFamily.from_masks(G3, [7]).masks == (7,)
+
+
 @pytest.mark.parametrize("element", [True, 1.0, "1"])
 def test_non_integer_member_rejected(element):
     # type(), not isinstance(): True would otherwise read as element 1

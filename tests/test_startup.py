@@ -1,9 +1,11 @@
 """Start-up cost: a ``ufw`` call loads only the layers its subcommand uses,
-and numpy only for the Weyl sum.
+within a layer only the submodules it runs, numpy only for the Weyl sum, and
+never ``dataclasses`` (nor ``inspect``, which it would pull in).
 
 Each test runs a fresh interpreter, because the in-process tests have long
 since imported every layer."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -19,6 +21,9 @@ AVOIDING_AP3 = {"kind": "avoiding", "pattern": ["ap", 3], "r": 2, "colors": [0, 
 #: the 2×3 rule that copies voter 0, whose order index is the profile's
 #: leading base-6 digit
 DICTATOR_2X3 = {"voters": 2, "candidates": 3, "table": [p // 6 for p in range(36)]}
+#: a signature and structure for ``fol eval``: f swaps the two elements
+UNARY_SIG = {"functions": {"f": 1}}
+SWAP_2 = {"universe": 2, "functions": {"f": [1, 0]}}
 
 
 def fresh(code):
@@ -38,36 +43,47 @@ def loaded_after_run(argv):
         "import json, sys\n"
         "import ufw.cli\n"
         "code = ufw.cli.run(%r)\n"
-        "layers = sorted(m[4:] for m in sys.modules if m.startswith('ufw.') and m.count('.') == 1)\n"
-        "json.dump({'code': code, 'layers': layers, 'numpy': 'numpy' in sys.modules}, sys.stderr)\n"
+        "modules = sorted(m for m in sys.modules if m.startswith('ufw.'))\n"
+        "stdlib = sorted(m for m in ('dataclasses', 'inspect', 'numpy') if m in sys.modules)\n"
+        "json.dump({'code': code, 'modules': modules, 'stdlib': stdlib}, sys.stderr)\n"
         "sys.stderr.write('\\n')\n" % (argv,)
     )
 
 
 @pytest.mark.parametrize(
-    "argv, layers, numpy",
+    "argv, layers, numpy, absent",
     [
         pytest.param(["search", "vdw", "--len", "3", "--cap", "10"], {"largeness"}, False,
-                     id="search"),
-        pytest.param(["verify", "--certificate", "{cert}"], {"largeness"}, False, id="verify"),
+                     {"ufw.largeness.checkers"}, id="search"),
+        # the checkers share no code with the searches, so they load alone
+        pytest.param(["verify", "--certificate", "{cert}"], {"largeness"}, False,
+                     {"ufw.largeness.search"}, id="verify"),
         pytest.param(["arrow", "verify", "--rule", "{rule}"], {"arrow", "setfam"}, False,
-                     id="arrow-verify"),
-        pytest.param(["gp", "eval", "--expr", "n * 3/2", "-n", "3"], {"genpoly", "discalc"},
-                     False, id="gp-eval"),
+                     set(), id="arrow-verify"),
+        pytest.param(["gp", "eval", "--expr", "n * 3/2", "-n", "3"], {"genpoly"}, False,
+                     {"ufw.genpoly.analysis", "ufw.genpoly.digits", "ufw.genpoly.dfao"},
+                     id="gp-eval"),
         # the Weyl sum is the only numpy user, so numpy must show here
         pytest.param(["gp", "weyl", "--alphas", "sqrt2", "--ks", "1", "-n", "50"],
-                     {"genpoly", "discalc"}, True, id="gp-weyl"),
+                     {"genpoly", "discalc"}, True, {"ufw.genpoly.dfao"}, id="gp-weyl"),
+        pytest.param(["fol", "eval", "--sig", "{sig}", "--structs", "{struct}", "--formula",
+                      "E x. f(x) = c", "--env", "c=1"], {"folup", "setfam"}, False,
+                     {"ufw.folup.sweep"}, id="fol-eval"),
     ],
 )
-def test_cli_loads_only_the_subcommands_layers(tmp_path, argv, layers, numpy):
-    cert = tmp_path / "cert.json"
-    cert.write_text(json.dumps(AVOIDING_AP3))
-    rule = tmp_path / "rule.json"
-    rule.write_text(json.dumps(DICTATOR_2X3))
-    report = loaded_after_run([a.format(cert=cert, rule=rule) for a in argv])
+def test_cli_loads_only_the_subcommands_layers(tmp_path, argv, layers, numpy, absent):
+    files = {"cert": AVOIDING_AP3, "rule": DICTATOR_2X3, "sig": UNARY_SIG, "struct": SWAP_2}
+    paths = {}
+    for name, obj in files.items():
+        paths[name] = tmp_path / (name + ".json")
+        paths[name].write_text(json.dumps(obj))
+    report = loaded_after_run([a.format(**paths) for a in argv])
     assert report["code"] == 0
-    assert set(report["layers"]) & LAYERS == layers
-    assert report["numpy"] is numpy
+    loaded = set(report["modules"])
+    assert {m[4:] for m in loaded if m.count(".") == 1} & LAYERS == layers
+    assert not loaded & absent
+    # numpy imports inspect itself; ufw imports neither it nor dataclasses
+    assert report["stdlib"] == (["inspect", "numpy"] if numpy else [])
 
 
 def test_lazy_names_still_resolve():
@@ -80,17 +96,24 @@ def test_lazy_names_still_resolve():
         "out['numpy_before_sweep'] = 'numpy' in sys.modules\n"
         "from ufw.folup import exhaustive_transfer_sweep\n"
         "exhaustive_transfer_sweep(1, 1)\n"
+        "out['same_sweep'] = ufw.folup.exhaustive_transfer_sweep is exhaustive_transfer_sweep\n"
         "from ufw.genpoly import weyl_sum\n"
         "out['sweep'] = exhaustive_transfer_sweep.__module__\n"
         "out['weyl'] = weyl_sum.__module__\n"
         "out['numpy_after_sweep'] = 'numpy' in sys.modules\n"
-        "try:\n"
-        "    ufw.no_such_layer\n"
-        "except AttributeError:\n"
-        "    out['missing'] = 'AttributeError'\n"
-        "ns = {}\n"
-        "exec('from ufw import *', ns)\n"
-        "out['star'] = sorted(k for k in ns if k in ufw.__all__)\n"
+        "from ufw.folup import UltraproductSpec, ultraproduct\n"
+        "out['ultraproduct'] = [ultraproduct.__module__, ufw.folup.ultraproduct.__name__]\n"
+        "out['missing'] = []\n"
+        "for package in (ufw, ufw.largeness, ufw.genpoly, ufw.folup):\n"
+        "    try:\n"
+        "        package.no_such_name\n"
+        "    except AttributeError:\n"
+        "        out['missing'].append(package.__name__)\n"
+        "out['star'] = {}\n"
+        "for package in ('ufw', 'ufw.largeness', 'ufw.genpoly', 'ufw.folup'):\n"
+        "    ns = {}\n"
+        "    exec('from %s import *' % package, ns)\n"
+        "    out['star'][package] = sorted(k for k in ns if k != '__builtins__')\n"
         "json.dump(out, sys.stderr)\n"
         "sys.stderr.write('\\n')\n"
     )
@@ -98,9 +121,15 @@ def test_lazy_names_still_resolve():
         "bare": [],
         "arrow": "ufw.arrow",
         "numpy_before_sweep": False,
+        "same_sweep": True,
         "sweep": "ufw.folup.sweep",
         "weyl": "ufw.genpoly.analysis",
         "numpy_after_sweep": False,
-        "missing": "AttributeError",
-        "star": sorted(ufw.__all__),
+        # the function, not the submodule of the same name
+        "ultraproduct": ["ufw.folup.ultraproduct", "ultraproduct"],
+        "missing": ["ufw", "ufw.largeness", "ufw.genpoly", "ufw.folup"],
+        "star": {
+            name: sorted(importlib.import_module(name).__all__)
+            for name in ("ufw", "ufw.largeness", "ufw.genpoly", "ufw.folup")
+        },
     }

@@ -1,0 +1,288 @@
+"""Value semantics of the package's record classes: constructor signatures
+and defaults, the ``Name(field=value, …)`` repr, equality and hash by the
+field tuple (identity for GPExpr), and immutability."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from ufw.arrow import Election, _rank_table
+from ufw.folup import Signature, Structure, UltraproductSpec
+from ufw.genpoly import Dfao, DigitSystem, GPExpr, Interval, RealConst
+from ufw.largeness.search import (
+    APWitness,
+    EdgeColoring,
+    FSWitness,
+    IntervalColoring,
+    LineWitness,
+    SearchBudget,
+    ThresholdResult,
+    WordColoring,
+)
+from ufw.semigroup import CayleyTable
+from ufw.setfam import FamilyVerdict, GroundSet, Measure01, principal_ultrafilter
+
+Z2 = ((0, 1), (1, 0))
+SIG = Signature(functions=(("f", 1),))
+STRUCT = Structure(SIG, 2, funcs={"f": (1, 0)})
+U2 = principal_ultrafilter(GroundSet(2), 0)
+
+#: (make, fields, repr): make() builds a fresh instance, fields names its
+#: fields in order, and repr is its expected repr (None where a field's own
+#: repr is not a fixed string)
+RECORDS = {
+    "IntervalColoring": (
+        lambda: IntervalColoring(3, [0, 1, 0]),
+        ("n", "colors", "r"),
+        "IntervalColoring(n=3, colors=(0, 1, 0), r=2)",
+    ),
+    "EdgeColoring": (
+        lambda: EdgeColoring(3, 2, (0, 1, 1)),
+        ("n", "k", "colors", "r"),
+        "EdgeColoring(n=3, k=2, colors=(0, 1, 1), r=2)",
+    ),
+    "WordColoring": (
+        lambda: WordColoring(2, 1, (1, 0), r=3),
+        ("sigma", "n", "colors", "r"),
+        "WordColoring(sigma=2, n=1, colors=(1, 0), r=3)",
+    ),
+    "FSWitness": (
+        lambda: FSWitness((1, 2), 0, (1, 2, 3)),
+        ("generators", "color", "sums"),
+        "FSWitness(generators=(1, 2), color=0, sums=(1, 2, 3))",
+    ),
+    "APWitness": (
+        lambda: APWitness(1, 2, 3, 0),
+        ("start", "step", "length", "color"),
+        "APWitness(start=1, step=2, length=3, color=0)",
+    ),
+    "LineWitness": (
+        lambda: LineWitness((0, None), 1),
+        ("word", "color"),
+        "LineWitness(word=(0, None), color=1)",
+    ),
+    "SearchBudget": (
+        lambda: SearchBudget(node_cap=5),
+        ("node_cap", "time_cap_ms"),
+        "SearchBudget(node_cap=5, time_cap_ms=60000)",
+    ),
+    "ThresholdResult": (
+        lambda: ThresholdResult(("ap", 3), 2, 9, 12, (0, 0, 1)),
+        ("pattern", "r", "value", "cap", "failure_coloring"),
+        "ThresholdResult(pattern=('ap', 3), r=2, value=9, cap=12, failure_coloring=(0, 0, 1))",
+    ),
+    "Election": (
+        lambda: Election(2, 3),
+        ("voters", "candidates"),
+        "Election(voters=2, candidates=3)",
+    ),
+    "_RankTable": (
+        lambda: _rank_table(Election(1, 2)),
+        ("pos", "below", "raised", "profiles", "weights"),
+        "_RankTable(pos=((0, 1), (1, 0)), below=((0, 1), (2, 0)), "
+        "raised=((1, None), (None, 0)), profiles=((0,), (1,)), weights=(1,))",
+    ),
+    "DigitSystem": (
+        lambda: DigitSystem.custom([60, 60]),
+        ("kind", "payload", "weights"),
+        "DigitSystem(kind='custom', payload=(60, 60), weights=None)",
+    ),
+    "Interval": (
+        lambda: Interval(Fraction(1, 2), Fraction(1)),
+        ("lo", "hi"),
+        "Interval(lo=Fraction(1, 2), hi=Fraction(1, 1))",
+    ),
+    "RealConst": (
+        lambda: RealConst.sqrt(2),
+        ("kind", "payload"),
+        "RealConst(sqrt 2)",
+    ),
+    "Dfao": (
+        lambda: Dfao(1, 0, [[0, 0]], [[0, 1]], 2, 2),
+        ("states", "init", "tau", "lam", "in_base", "out_base"),
+        "Dfao(states=1, init=0, tau=((0, 0),), lam=((0, 1),), in_base=2, out_base=2)",
+    ),
+    "UltraproductSpec": (
+        lambda: UltraproductSpec([STRUCT, STRUCT], U2),
+        ("factors", "ultrafilter"),
+        None,
+    ),
+    "Signature": (
+        lambda: Signature(functions=(("f", 1),), constants=["c"]),
+        ("functions", "relations", "constants"),
+        "Signature(functions=(('f', 1),), relations=(('=', 2),), constants=('c',))",
+    ),
+    "CayleyTable": (
+        lambda: CayleyTable([[0, 0], [0, 1]]),
+        ("mul", "n", "assoc_witness", "comm_witness"),
+        "CayleyTable(mul=((0, 0), (0, 1)), n=2, assoc_witness=None, comm_witness=None)",
+    ),
+    "GroundSet": (lambda: GroundSet(3), ("size",), "GroundSet(size=3)"),
+    "FamilyVerdict": (
+        lambda: FamilyVerdict("filter", ((0,),)),
+        ("kind", "witness"),
+        "FamilyVerdict(kind='filter', witness=((0,),))",
+    ),
+    "Measure01": (
+        lambda: Measure01(GroundSet(1), frozenset({1})),
+        ("ground", "one_masks"),
+        "Measure01(ground=GroundSet(size=1), one_masks=frozenset({1}))",
+    ),
+}
+
+
+def values(obj, fields):
+    return tuple(getattr(obj, f) for f in fields)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_repr(name):
+    make, fields, expected = RECORDS[name]
+    obj = make()
+    if expected is None:
+        expected = "%s(%s)" % (
+            name, ", ".join("%s=%r" % (f, getattr(obj, f)) for f in fields)
+        )
+    assert repr(obj) == expected
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_equality_and_hash_follow_the_fields(name):
+    make, fields, _ = RECORDS[name]
+    a, b = make(), make()
+    assert a is not b or name == "_RankTable"  # the rank table is cached
+    assert a == b and not a != b
+    assert hash(a) == hash(b) == hash(values(a, fields))
+    # another class with the same field values is not equal
+    assert a != values(a, fields)
+    assert (a == values(a, fields)) is False
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_fields_cannot_be_assigned_or_deleted(name):
+    make, fields, _ = RECORDS[name]
+    obj = make()
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(obj, f, 0)
+        with pytest.raises(AttributeError):
+            delattr(obj, f)
+    with pytest.raises(AttributeError):
+        obj.not_a_field = 0
+
+
+@pytest.mark.parametrize("name", sorted(set(RECORDS) - {"UltraproductSpec"}))
+def test_copies_and_pickles_equal(name):
+    obj = RECORDS[name][0]()
+    assert copy.copy(obj) == obj
+    assert copy.deepcopy(obj) == obj
+    assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+def test_unequal_fields_compare_unequal():
+    assert IntervalColoring(3, (0, 1, 0)) != IntervalColoring(3, (0, 1, 0), r=3)
+    assert APWitness(1, 2, 3, 0) != APWitness(1, 2, 3, 1)
+    assert Election(2, 3) != Election(3, 2)
+    assert GroundSet(3) != GroundSet(4)
+    assert FamilyVerdict("filter") != FamilyVerdict("ultrafilter")
+    assert CayleyTable(Z2) != CayleyTable([[0, 0], [0, 1]])
+    assert RealConst.pi() != RealConst.e()
+    assert RealConst.rational(2) == RealConst.sqrt(4)
+    assert Interval(Fraction(0), Fraction(1)) != Interval(Fraction(0), Fraction(2))
+    assert SearchBudget() != SearchBudget(node_cap=5)
+
+
+def test_constructor_defaults_and_normalisation():
+    assert IntervalColoring(3, (0, 1, 0)).r == 2
+    assert IntervalColoring(3, (0, 1, 0), 4).r == 4
+    assert IntervalColoring(n=3, colors=[0, 0, 0]).colors == (0, 0, 0)
+    assert EdgeColoring(3, 2, (0, 1, 0)).r == 2
+    assert WordColoring(2, 2, (0, 0, 0, 2)).r == 3
+    budget = SearchBudget()
+    assert (budget.node_cap, budget.time_cap_ms) == (10**7, 60000)
+    assert SearchBudget(5, 7) == SearchBudget(node_cap=5, time_cap_ms=7)
+    assert ThresholdResult(("ap", 3), 2, None, 5).failure_coloring is None
+    assert Election(candidates=2, voters=1) == Election(1, 2)
+    assert DigitSystem("fibonacci") == DigitSystem("fibonacci", (), None)
+    assert DigitSystem.base(10, "ones").weights == "ones"
+    assert RealConst("pi").payload == ()
+    assert RealConst.rational(Fraction(1, 3)).payload == (Fraction(1, 3),)
+    assert Interval(lo=Fraction(1), hi=Fraction(2)).width == 1
+    sig = Signature()
+    assert (sig.functions, sig.relations, sig.constants) == ((), (("=", 2),), ())
+    assert Signature(functions={"g": 2, "f": 1}).functions == (("f", 1), ("g", 2))
+    assert Signature(relations=(("<", 2),)).relations == (("<", 2), ("=", 2))
+    spec = UltraproductSpec(factors=[STRUCT], ultrafilter=principal_ultrafilter(GroundSet(1), 0))
+    assert spec.factors == (STRUCT,) and spec.sig is SIG
+    assert UltraproductSpec((STRUCT, STRUCT), U2).ultrafilter is U2
+    table = CayleyTable(mul=[[0, 1], [1, 0]])
+    assert table.mul == Z2 and table.n == 2
+    assert table.assoc_witness is None and table.comm_witness is None
+    assert CayleyTable(((0, 0), (1, 1))).comm_witness == (0, 1)
+    assert CayleyTable(((1, 0), (0, 0))).assoc_witness == (0, 0, 1)
+    assert FamilyVerdict("ultrafilter").witness is None
+    assert FamilyVerdict(kind="not-fip", witness=((),)).witness == ((),)
+    assert GroundSet(size=2).full_mask == 3
+    dfao = Dfao(states=1, init=0, tau=((0, 0),), lam=((1, 1),), in_base=2, out_base=10)
+    assert dfao.tau == ((0, 0),) and dfao.out_base == 10
+    expr = GPExpr("var")
+    assert expr.children == () and expr.const is None
+    assert GPExpr("const", const=RealConst.e()).const == RealConst.e()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: IntervalColoring(0, ()),
+        lambda: IntervalColoring(2, (0, 1), 1),
+        lambda: EdgeColoring(3, 2, (0, 1)),
+        lambda: WordColoring(2, 2, (0, -1, 0, 0)),
+        lambda: SearchBudget(node_cap=0),
+        lambda: SearchBudget(time_cap_ms=-1),
+        lambda: Election(1, 1),
+        lambda: Election(True, 2),
+        lambda: Interval(Fraction(1), Fraction(0)),
+        lambda: Dfao(1, 0, ((0,),), ((0,),), 1, 2),
+        lambda: UltraproductSpec((), U2),
+        lambda: Signature(functions=(("f", 1),), constants=("f",)),
+        lambda: CayleyTable(()),
+        lambda: CayleyTable(((0, 2), (0, 0))),
+        lambda: GroundSet(0),
+        lambda: GroundSet(True),
+    ],
+)
+def test_constructors_still_validate(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_derived_table_fields_are_not_parameters():
+    with pytest.raises(TypeError):
+        CayleyTable(Z2, 2)
+    with pytest.raises(TypeError):
+        CayleyTable(Z2, n=2)
+    with pytest.raises(TypeError):
+        IntervalColoring(3)
+
+
+def test_gpexpr_compares_and_hashes_by_identity():
+    a, b = GPExpr.var(), GPExpr.var()
+    assert a == a and a != b
+    assert hash(a) == object.__hash__(a)
+    assert len({a, b, a}) == 2
+    assert repr(GPExpr.var() * 3 + RealConst.pi()) == "((n * RealConst(3)) + RealConst(pi))"
+    with pytest.raises(AttributeError):
+        a.kind = "const"
+    assert repr(pickle.loads(pickle.dumps(a.floor()))) == "floor(n)"
+
+
+def test_cayley_preimage_masks_are_cached():
+    table = CayleyTable(Z2)
+    masks = table.preimage_masks
+    assert masks is table.preimage_masks
+    assert masks == ((0, 1, 2, 3), (0, 2, 1, 3))
+    # the cache does not take part in equality, hashing or the repr
+    assert table == CayleyTable(Z2) and hash(table) == hash(CayleyTable(Z2))
+    assert "preimage_masks" not in repr(table)
