@@ -27,12 +27,9 @@ def lazy_getattr(package, exports, submodules=()):
     submodule on first access to a public name, so that a program loads
     only the modules it uses.  ``exports`` maps a submodule to the names it
     defines, and ``submodules`` lists the submodules that are public names
-    themselves.  Loading a submodule binds all its names on the package, so
-    a function named like its own submodule (folup's ``ultraproduct``)
-    replaces the submodule attribute that the import sets.  An import of
-    such a submodule by its dotted path, before any of its names was read
-    through the package, leaves the submodule bound under that name until
-    another of its names is read."""
+    themselves.  Loading a submodule binds all its names on the package.
+    The import system also binds each submodule on its package under its
+    own name, so no submodule is named like a name in ``exports``."""
     homes = {name: home for home, names in exports.items() for name in names}
     homes.update((name, None) for name in submodules)
 

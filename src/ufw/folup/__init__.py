@@ -12,7 +12,7 @@ _EXPORTS = {
         "Signature", "formula_vars", "free_vars", "generate_formulas", "parse_formula",
         "print_formula", "print_term",
     ),
-    "ultraproduct": ("UltraproductSpec", "los_check", "ultraproduct"),
+    "products": ("UltraproductSpec", "los_check", "ultraproduct"),
 }
 
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)

@@ -225,8 +225,13 @@ def _fip_witness(f):
     witness = []
     start = 0
     for left in range(need(u) - 1, -1, -1):
+        # every member removes at most ``cut`` elements of u, and so of any
+        # candidate c ⊆ u: one that needs ceil(|c| / cut) > left members is
+        # passed over without asking need() for it
+        cut = u.bit_count() - min((u & m).bit_count() for m in masks)
         for i in range(start, len(lex)):
-            if need(u & lex[i]) <= left:
+            c = u & lex[i]
+            if -(-c.bit_count() // cut) <= left and need(c) <= left:
                 break
         witness.append(indices_of(lex[i]))
         u &= lex[i]

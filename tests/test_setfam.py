@@ -2,6 +2,7 @@
 property-based invariants on small grounds."""
 
 import json
+import random
 import signal
 from contextlib import contextmanager
 from itertools import combinations
@@ -473,6 +474,76 @@ def _pair_cover_witness(n):
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_pair_cover_witness_matches_combinations_oracle(n):
     assert _fip_oracle(n, _pair_cover(n)) == _pair_cover_witness(n)
+
+
+def _unbounded_pick_witness(n, masks):
+    """The FIP witness as ``_fip_witness`` found it before its greedy pick
+    skipped candidates by the ceil(|c| / cut) bound: the same need() with
+    branch and bound, and a pick that asks need() of every candidate."""
+    memo = {0: 0}
+
+    def need(u):
+        if u not in memo:
+            children = sorted({u & m for m in masks} - {u}, key=int.bit_count)
+            size = u.bit_count()
+            best, cut = size, size - children[0].bit_count()
+            for c in children:
+                if 1 - (-c.bit_count() // cut) >= best:
+                    break
+                best = min(best, 1 + need(c))
+            memo[u] = best
+        return memo[u]
+
+    lex = sorted(masks, key=_indices)
+    u = (1 << n) - 1
+    witness = []
+    start = 0
+    for left in range(need(u) - 1, -1, -1):
+        for i in range(start, len(lex)):
+            if need(u & lex[i]) <= left:
+                break
+        witness.append(_indices(lex[i]))
+        u &= lex[i]
+        start = i + 1
+    return tuple(witness)
+
+
+def _singles_and_pairs(n):
+    """X∖{i} for every i and X∖{2j, 2j+1} for every j: the pairs are the
+    smallest cover, and each greedy step passes over singles it cannot use."""
+    full = (1 << n) - 1
+    return [full ^ (1 << i) for i in range(n)] + [full ^ (3 << 2 * j) for j in range(n // 2)]
+
+
+def _random_not_fip(rng, n):
+    """Dense random members, then a few more until the meet is empty."""
+    full = (1 << n) - 1
+    masks = {full ^ rng.getrandbits(n) & rng.getrandbits(n) for _ in range(rng.randint(3, 24))}
+    meet = full
+    for m in masks:
+        meet &= m
+    while meet:
+        extra = full ^ rng.getrandbits(n) & rng.getrandbits(n)
+        masks.add(extra)
+        meet &= extra
+    return sorted(masks)
+
+
+@pytest.mark.parametrize("n", range(20, 121, 20))
+def test_fip_witness_on_singles_and_pairs_matches_unbounded_pick(n):
+    masks = _singles_and_pairs(n)
+    expect = _unbounded_pick_witness(n, masks)
+    assert len(expect) == (n + 1) // 2
+    assert fip_check(SetFamily.from_masks(GroundSet(n), masks)) == (False, expect)
+
+
+def test_fip_witness_on_random_families_matches_unbounded_pick():
+    rng = random.Random(19)
+    for _ in range(120):
+        n = rng.randint(4, 24)
+        masks = _random_not_fip(rng, n)
+        expect = _unbounded_pick_witness(n, masks)
+        assert fip_check(SetFamily.from_masks(GroundSet(n), masks)) == (False, expect)
 
 
 def test_classify_pair_cover_at_ground_14_is_fast(capsys, tmp_path):

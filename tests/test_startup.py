@@ -1,10 +1,13 @@
 """Start-up cost: a ``ufw`` call loads only the layers its subcommand uses,
-within a layer only the submodules it runs, numpy only for the Weyl sum, and
-never ``dataclasses`` (nor ``inspect``, which it would pull in).
+within a layer only the submodules it runs, only its own subcommand's
+handler, numpy only for the Weyl sum, ``fractions`` only where a rational is
+read or computed, and never ``dataclasses`` (nor ``inspect``, which it would
+pull in) or OpenSSL's ``hashlib``.
 
 Each test runs a fresh interpreter, because the in-process tests have long
 since imported every layer."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -15,8 +18,11 @@ from pathlib import Path
 import pytest
 
 import ufw
+from ufw.commands import digest
 
 LAYERS = {"arrow", "discalc", "folup", "genpoly", "largeness", "semigroup", "setfam"}
+#: standard modules whose loading costs a call milliseconds
+HEAVY = ("_hashlib", "dataclasses", "fractions", "hashlib", "inspect", "numpy")
 AVOIDING_AP3 = {"kind": "avoiding", "pattern": ["ap", 3], "r": 2, "colors": [0, 1, 0, 1, 1, 0, 1, 0]}
 #: the 2×3 rule that copies voter 0, whose order index is the profile's
 #: leading base-6 digit
@@ -44,34 +50,37 @@ def loaded_after_run(argv):
         "import ufw.cli\n"
         "code = ufw.cli.run(%r)\n"
         "modules = sorted(m for m in sys.modules if m.startswith('ufw.'))\n"
-        "stdlib = sorted(m for m in ('dataclasses', 'inspect', 'numpy') if m in sys.modules)\n"
+        "stdlib = sorted(m for m in %r if m in sys.modules)\n"
         "json.dump({'code': code, 'modules': modules, 'stdlib': stdlib}, sys.stderr)\n"
-        "sys.stderr.write('\\n')\n" % (argv,)
+        "sys.stderr.write('\\n')\n" % (argv, HEAVY)
     )
 
 
 @pytest.mark.parametrize(
-    "argv, layers, numpy, absent",
+    "argv, layers, stdlib, absent",
     [
-        pytest.param(["search", "vdw", "--len", "3", "--cap", "10"], {"largeness"}, False,
+        pytest.param(["search", "vdw", "--len", "3", "--cap", "10"], {"largeness"}, [],
                      {"ufw.largeness.checkers"}, id="search"),
         # the checkers share no code with the searches, so they load alone
-        pytest.param(["verify", "--certificate", "{cert}"], {"largeness"}, False,
+        pytest.param(["verify", "--certificate", "{cert}"], {"largeness"}, [],
                      {"ufw.largeness.search"}, id="verify"),
-        pytest.param(["arrow", "verify", "--rule", "{rule}"], {"arrow", "setfam"}, False,
+        pytest.param(["arrow", "verify", "--rule", "{rule}"], {"arrow", "setfam"}, [],
                      set(), id="arrow-verify"),
-        pytest.param(["gp", "eval", "--expr", "n * 3/2", "-n", "3"], {"genpoly"}, False,
+        pytest.param(["gp", "eval", "--expr", "n * 3/2", "-n", "3"], {"genpoly"}, ["fractions"],
                      {"ufw.genpoly.analysis", "ufw.genpoly.digits", "ufw.genpoly.dfao"},
                      id="gp-eval"),
-        # the Weyl sum is the only numpy user, so numpy must show here
+        # the Weyl sum is the only numpy user, so numpy must show here; numpy
+        # imports inspect itself
         pytest.param(["gp", "weyl", "--alphas", "sqrt2", "--ks", "1", "-n", "50"],
-                     {"genpoly", "discalc"}, True, {"ufw.genpoly.dfao"}, id="gp-weyl"),
+                     {"genpoly", "discalc"}, ["fractions", "inspect", "numpy"],
+                     {"ufw.genpoly.dfao"}, id="gp-weyl"),
+        # only the ultraproduct actions read an ultrafilter
         pytest.param(["fol", "eval", "--sig", "{sig}", "--structs", "{struct}", "--formula",
-                      "E x. f(x) = c", "--env", "c=1"], {"folup", "setfam"}, False,
+                      "E x. f(x) = c", "--env", "c=1"], {"folup"}, [],
                      {"ufw.folup.sweep"}, id="fol-eval"),
     ],
 )
-def test_cli_loads_only_the_subcommands_layers(tmp_path, argv, layers, numpy, absent):
+def test_cli_loads_only_the_subcommands_layers(tmp_path, argv, layers, stdlib, absent):
     files = {"cert": AVOIDING_AP3, "rule": DICTATOR_2X3, "sig": UNARY_SIG, "struct": SWAP_2}
     paths = {}
     for name, obj in files.items():
@@ -82,8 +91,47 @@ def test_cli_loads_only_the_subcommands_layers(tmp_path, argv, layers, numpy, ab
     loaded = set(report["modules"])
     assert {m[4:] for m in loaded if m.count(".") == 1} & LAYERS == layers
     assert not loaded & absent
-    # numpy imports inspect itself; ufw imports neither it nor dataclasses
-    assert report["stdlib"] == (["inspect", "numpy"] if numpy else [])
+    assert sorted(m for m in loaded if m.startswith("ufw.commands.")) == [
+        "ufw.commands." + argv[0]
+    ]
+    assert report["stdlib"] == stdlib
+
+
+def test_importing_a_submodule_by_path_keeps_the_package_names():
+    # the import system binds a loaded submodule on its package, which
+    # would hide a public name that the submodule shared
+    report = fresh(
+        "import json, sys\n"
+        "import ufw.folup.products\n"
+        "from ufw.folup import ultraproduct\n"
+        "json.dump([type(ultraproduct).__name__, ultraproduct.__module__], sys.stderr)\n"
+        "sys.stderr.write('\\n')\n"
+    )
+    assert report == ["function", "ufw.folup.products"]
+
+
+def test_a_module_run_compiles_the_front_end_once(tmp_path):
+    # under ``python -m ufw.cli`` the front end is ``__main__``: a handler
+    # that imported ``ufw.cli`` would compile and run it a second time
+    env = dict(os.environ, PYTHONPATH=str(Path(ufw.__file__).resolve().parent.parent))
+    env.pop("UFW_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ufw.cli", "verify", "--certificate",
+         str(tmp_path / "missing.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "cannot read" in json.loads(proc.stdout)["result"]["error"]
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    # the log lists the modules that import statements load
+    assert "ufw.commands" in imported
+    assert "ufw.cli" not in imported
+
+
+@pytest.mark.parametrize("data", [b"", b"abc", bytes(range(256)) * 5])
+def test_digest_is_sha256(data):
+    assert digest(data) == hashlib.sha256(data).hexdigest()
 
 
 def test_lazy_names_still_resolve():
@@ -125,8 +173,8 @@ def test_lazy_names_still_resolve():
         "sweep": "ufw.folup.sweep",
         "weyl": "ufw.genpoly.analysis",
         "numpy_after_sweep": False,
-        # the function, not the submodule of the same name
-        "ultraproduct": ["ufw.folup.ultraproduct", "ultraproduct"],
+        # the function, read from its submodule ``products``
+        "ultraproduct": ["ufw.folup.products", "ultraproduct"],
         "missing": ["ufw", "ufw.largeness", "ufw.genpoly", "ufw.folup"],
         "star": {
             name: sorted(importlib.import_module(name).__all__)
