@@ -45,6 +45,11 @@ class GPExpr(Record):
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "const", const)
 
+    def __reduce__(self):
+        # a copy or pickle leaves the compiled programs behind (see _program):
+        # their steps name this tree's nodes, not the copy's
+        return GPExpr, (self.kind, self.children, self.const)
+
     # -- construction helpers ------------------------------------------------
     @classmethod
     def constant(cls, c):
@@ -96,19 +101,6 @@ def _coerce(x):
     return GPExpr.constant(x)
 
 
-def nearest_int(q):
-    """⌈q⌋ = ⌊q + 1/2⌋ on exact rationals."""
-    q = Fraction(q)
-    num = 2 * q.numerator + q.denominator
-    return num // (2 * q.denominator)
-
-
-def signed_frac(q):
-    """⟨q⟩ = q − ⌈q⌋ ∈ [−1/2, 1/2) on exact rationals."""
-    q = Fraction(q)
-    return q - nearest_int(q)
-
-
 def _postorder(expr):
     """The nodes of expr, each after its children and a left child before
     its sibling: the order the recursive definition evaluates them in."""
@@ -121,7 +113,6 @@ def _postorder(expr):
     return order
 
 
-@lru_cache(maxsize=1024)
 def _const_triple(const, bits):
     """The bracket of const at bits as (lo, hi, den)."""
     iv = const.bracket(bits)
@@ -130,22 +121,40 @@ def _const_triple(const, bits):
     return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
 
 
-def eval_interval(expr, n, bits):
-    """One bottom-up interval pass at the given precision.
+def _program(expr, bits):
+    """The evaluation program of expr at bits: its nodes in post-order as
+    (kind, arg) steps, arg being a constant's bracket at bits as
+    (lo, hi, den) and the node itself otherwise.  Built on first use at each
+    precision and kept on the expression (one entry per precision it was
+    evaluated at), so it lives exactly as long as the tree does."""
+    try:
+        return vars(expr)["_programs"][bits]
+    except KeyError:
+        pass
+    steps = tuple(
+        (node.kind, _const_triple(node.const, bits) if node.kind == "const" else node)
+        for node in _postorder(expr)
+    )
+    vars(expr).setdefault("_programs", {})[bits] = steps
+    return steps
+
+
+def eval_triple(expr, n, bits):
+    """One bottom-up pass at the given precision: the value's interval as
+    (lo, hi, den), meaning [lo/den, hi/den] with den > 0.
 
     Raises PrecisionExhausted when a floor/nearest argument straddles a
     decision boundary at this precision (the caller refines and retries).
 
-    Each node's interval is carried as [lo/den, hi/den] on three ints with
-    den > 0 and no gcd taken: the same rational intervals as Interval
-    arithmetic gives, unreduced, so every decision is the same.
+    Each node's interval is carried on three ints with no gcd taken: the
+    same rational intervals as Interval arithmetic gives, unreduced, so
+    every decision is the same.
     """
     stack = []
     push, pop = stack.append, stack.pop
-    for node in _postorder(expr):
-        kind = node.kind
+    for kind, arg in _program(expr, bits):
         if kind == "const":
-            push(_const_triple(node.const, bits))
+            push(arg)
         elif kind == "var":
             push((n, n, 1))
         elif kind in _BINARY_KINDS:
@@ -165,13 +174,19 @@ def eval_interval(expr, n, bits):
             if k != (hi * sd + sn * d) // (d * sd):
                 raise PrecisionExhausted(
                     "argument interval straddles an integer boundary",
-                    node=node,
+                    node=arg,
                     interval=(Fraction(lo, d), Fraction(hi, d)),
                 )
             push((lo - k * d, hi - k * d, d) if kind == "frac" else (k, k, 1))
         else:
             raise ValueError("unknown GPExpr kind %r" % kind)
-    lo, hi, d = stack[0]
+    return stack[0]
+
+
+def eval_interval(expr, n, bits):
+    """One bottom-up interval pass at the given precision, as an Interval;
+    raises PrecisionExhausted as eval_triple does."""
+    lo, hi, d = eval_triple(expr, n, bits)
     return Interval(Fraction(lo, d), Fraction(hi, d))
 
 
@@ -205,19 +220,18 @@ def eval_exact(expr, n, schedule=None):
     last_err = None
     for bits in schedule:
         try:
-            iv = eval_interval(expr, n, bits)
+            lo, hi, d = eval_triple(expr, n, bits)
         except PrecisionExhausted as err:
             last_err = err
             continue
-        if not iv.exact:
+        if lo != hi:
             raise PrecisionExhausted(
                 "expression value is a non-degenerate interval (wrap irrational "
                 "parts in floor/round to certify an exact value)",
                 node=expr,
-                interval=(iv.lo, iv.hi),
+                interval=(Fraction(lo, d), Fraction(hi, d)),
             )
-        q = iv.lo
-        return q.numerator if q.denominator == 1 else q
+        return lo // d if lo % d == 0 else Fraction(lo, d)
     raise last_err
 
 

@@ -142,6 +142,8 @@ class RealConst(Record):
     @classmethod
     def sqrt(cls, d):
         d = int(d)
+        if d < 0:
+            raise ValueError("sqrt of a negative number")
         r = isqrt(d)
         if r * r == d:
             return cls("rational", (Fraction(r),))

@@ -519,9 +519,12 @@ def test_golden_digests(capsys, tmp_path, case):
     # ground) were recorded before the table enumerator was rewritten.  The
     # ultrafilter products on the order-4 left- and right-zero bands and on
     # an order-6 table, and the calc, setfam and arrow input errors after
-    # them, were recorded before the product read preimage masks.  An argv
-    # entry naming one of the case's inline files stands for that file's
-    # path.
+    # them, were recorded before the product read preimage masks.  The gp
+    # returns and eval cases after those were recorded before certified
+    # evaluation ran each expression's compiled program on int triples, and
+    # the last case, a negative square root, after its error text was fixed.
+    # An argv entry naming one of the case's inline files stands for that
+    # file's path.
     paths = {name: write_json(tmp_path, name, body) for name, body in case.get("files", {}).items()}
     argv = case.get("argv")
     if argv is None:

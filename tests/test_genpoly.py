@@ -1,11 +1,13 @@
 """Certified interval evaluation, digit systems, automata, and the finite
 equidistribution diagnostics."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import floor, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ufw.errors import Inconclusive, ParseError, PrecisionExhausted, Underdetermined
@@ -30,7 +32,7 @@ from ufw.genpoly import (
     weyl_sum,
     zeckendorf_indices,
 )
-from ufw.genpoly.expr import nearest_int, precision_schedule, signed_frac
+from ufw.genpoly.expr import precision_schedule
 
 PI_REF = Fraction(
     3141592653589793238462643383279502884197169399375105820974944592307816406286,
@@ -92,22 +94,21 @@ def test_golden_bracket_satisfies_equation():
     assert iv.lo * iv.lo <= iv.hi + 1 and iv.hi * iv.hi >= iv.lo + 1
 
 
-# --- rounding helpers ------------------------------------------------------
+# --- rounding nodes --------------------------------------------------------
 
 
 def test_nearest_rounds_half_up():
-    assert nearest_int(Fraction(1, 2)) == 1
-    assert nearest_int(Fraction(-1, 2)) == 0
-    assert nearest_int(Fraction(3, 2)) == 2
-    assert nearest_int(Fraction(-3, 2)) == -1
+    for q, k in [(Fraction(1, 2), 1), (Fraction(-1, 2), 0), (Fraction(3, 2), 2),
+                 (Fraction(-3, 2), -1)]:
+        assert eval_exact(GPExpr.constant(q).nearest(), 0) == k
 
 
 @given(st.fractions(min_value=-100, max_value=100, max_denominator=997))
 @settings(max_examples=200, deadline=None)
 def test_signed_frac_range_and_identity(q):
-    r = signed_frac(q)
+    r = eval_exact(GPExpr.constant(q).frac(), 0)
     assert Fraction(-1, 2) <= r < Fraction(1, 2)
-    assert nearest_int(q) + r == q
+    assert eval_exact(GPExpr.constant(q).nearest(), 0) + r == q
 
 
 # --- certified evaluation --------------------------------------------------
@@ -173,17 +174,36 @@ def test_irrational_value_takes_one_pass(monkeypatch):
 
     root = parse_gpexpr("pi * n")
     passes = []
-    real = expr_module.eval_interval
+    real = expr_module.eval_triple
 
     def counting(e, n, bits):
         if e is root:
             passes.append(bits)
         return real(e, n, bits)
 
-    monkeypatch.setattr(expr_module, "eval_interval", counting)
+    monkeypatch.setattr(expr_module, "eval_triple", counting)
     with pytest.raises(PrecisionExhausted):
         eval_exact(root, 3)
     assert passes == [64]
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, lambda e: pickle.loads(pickle.dumps(e))],
+                         ids=["copy", "pickle"])
+def test_a_duplicate_of_an_evaluated_tree_reports_its_own_node(duplicate):
+    # the root's floor is never decided, so the error names the root
+    expr = parse_gpexpr("floor(e - e)")
+    with pytest.raises(PrecisionExhausted) as err:
+        eval_exact(expr, 0)
+    assert err.value.node is expr
+    twin = duplicate(expr)
+    with pytest.raises(PrecisionExhausted) as err:
+        eval_exact(twin, 0)
+    assert err.value.node is twin
+
+
+def test_sqrt_of_a_negative_number_is_refused():
+    with pytest.raises(ValueError, match="^sqrt of a negative number$"):
+        RealConst.sqrt(-4)
 
 
 _LEAVES = st.one_of(
@@ -239,7 +259,10 @@ def oracle_interval(expr, n, bits):
     shift = 0 if kind == "floor" else Fraction(1, 2)
     k = floor(arg.lo + shift)
     if k != floor(arg.hi + shift):
-        raise PrecisionExhausted("straddles", node=expr, interval=(arg.lo, arg.hi))
+        raise PrecisionExhausted(
+            "argument interval straddles an integer boundary", node=expr,
+            interval=(arg.lo, arg.hi),
+        )
     return Interval(arg.lo - k, arg.hi - k) if kind == "frac" else Interval.point(k)
 
 
@@ -249,6 +272,95 @@ def _outcome(evaluate, expr, n, bits):
     except PrecisionExhausted as err:
         return "exhausted", id(err.node), err.interval
     return "interval", iv.lo, iv.hi
+
+
+def oracle_eval_exact(expr, n, schedule):
+    """eval_exact as written on Interval passes: the first decided pass's
+    point, or PrecisionExhausted."""
+    last_err = None
+    for bits in schedule:
+        try:
+            iv = oracle_interval(expr, n, bits)
+        except PrecisionExhausted as err:
+            last_err = err
+            continue
+        if not iv.exact:
+            raise PrecisionExhausted(
+                "expression value is a non-degenerate interval (wrap irrational "
+                "parts in floor/round to certify an exact value)",
+                node=expr, interval=(iv.lo, iv.hi),
+            )
+        return iv.lo.numerator if iv.lo.denominator == 1 else iv.lo
+    raise last_err
+
+
+def _exact_outcome(evaluate, expr, n, schedule):
+    try:
+        value = evaluate(expr, n, schedule)
+    except PrecisionExhausted as err:
+        return "exhausted", str(err), id(err.node), err.interval
+    return "value", type(value), value
+
+
+@given(_TREES, st.integers(min_value=-50, max_value=50),
+       st.sampled_from([(8, 16), precision_schedule(64, 1024)]))
+@settings(max_examples=400, deadline=None)
+def test_eval_exact_matches_the_interval_oracle(expr, n, schedule):
+    want = _exact_outcome(oracle_eval_exact, expr, n, schedule)
+    assert _exact_outcome(eval_exact, expr, n, schedule) == want
+
+
+def _dist_to_int_verdict(iv, eps):
+    """Certified three-way test for dist(x, ℤ) < eps on an interval, on
+    Fractions: True / False / None (None = undecidable at this width)."""
+    # Membership: the interval sits inside (k−eps, k+eps) for the integer
+    # nearest its midpoint.
+    k = floor((iv.lo + iv.hi) / 2 + Fraction(1, 2))
+    if k - eps < iv.lo and iv.hi < k + eps:
+        return True
+    # Non-membership: the interval sits inside [k+eps, k+1−eps], and only
+    # the cell k = ⌊lo⌋ can hold it.
+    k = iv.lo.numerator // iv.lo.denominator
+    if iv.lo >= k + eps and iv.hi <= k + 1 - eps:
+        return False
+    return None
+
+
+def oracle_return_times(expr, eps, N, schedule):
+    """return_times as written on Interval passes and Fraction verdicts."""
+    members, ambiguous = [], []
+    for n in range(1, N + 1):
+        verdict = None
+        for bits in schedule:
+            try:
+                iv = oracle_interval(expr, n, bits)
+            except PrecisionExhausted:
+                continue
+            verdict = _dist_to_int_verdict(iv, eps)
+            if verdict is not None:
+                break
+        if verdict is None:
+            ambiguous.append(n)
+        elif verdict:
+            members.append(n)
+    return members, ambiguous
+
+
+def test_return_times_matches_the_verdict_oracle():
+    ambiguous = []
+
+    @given(_TREES, st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=60),
+           st.integers(min_value=0, max_value=12), st.sampled_from([(2, 4), (4, 8), (8, 32)]))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def check(expr, eps, N, caps):
+        assume(0 < eps < Fraction(1, 2))
+        got = return_times(expr, eps, N, *caps)
+        assert got == oracle_return_times(expr, eps, N, precision_schedule(*caps))
+        ambiguous.extend(got[1])
+
+    check()
+    # the small caps leave some n undecided, so both branches are compared
+    assert ambiguous
 
 
 @given(_TREES, st.integers(min_value=-50, max_value=50), st.sampled_from([8, 16, 64, 128]))

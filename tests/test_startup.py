@@ -30,6 +30,8 @@ DICTATOR_2X3 = {"voters": 2, "candidates": 3, "table": [p // 6 for p in range(36
 #: a signature and structure for ``fol eval``: f swaps the two elements
 UNARY_SIG = {"functions": {"f": 1}}
 SWAP_2 = {"universe": 2, "functions": {"f": [1, 0]}}
+#: an exact degree-2 fit of n² over the index-set sums of 1, 2, 4
+FIT_SQUARE = {"values": {str(n): n * n for n in range(1, 8)}, "generators": [1, 2, 4], "d": 2}
 
 
 def fresh(code):
@@ -69,11 +71,19 @@ def loaded_after_run(argv):
         pytest.param(["gp", "eval", "--expr", "n * 3/2", "-n", "3"], {"genpoly"}, ["fractions"],
                      {"ufw.genpoly.analysis", "ufw.genpoly.digits", "ufw.genpoly.dfao"},
                      id="gp-eval"),
+        pytest.param(["gp", "returns", "--expr", "golden * n", "--eps", "1/4", "-n", "20"],
+                     {"genpoly"}, ["fractions"],
+                     {"ufw.genpoly.fitting", "ufw.genpoly.digits", "ufw.genpoly.dfao"},
+                     id="gp-returns"),
         # the Weyl sum is the only numpy user, so numpy must show here; numpy
         # imports inspect itself
         pytest.param(["gp", "weyl", "--alphas", "sqrt2", "--ks", "1", "-n", "50"],
-                     {"genpoly", "discalc"}, ["fractions", "inspect", "numpy"],
+                     {"genpoly"}, ["fractions", "inspect", "numpy"],
                      {"ufw.genpoly.dfao"}, id="gp-weyl"),
+        # a fit reads rationals and solves; it evaluates no expression
+        pytest.param(["gp", "fit", "--in", "{fit}"], {"genpoly"}, ["fractions"],
+                     {"ufw.genpoly.expr", "ufw.genpoly.reals", "ufw.genpoly.analysis"},
+                     id="gp-fit"),
         # only the ultraproduct actions read an ultrafilter
         pytest.param(["fol", "eval", "--sig", "{sig}", "--structs", "{struct}", "--formula",
                       "E x. f(x) = c", "--env", "c=1"], {"folup"}, [],
@@ -81,7 +91,8 @@ def loaded_after_run(argv):
     ],
 )
 def test_cli_loads_only_the_subcommands_layers(tmp_path, argv, layers, stdlib, absent):
-    files = {"cert": AVOIDING_AP3, "rule": DICTATOR_2X3, "sig": UNARY_SIG, "struct": SWAP_2}
+    files = {"cert": AVOIDING_AP3, "rule": DICTATOR_2X3, "sig": UNARY_SIG, "struct": SWAP_2,
+             "fit": FIT_SQUARE}
     paths = {}
     for name, obj in files.items():
         paths[name] = tmp_path / (name + ".json")
