@@ -381,25 +381,3 @@ def rule_from_ultrafilter(u, election):
                 place[b] += 1
     by_places = {p: o for o, p in enumerate(ranks.pos)}
     return AggregationRule(election, table=[by_places[tuple(p)] for p in places])
-
-
-def weighted_threshold_rule(weights, t, election):
-    """Two-candidate weighted voting: candidate 1 wins over 0 iff the total
-    weight preferring 1 exceeds t.  Returns the rule and its dictator (if
-    any), found by exhaustive profile scan."""
-    weights = list(weights)
-    if election.candidates != 2:
-        raise ValueError("weighted threshold rules need exactly 2 candidates")
-    if len(weights) != election.voters:
-        raise ValueError("one weight per voter")
-    if not 0 < t < sum(weights):
-        raise ValueError("threshold must satisfy 0 < t < Σ weights")
-
-    ranks = _rank_table(election)
-    # orders (0, 1) and (1, 0) are indices 0 and 1
-    rule = AggregationRule(
-        election, table=[0 if yes > t else 1 for yes in _supporters(ranks, 0, 1, weights)]
-    )
-    # zip(*profiles) yields each voter's column: a dictator's is the table
-    dictator = next((v for v, col in enumerate(zip(*ranks.profiles)) if col == rule.table), None)
-    return {"rule": rule, "dictator": dictator}

@@ -5,9 +5,6 @@ index lists at I/O boundaries.  Subset scan order, where it matters for
 deterministic witnesses, is lexicographic on the sorted index tuples.
 """
 
-from functools import lru_cache
-
-
 def mask_of(indices):
     """Pack an iterable of element indices into a bitmask."""
     m = 0
@@ -26,12 +23,3 @@ def indices_of(mask):
         mask >>= 1
         i += 1
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def subsets_lex(n):
-    """All subsets of {0..n-1} as masks, ordered lexicographically by their
-    sorted index tuples (the documented witness scan order)."""
-    masks = list(range(1 << n))
-    masks.sort(key=indices_of)
-    return tuple(masks)

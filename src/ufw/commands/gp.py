@@ -11,7 +11,11 @@ def _real_const(text):
     if text in NAMED:
         return NAMED[text]
     if text.startswith("sqrt"):
-        return RealConst.sqrt(int(text[4:].strip()))
+        try:
+            d = int(text[4:].strip())
+        except ValueError:
+            raise InputError("alpha %r: sqrt takes an integer, as in sqrt2" % text)
+        return RealConst.sqrt(d)
     return RealConst.rational(parse_fraction(text))
 
 

@@ -162,10 +162,6 @@ class BinomialPoly:
     def __repr__(self):
         return "BinomialPoly(%r)" % (list(self.coeffs),)
 
-    def is_integer_valued(self):
-        """Integer-valued on ℤ iff every basis coefficient is an integer."""
-        return all(c.denominator == 1 for c in self.coeffs)
-
     def to_json(self):
         return {"binomial": ["%d/%d" % (c.numerator, c.denominator) for c in self.coeffs]}
 
@@ -249,21 +245,6 @@ def _sym_delta_k_explicit(f, xs):
     return RationalPoly(out)
 
 
-def sym_delta_k_eval(func, points):
-    """Evaluate Δ̄^k f at (x₀..x_k) for a black-box f via the explicit
-    inclusion–exclusion formula (no symbolic result)."""
-    points = list(points)
-    k = len(points) - 1
-    if k < 1:
-        raise ValueError("need at least two evaluation points")
-    total = 0
-    for subset in range(1, 1 << (k + 1)):
-        sign = (-1) ** (k + 1 - bin(subset).count("1"))
-        s = sum(points[i] for i in range(k + 1) if subset & (1 << i))
-        total += sign * func(s)
-    return total
-
-
 def degree_leading(f, a):
     """(deg, lc) of Δ_a f; the degree law predicts (deg f − 1, deg f·a·lc f)."""
     if f.degree == NEG_INF:
@@ -298,22 +279,3 @@ def binomial_to_monomial(b):
     for n, c in enumerate(b.coeffs):
         total = total + binomial_basis_poly(n) * c
     return total
-
-
-def verify_product_rule(f, g, a):
-    """Δ_a(fg) = Δ_a f·Δ_a g + Δ_a f·g + f·Δ_a g, exactly."""
-    df, dg = delta(f, a), delta(g, a)
-    return delta(f * g, a) == df * dg + df * g + f * dg
-
-
-def nonsym_relation(f, points):
-    """Δ̄^k f(x₀..x_k) − (−1)^k f(0) = (Δ_{x₀}…Δ_{x_k} f)(0), exactly."""
-    points = [Fraction(x) for x in points]
-    k = len(points) - 1
-    if k < 1:
-        raise ValueError("need at least two points")
-    lhs = sym_delta_k(f, points[1:], "recursive")(points[0]) - (-1) ** k * f(Fraction(0))
-    g = f
-    for a in points:
-        g = delta(g, a)
-    return lhs == g(Fraction(0))

@@ -32,15 +32,7 @@ class NotFIP(WitnessError):
     """
 
 
-class NotAFilter(WitnessError):
-    pass
-
-
 class NotUltrafilter(WitnessError):
-    pass
-
-
-class NotMeasure(WitnessError):
     pass
 
 
@@ -87,10 +79,6 @@ class BudgetExhausted(UfwError):
 
 class Underdetermined(UfwError):
     """Too few generators for the requested fitting degree."""
-
-
-class Inconclusive(UfwError):
-    """A sampled diagnostic failed to stabilize within its cap."""
 
 
 class ParseError(UfwError):

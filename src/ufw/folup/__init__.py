@@ -9,8 +9,7 @@ _EXPORTS = {
     "semantics": ("Structure", "eval_formula", "normalize"),
     "sweep": ("exhaustive_transfer_sweep",),
     "syntax": (
-        "Signature", "formula_vars", "free_vars", "generate_formulas", "parse_formula",
-        "print_formula", "print_term",
+        "Signature", "free_vars", "parse_formula", "print_formula", "print_term",
     ),
     "products": ("UltraproductSpec", "los_check", "ultraproduct"),
 }

@@ -82,26 +82,6 @@ def build_corpus(max_nodes=4):
     return nodes
 
 
-def corpus_formula(nodes, idx):
-    """Convert a corpus node to a syntax-module formula tree."""
-    terms = [
-        ("var", "x"),
-        ("var", "y"),
-        ("app", "f", (("var", "x"), ("var", "x"))),
-        ("app", "f", (("var", "x"), ("var", "y"))),
-        ("app", "f", (("var", "y"), ("var", "x"))),
-        ("app", "f", (("var", "y"), ("var", "y"))),
-    ]
-    node = nodes[idx]
-    if node[0] == "atom":
-        return ("atom", "=", (terms[node[1]], terms[node[2]]))
-    if node[0] == "not":
-        return ("not", corpus_formula(nodes, node[1]))
-    if node[0] == "ex":
-        return ("exists", "xy"[node[1]], corpus_formula(nodes, node[2]))
-    return ("and", corpus_formula(nodes, node[1]), corpus_formula(nodes, node[2]))
-
-
 def _product_table(tup, structs, prefixes):
     """Universe size and row-major u×u f-table of the direct product of the
     factors named by ``tup``, elements numbered in lex order of their

@@ -15,7 +15,6 @@ The printer emits a canonical form that re-parses to the same tree.
 """
 
 import re
-from itertools import product as iproduct
 
 from ..errors import ArityMismatch, ParseError
 from ..record import Record
@@ -193,16 +192,7 @@ def _term_vars(t, acc):
             _term_vars(a, acc)
 
 
-def formula_vars(phi):
-    """All variables (free or bound)."""
-    return _vars(phi, True)
-
-
 def free_vars(phi):
-    return _vars(phi, False)
-
-
-def _vars(phi, with_bound):
     tag = phi[0]
     if tag == "atom":
         acc = set()
@@ -210,63 +200,7 @@ def _vars(phi, with_bound):
             _term_vars(t, acc)
         return acc
     if tag == "not":
-        return _vars(phi[1], with_bound)
+        return free_vars(phi[1])
     if tag in _BINOP_TEXT:
-        return _vars(phi[1], with_bound) | _vars(phi[2], with_bound)
-    body = _vars(phi[2], with_bound)
-    return body | {phi[1]} if with_bound else body - {phi[1]}
-
-
-def generate_formulas(sig, depth, nvars):
-    """All formulas up to the given AST depth (atoms count 1; every
-    connective/quantifier adds 1) over the first ``nvars`` variable names,
-    deduplicated by printed form.  The atoms' terms are the variables, the
-    constants, and each function applied to those.  Deterministic order: by
-    depth, then by enumeration order within each depth."""
-    var_names = ("x", "y", "z", "w")[:nvars]
-    terms = [("var", v) for v in var_names] + [("const", c) for c in sig.constants]
-    terms += [
-        ("app", fname, args)
-        for fname, arity in sig.functions
-        for args in iproduct(terms, repeat=arity)
-    ]
-    atoms = [
-        ("atom", rname, args)
-        for rname, arity in sig.relations
-        for args in iproduct(terms, repeat=arity)
-    ]
-    if depth < 1:
-        return []
-    layers = [atoms]
-    for _ in range(depth - 1):
-        prev = layers[-1]
-        everything = [f for layer in layers for f in layer]
-        new = []
-        for f in prev:
-            new.append(("not", f))
-            for v in var_names:
-                new.append(("exists", v, f))
-                new.append(("forall", v, f))
-        for f in prev:
-            for g in everything:
-                new.append(("and", f, g))
-                new.append(("or", f, g))
-                new.append(("imp", f, g))
-                new.append(("iff", f, g))
-        for f in everything:
-            if f not in prev:
-                for g in prev:
-                    new.append(("and", f, g))
-                    new.append(("or", f, g))
-                    new.append(("imp", f, g))
-                    new.append(("iff", f, g))
-        layers.append(new)
-    seen = set()
-    out = []
-    for layer in layers:
-        for f in layer:
-            text = print_formula(f)
-            if text not in seen:
-                seen.add(text)
-                out.append(f)
-    return out
+        return free_vars(phi[1]) | free_vars(phi[2])
+    return free_vars(phi[2]) - {phi[1]}

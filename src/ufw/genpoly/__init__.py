@@ -7,10 +7,10 @@ first access."""
 from .. import lazy_getattr
 
 _EXPORTS = {
-    "analysis": ("empirical_sym_degree", "return_times", "weyl_sum"),
-    "dfao": ("Dfao", "dfao_eval", "digit_sum_dfao", "identity_dfao", "validate_bijective"),
-    "digits": ("DigitSystem", "base_change", "digit_map", "zeckendorf_indices"),
-    "expr": ("GPExpr", "eval_exact", "eval_interval", "parse_gpexpr"),
+    "analysis": ("return_times", "weyl_sum"),
+    "dfao": ("Dfao", "dfao_eval"),
+    "digits": ("DigitSystem", "base_change", "digit_map"),
+    "expr": ("GPExpr", "eval_exact", "parse_gpexpr"),
     "fitting": ("fit_generating_function",),
     "reals": ("Interval", "RealConst"),
 }

@@ -1,11 +1,9 @@
 """Finite diagnostics for generalized polynomials: certified return-time
-sets, (explicitly non-certified) Weyl-sum magnitudes and the sampled
-symmetric degree."""
+sets and (explicitly non-certified) Weyl-sum magnitudes."""
 
-import random
 from fractions import Fraction
 
-from ..errors import Inconclusive, PrecisionExhausted
+from ..errors import PrecisionExhausted
 from .expr import DEFAULT_CAP_BITS, DEFAULT_START_BITS, eval_triple, precision_schedule
 
 
@@ -72,26 +70,3 @@ def weyl_sum(alphas, ks, N):
     n = np.arange(1, N + 1, dtype=np.float64)
     s = np.exp(2j * np.pi * theta_f * n).sum() / N
     return float(abs(s))
-
-
-def empirical_sym_degree(f, window, trials, seed, cap=8):
-    """Smallest k such that Δ̄^k f is constant on all sampled tuples, with
-    that constant; each tuple's k+1 points are drawn uniformly from
-    [1..window].  A finite-shadow diagnostic: for true polynomials it
-    recovers deg f with constant (−1)^{deg f} f(0).
-    """
-    if window < 1 or trials < 1:
-        raise ValueError("window and trials must be positive")
-    from ..discalc import sym_delta_k_eval  # the one discalc use in genpoly
-
-    rng = random.Random(seed)
-    for k in range(1, cap + 1):
-        values = set()
-        for _ in range(trials):
-            points = [rng.randint(1, window) for _ in range(k + 1)]
-            values.add(sym_delta_k_eval(f, points))
-            if len(values) > 1:
-                break
-        if len(values) == 1:
-            return k, values.pop()
-    raise Inconclusive("no k ≤ %d gave a constant k-fold difference" % cap)

@@ -77,22 +77,3 @@ def dfao_eval(m, n):
         state = m.tau[state][d]
         power *= m.out_base
     return total
-
-
-def validate_bijective(m):
-    """True iff τ(·, d) is a bijection on states for every digit d."""
-    for d in range(m.in_base):
-        image = {m.tau[q][d] for q in range(m.states)}
-        if len(image) != m.states:
-            return False
-    return True
-
-
-def identity_dfao(a):
-    """One-state automaton computing f(n) = n (λ = digit, b = a)."""
-    return Dfao(1, 0, [[0] * a], [list(range(a))], a, a)
-
-
-def digit_sum_dfao(a):
-    """One-state automaton computing the digit sum (λ = digit, b = 1)."""
-    return Dfao(1, 0, [[0] * a], [list(range(a))], a, 1)

@@ -144,8 +144,3 @@ def base_change(n, a, b):
     """Reinterpret the base-a digits of n as a base-b expansion."""
     digits = digit_map(n, DigitSystem.base(a))["digits"]
     return sum(d * b**i for i, d in enumerate(digits))
-
-
-def zeckendorf_indices(n):
-    """Indices of the 1-digits of the Zeckendorf expansion of n ≥ 0."""
-    return [i for i, d in enumerate(_zeckendorf_digits(n)) if d]

@@ -16,8 +16,8 @@ from math import lcm
 
 from ..errors import ParseError, PrecisionExhausted
 from ..record import Record
-from ..tokens import MAX_NESTING, Cursor  # noqa: F401 (MAX_NESTING: re-exported)
-from .reals import NAMED, Interval, RealConst
+from ..tokens import Cursor
+from .reals import NAMED, RealConst
 
 DEFAULT_START_BITS = 64
 DEFAULT_CAP_BITS = 1024
@@ -181,13 +181,6 @@ def eval_triple(expr, n, bits):
         else:
             raise ValueError("unknown GPExpr kind %r" % kind)
     return stack[0]
-
-
-def eval_interval(expr, n, bits):
-    """One bottom-up interval pass at the given precision, as an Interval;
-    raises PrecisionExhausted as eval_triple does."""
-    lo, hi, d = eval_triple(expr, n, bits)
-    return Interval(Fraction(lo, d), Fraction(hi, d))
 
 
 @lru_cache(maxsize=None)

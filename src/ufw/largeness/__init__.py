@@ -9,9 +9,8 @@ _EXPORTS = {
         "APWitness", "EdgeColoring", "FSWitness", "IntervalColoring", "LineWitness",
         "SearchBudget", "ThresholdResult", "WordColoring", "coloring_from_index", "edge_list",
         "find_mono_ap", "find_mono_clique", "find_mono_fs", "find_mono_line",
-        "finite_combinations", "first_uncovered_coloring", "fs_multiple_window",
-        "ipstar_probe", "partition_harness", "pattern_configs", "threshold_number",
-        "universal_check",
+        "first_uncovered_coloring", "fs_multiple_window", "ipstar_probe", "pattern_configs",
+        "threshold_number", "universal_check",
     ),
 }
 

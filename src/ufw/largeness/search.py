@@ -138,33 +138,6 @@ def _node_meter(budget):
     return tick
 
 
-def finite_combinations(xs, mode="sums"):
-    """All combinations of non-empty index subsets of ``xs``: sums,
-    products, or unions (elements must then be sets), deduplicated.
-    Returns a sorted list (unions sorted as sorted tuples of frozensets'
-    elements — a list of frozensets sorted by (size, sorted elements))."""
-    xs = list(xs)
-    if not xs:
-        raise ValueError("xs must be non-empty")
-    if mode == "sums":
-        acc = set()
-        for x in xs:
-            acc |= {s + x for s in acc} | {x}
-        return sorted(acc)
-    if mode == "products":
-        acc = set()
-        for x in xs:
-            acc |= {s * x for s in acc} | {x}
-        return sorted(acc)
-    if mode == "unions":
-        sets = [frozenset(x) for x in xs]
-        acc = set()
-        for x in sets:
-            acc |= {s | x for s in acc} | {x}
-        return sorted(acc, key=lambda s: (len(s), sorted(s)))
-    raise ValueError("mode must be sums, products, or unions")
-
-
 def _fs_tuples(n, k, gap, bounded, tick, keep):
     """Yield (generators, sums) for each tuple of k generators in [1..n],
     in lex order, each generator at least ``gap`` above the one before;
@@ -449,28 +422,7 @@ def _check_pattern(pattern):
         raise ValueError("a clique of size %d has no %d-edges to color" % (m, k))
 
 
-# --- partition regularity harness and IP* probe ---------------------------
-
-
-def partition_harness(base, parts, predicate):
-    """Evaluate ``predicate`` on each part of a partition of ``base``.
-
-    Reports whether some part satisfies it (the experimental shadow of
-    partition regularity) and the first part that does.
-    """
-    base = set(base)
-    parts = [set(p) for p in parts]
-    union = set()
-    for p in parts:
-        if union & p:
-            raise ValueError("parts overlap")
-        union |= p
-    if union != base:
-        raise ValueError("parts do not cover the base")
-    for i, p in enumerate(parts):
-        if predicate(p):
-            return {"regular_here": True, "surviving_part": i}
-    return {"regular_here": False, "surviving_part": None}
+# --- IP* probe -----------------------------------------------------------
 
 
 def ipstar_probe(a, n, k, scope="sums", budget=None):

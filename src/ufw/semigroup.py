@@ -8,13 +8,7 @@ Elements are 0-based indices; the pair (a, b) in a direct product of orders
 
 from functools import cached_property
 
-from .bitsets import indices_of, mask_of
-from .errors import (
-    NotAssociative,
-    NotCommutative,
-    NotIdempotent,
-    NotUltrafilter,
-)
+from .errors import NotAssociative, NotCommutative, NotIdempotent, NotUltrafilter
 from .record import Record
 from .setfam import SetFamily, classify_family
 
@@ -143,34 +137,6 @@ def is_minimal_element(table, x):
     return True
 
 
-def _closed_subsets(table, required):
-    """The non-empty subsets, as sorted tuples in mask order, that contain
-    every element of the mask required(members) (exhaustive over subsets;
-    intended for small n)."""
-    _require_assoc(table)
-    out = []
-    for mask in range(1, 1 << table.n):
-        members = indices_of(mask)
-        if not required(members) & ~mask:
-            out.append(members)
-    return out
-
-
-def two_sided_ideals(table):
-    """All two-sided ideals: the subsets I with S·I ∪ I·S ⊆ I."""
-    mul = table.mul
-    around = [{row[i] for row in mul}.union(mul[i]) for i in range(table.n)]  # S·i ∪ i·S
-    return _closed_subsets(table, lambda members: mask_of(p for i in members for p in around[i]))
-
-
-def subsemigroups(table):
-    """All non-empty subsets closed under multiplication, as sorted tuples."""
-    mul = table.mul
-    return _closed_subsets(
-        table, lambda members: mask_of(mul[a][b] for a in members for b in members)
-    )
-
-
 def idempotent_leq(table, p, q):
     """The order on idempotents: p ≤ q iff p·q = q·p = p."""
     _require_assoc(table)
@@ -228,13 +194,6 @@ def commutative_kernel_group(table):
             raise AssertionError("kernel is not a group")
         inverse[k] = inv[0]
     return {"identity": e, "inverse": inverse}
-
-
-def subtable(table, members):
-    """Restrict the table to a subsemigroup, reindexed 0..len-1."""
-    pos = {x: i for i, x in enumerate(members)}
-    mul = [[pos[table.mul[a][b]] for b in members] for a in members]
-    return CayleyTable(mul)
 
 
 def ultrafilter_product(table, u, v):

@@ -1,20 +1,13 @@
-"""Families of subsets of a finite ground set: filters, ultrafilters, the
-star operation, 0/1-valued measures, and limits along a filter.
+"""Families of subsets of a finite ground set: filters, ultrafilters and
+the star operation.
 
 Subsets are sorted index lists at the API boundary and bitmasks internally.
 Families are canonicalized sorted-by-mask.  Witnesses always refer to the
 lexicographically least violating instance under the documented scan order.
 """
 
-from .bitsets import indices_of, mask_of, subsets_lex
-from .errors import (
-    CapExceeded,
-    IndexOutOfRange,
-    NotAFilter,
-    NotFIP,
-    NotMeasure,
-    NotUltrafilter,
-)
+from .bitsets import indices_of, mask_of
+from .errors import CapExceeded, IndexOutOfRange, NotFIP
 from .record import Record
 
 #: largest ground size for which operations materialize the full powerset
@@ -152,18 +145,6 @@ def _supersets(a, full):
 def _lex_first(masks):
     """The mask whose sorted index tuple is lexicographically least."""
     return min(masks, key=indices_of)
-
-
-def fip_check(f):
-    """Finite intersection property.
-
-    Returns ``(True, None)`` or ``(False, witness)`` where the witness is the
-    smallest (then lexicographically least) sub-family with empty
-    intersection.
-    """
-    if _meet(f):
-        return True, None
-    return False, _fip_witness(f)
 
 
 def _fip_witness(f):
@@ -385,93 +366,3 @@ def star(f):
         raise CapExceeded("star materializes the powerset; ground ≤ %d" % POWERSET_CAP)
     digits = _digits(_up_closure(_family_bits(f.masks), n), n)
     return SetFamily.from_masks(f.ground, [b for b, d in enumerate(digits) if d == "0"])
-
-
-class Measure01(Record):
-    """A {0,1}-valued finitely additive measure, stored by its 1-class."""
-
-    _fields = ("ground", "one_masks")
-
-    def __init__(self, ground, one_masks):
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "one_masks", one_masks)
-
-    def value(self, subset):
-        return 1 if mask_of(subset) in self.one_masks else 0
-
-
-def to_measure(u):
-    """Ultrafilter → point-mass-style measure (indicator of membership)."""
-    verdict = classify_family(u)
-    if verdict.kind != "ultrafilter":
-        raise NotUltrafilter("family is %s, not an ultrafilter" % verdict.kind, verdict.witness)
-    return Measure01(u.ground, frozenset(u.masks))
-
-
-def from_measure(m):
-    """Measure → ultrafilter, validating the measure axioms first.
-
-    Witness order: value(∅)=0, value(X)=1, then additivity over
-    lexicographic disjoint pairs.
-    """
-    full = m.ground.full_mask
-    if 0 in m.one_masks:
-        raise NotMeasure("value(∅) must be 0", ((),))
-    if full not in m.one_masks:
-        raise NotMeasure("value(X) must be 1", (indices_of(full),))
-    fam = SetFamily.from_masks(m.ground, m.one_masks)
-    # With value(∅) = 0 and value(X) = 1, a 0/1 measure is additive iff its
-    # 1-class is an ultrafilter: the pair scan only looks for the witness.
-    if classify_family(fam).kind == "ultrafilter":
-        return fam
-    subs = subsets_lex(m.ground.size)
-    for a in subs:
-        for b in subs:
-            if a & b:
-                continue
-            va = 1 if a in m.one_masks else 0
-            vb = 1 if b in m.one_masks else 0
-            vu = 1 if (a | b) in m.one_masks else 0
-            if va + vb != vu:
-                raise NotMeasure(
-                    "not additive on disjoint pair", (indices_of(a), indices_of(b))
-                )
-    raise AssertionError("unreachable: the 1-class of an additive measure is an ultrafilter")
-
-
-def generalized_limit(f, fam):
-    """The limit of ``f`` (a length-n sequence of values) along a filter.
-
-    Returns the unique z with f⁻¹({z}) ∈ fam, or None when no such value
-    exists (possible for non-ultra filters).
-    """
-    verdict = classify_family(fam)
-    if verdict.kind not in ("filter", "ultrafilter"):
-        raise NotAFilter("family is %s" % verdict.kind, verdict.witness)
-    values = list(f)
-    if len(values) != fam.ground.size:
-        raise ValueError("f must assign a value to every ground element")
-    for z in sorted(set(values), key=repr):
-        pre = mask_of(i for i, v in enumerate(values) if v == z)
-        if fam.has_mask(pre):
-            return z
-    return None
-
-
-def quotient_set(mul, x, A, side="left"):
-    """Quotient set of A by x in a finite semigroup given by its table.
-
-    left:  x⁻¹A = {y : x·y ∈ A};  right:  A·x⁻¹ = {y : y·x ∈ A}.
-    """
-    table = getattr(mul, "mul", mul)
-    n = len(table)
-    if not 0 <= x < n:
-        raise IndexOutOfRange("element %d outside table of order %d" % (x, n))
-    a_mask = mask_of(A)
-    if a_mask >> n:
-        raise IndexOutOfRange("subset %r outside table of order %d" % (A, n))
-    if side == "left":
-        return tuple(y for y in range(n) if a_mask & (1 << table[x][y]))
-    if side == "right":
-        return tuple(y for y in range(n) if a_mask & (1 << table[y][x]))
-    raise ValueError("side must be 'left' or 'right'")

@@ -23,7 +23,6 @@ from ufw.arrow import (
     pairwise_majority_rule,
     rule_from_ultrafilter,
     verify_arrow,
-    weighted_threshold_rule,
 )
 from ufw.errors import CapExceeded, NotStrictOrder
 from ufw.largeness.checkers import check_dictator
@@ -196,14 +195,6 @@ def test_rule_from_ultrafilter_roundtrip_four_voters():
         assert fam == u
         report = verify_arrow(rule)
         assert report["dictator"] == min(u.members, key=len)[0]
-
-
-def test_weighted_threshold_rule_is_disguised_dictatorship():
-    el = Election(3, 2)
-    out = weighted_threshold_rule([5, 1, 1], 4, el)
-    assert out["dictator"] == 0
-    # voter 0 alone outweighs the threshold, so the rule is the dictator rule
-    assert out["rule"].table == dictator_rule(el, 0).table
 
 
 def test_dictator_certificate_checker_full_scan():
@@ -387,14 +378,6 @@ def _by_ultrafilter(u):
     return social
 
 
-def _by_weights(weights, t):
-    def social(orders):
-        yes = sum(w for w, o in zip(weights, orders) if _prec(o, 0, 1))
-        return (0, 1) if yes > t else (1, 0)
-
-    return social
-
-
 @pytest.mark.parametrize("el", SMALL_ELECTIONS, ids=lambda el: "%dx%d" % (el.voters, el.candidates))
 def test_builders_agree_with_decoding_oracles(el):
     for voter in range(el.voters):
@@ -409,13 +392,3 @@ def test_builders_agree_with_decoding_oracles(el):
         assert err.value.profile_index == socials.index(None)
     else:
         assert pairwise_majority_rule(el).table == _table(el, _majority)
-    if el.candidates == 2:
-        # equal weights, and powers of two under which the last voter
-        # outweighs all the others
-        n = el.voters
-        for weights, t in (([1] * n, n / 2), ([2**v for v in range(n)], 2 ** (n - 1) - 0.5)):
-            out = weighted_threshold_rule(weights, t, el)
-            assert out["rule"].table == _table(el, _by_weights(weights, t))
-            columns = [_table(el, lambda orders: orders[v]) for v in range(n)]
-            dictators = [v for v in range(n) if columns[v] == out["rule"].table]
-            assert out["dictator"] == (dictators[0] if dictators else None)

@@ -243,6 +243,14 @@ def test_deeply_nested_json_is_input_error(capsys, tmp_path, argv):
     assert report["result"] == {"error": "JSON in %s nests too deeply" % path}
 
 
+@pytest.mark.parametrize("alpha", ["sqrt", "sqrt 2.5"])
+def test_gp_weyl_sqrt_of_no_integer_names_the_alpha(capsys, alpha):
+    # int() of the text after sqrt leaked "invalid literal for int()"
+    code, report = invoke(capsys, ["gp", "weyl", "--alphas", alpha, "--ks", "1", "-n", "5"])
+    assert code == 3
+    assert report["result"] == {"error": "alpha %r: sqrt takes an integer, as in sqrt2" % alpha}
+
+
 def test_gp_eval_serializes_fractions(capsys):
     code, report = invoke(capsys, ["gp", "eval", "--expr", "n * 3/2", "-n", "3"])
     assert code == 0
@@ -521,8 +529,9 @@ def test_golden_digests(capsys, tmp_path, case):
     # an order-6 table, and the calc, setfam and arrow input errors after
     # them, were recorded before the product read preimage masks.  The gp
     # returns and eval cases after those were recorded before certified
-    # evaluation ran each expression's compiled program on int triples, and
-    # the last case, a negative square root, after its error text was fixed.
+    # evaluation ran each expression's compiled program on int triples, the
+    # negative square root after them once its error text was fixed, and
+    # the last two, a square root of no integer, once theirs was.
     # An argv entry naming one of the case's inline files stands for that
     # file's path.
     paths = {name: write_json(tmp_path, name, body) for name, body in case.get("files", {}).items()}

@@ -18,11 +18,8 @@ from ufw.discalc import (
     binomial_to_monomial,
     degree_leading,
     delta,
-    nonsym_relation,
     sym_delta,
     sym_delta_k,
-    sym_delta_k_eval,
-    verify_product_rule,
 )
 
 rationals = st.fractions(
@@ -92,16 +89,6 @@ def test_explicit_equals_recursive_200_random():
         assert sym_delta_k(f, xs, "recursive") == sym_delta_k(f, xs, "explicit")
 
 
-def test_sym_delta_k_eval_matches_symbolic():
-    rng = random.Random(9)
-    for _ in range(50):
-        f = random_poly(rng, max_deg=5)
-        k = rng.randrange(1, 5)
-        pts = [Fraction(rng.randrange(-5, 6)) for _ in range(k + 1)]
-        symbolic = sym_delta_k(f, pts[1:], "recursive")(pts[0])
-        assert sym_delta_k_eval(lambda x: f(Fraction(x)), pts) == symbolic
-
-
 def test_full_order_sym_delta_is_signed_constant():
     # Δ̄^{deg f} f ≡ (−1)^{deg f} f(0)
     rng = random.Random(3)
@@ -137,7 +124,9 @@ def test_product_rule_random():
         f = random_poly(rng, max_deg=4)
         g = random_poly(rng, max_deg=4)
         a = Fraction(rng.randrange(1, 6))
-        assert verify_product_rule(f, g, a)
+        # Δ_a(fg) = Δ_a f·Δ_a g + Δ_a f·g + f·Δ_a g
+        df, dg = delta(f, a), delta(g, a)
+        assert delta(f * g, a) == df * dg + df * g + f * dg
 
 
 def test_nonsym_relation_random():
@@ -146,7 +135,12 @@ def test_nonsym_relation_random():
         f = random_poly(rng, max_deg=5)
         k = rng.randrange(1, 5)
         pts = [Fraction(rng.randrange(-4, 5)) for _ in range(k + 1)]
-        assert nonsym_relation(f, pts)
+        # Δ̄^k f(x₀..x_k) − (−1)^k f(0) = (Δ_{x₀}…Δ_{x_k} f)(0)
+        lhs = sym_delta_k(f, pts[1:], "recursive")(pts[0]) - (-1) ** k * f(Fraction(0))
+        g = f
+        for a in pts:
+            g = delta(g, a)
+        assert lhs == g(Fraction(0))
 
 
 # --- binomial basis --------------------------------------------------------
@@ -177,8 +171,8 @@ def test_integer_valued_iff_integer_binomial_coeffs():
     # x^2/2 + x/2 is integer-valued; x^2/2 is not
     good = RationalPoly([0, Fraction(1, 2), Fraction(1, 2)])
     bad = RationalPoly([0, 0, Fraction(1, 2)])
-    assert basis_convert(good).is_integer_valued()
-    assert not basis_convert(bad).is_integer_valued()
+    assert all(c.denominator == 1 for c in basis_convert(good).coeffs)
+    assert any(c.denominator != 1 for c in basis_convert(bad).coeffs)
     # cross-check by direct evaluation
     assert all((good(Fraction(x))).denominator == 1 for x in range(-10, 10))
     assert any((bad(Fraction(x))).denominator != 1 for x in range(-10, 10))

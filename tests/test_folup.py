@@ -17,9 +17,7 @@ from ufw.folup import (
     UltraproductSpec,
     eval_formula,
     exhaustive_transfer_sweep,
-    formula_vars,
     free_vars,
-    generate_formulas,
     los_check,
     normalize,
     parse_formula,
@@ -28,7 +26,7 @@ from ufw.folup import (
 )
 from ufw.folup.semantics import equality_axiom_witness, eval_term
 from ufw.folup import sweep
-from ufw.folup.sweep import build_corpus, corpus_formula, factor_structures
+from ufw.folup.sweep import build_corpus, factor_structures
 from ufw.setfam import GroundSet, SetFamily, principal_ultrafilter
 from ufw.tokens import MAX_NESTING
 
@@ -144,15 +142,6 @@ def test_formulas_at_the_nesting_limit_parse():
 def test_variable_sets():
     phi = parse_formula("E x. f(x, y) = c", SIG)
     assert free_vars(phi) == {"y"}
-    assert formula_vars(phi) == {"x", "y"}
-
-
-def test_generate_formulas_deduplicates():
-    sig = Signature()
-    out = generate_formulas(sig, 2, 1)
-    texts = [print_formula(f) for f in out]
-    assert len(texts) == len(set(texts))
-    assert "x = x" in texts and "!(x = x)" in texts
 
 
 # --- evaluation ------------------------------------------------------------
@@ -464,6 +453,27 @@ def test_sweep_reports_a_corrupted_product(monkeypatch):
     violations = exhaustive_transfer_sweep(max_x=2, max_nodes=3)["violations"]
     assert violations
     assert {v["factors"] for v in violations} == {(5, 9)}
+
+
+def corpus_formula(nodes, idx):
+    """A sweep corpus node as a syntax-module formula tree, for the slow
+    evaluator."""
+    terms = [
+        ("var", "x"),
+        ("var", "y"),
+        ("app", "f", (("var", "x"), ("var", "x"))),
+        ("app", "f", (("var", "x"), ("var", "y"))),
+        ("app", "f", (("var", "y"), ("var", "x"))),
+        ("app", "f", (("var", "y"), ("var", "y"))),
+    ]
+    node = nodes[idx]
+    if node[0] == "atom":
+        return ("atom", "=", (terms[node[1]], terms[node[2]]))
+    if node[0] == "not":
+        return ("not", corpus_formula(nodes, node[1]))
+    if node[0] == "ex":
+        return ("exists", "xy"[node[1]], corpus_formula(nodes, node[2]))
+    return ("and", corpus_formula(nodes, node[1]), corpus_formula(nodes, node[2]))
 
 
 def test_sweep_truth_tables_match_slow_evaluator():

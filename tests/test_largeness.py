@@ -23,44 +23,14 @@ from ufw.largeness import (
     find_mono_clique,
     find_mono_fs,
     find_mono_line,
-    finite_combinations,
     first_uncovered_coloring,
     fs_multiple_window,
     ipstar_probe,
-    partition_harness,
     pattern_configs,
     threshold_number,
     universal_check,
 )
 from ufw.largeness import checkers
-
-
-# --- finite combinations ---------------------------------------------------
-
-
-def test_fc_sums_oracle():
-    assert finite_combinations((10, 100)) == [10, 100, 110]
-
-
-def test_fc_sums_powers_of_ten_have_binary_digits():
-    for value in finite_combinations((10, 100, 1000, 10000)):
-        assert set(str(value)) <= {"0", "1"}
-
-
-def test_fc_unions_oracle():
-    out = finite_combinations([{0}, {1}], "unions")
-    assert out == [frozenset({0}), frozenset({1}), frozenset({0, 1})]
-
-
-def test_fc_products():
-    assert finite_combinations((2, 3), "products") == [2, 3, 6]
-
-
-@given(st.integers(1, 8))
-@settings(max_examples=20, deadline=None)
-def test_fc_powers_of_two_distinct(k):
-    xs = [2**i for i in range(k)]
-    assert len(finite_combinations(xs)) == 2**k - 1
 
 
 # --- finite-sums search ----------------------------------------------------
@@ -592,29 +562,7 @@ def test_empty_config_list():
     assert first_uncovered_coloring(3, 3, [(), (0, 1)]) == -1
 
 
-# --- harness, probes, pigeonhole -------------------------------------------
-
-
-def test_partition_harness_even_part_has_ap():
-    def has_ap3(part):
-        colors = tuple(0 if i in part else 1 for i in range(1, 10))
-        w = find_mono_ap(IntervalColoring(9, colors), 3)
-        return w is not None and w.color == 0
-
-    out = partition_harness(
-        range(1, 10), [set(range(1, 10, 2)), set(range(2, 10, 2))], has_ap3
-    )
-    assert out["regular_here"]
-
-
-def test_partition_harness_single_part():
-    out = partition_harness({1, 2}, [{1, 2}], lambda p: 1 in p)
-    assert out == {"regular_here": True, "surviving_part": 0}
-
-
-def test_partition_harness_rejects_bad_partition():
-    with pytest.raises(ValueError):
-        partition_harness({1, 2}, [{1}, {1, 2}], bool)
+# --- probes, pigeonhole ----------------------------------------------------
 
 
 def test_ipstar_multiples_of_three():

@@ -25,9 +25,6 @@ from ufw.semigroup import (
     mult_mod_table,
     principal_left_ideal,
     right_zero_table,
-    subsemigroups,
-    subtable,
-    two_sided_ideals,
     ultrafilter_product,
 )
 from ufw.setfam import GroundSet, SetFamily, classify_family, principal_ultrafilter
@@ -35,6 +32,18 @@ from ufw.setfam import GroundSet, SetFamily, classify_family, principal_ultrafil
 
 def all_assoc(n):
     return list(enumerate_associative_tables(n))
+
+
+def two_sided_ideals(table):
+    """Brute-force oracle: every non-empty I with S·I ∪ I·S ⊆ I, as sorted
+    tuples in mask order."""
+    n, mul = table.n, table.mul
+    out = []
+    for mask in range(1, 1 << n):
+        members = [i for i in range(n) if mask >> i & 1]
+        if all(mask >> mul[s][i] & 1 and mask >> mul[i][s] & 1 for i in members for s in range(n)):
+            out.append(tuple(members))
+    return out
 
 
 # --- construction and validation -------------------------------------------
@@ -260,20 +269,6 @@ def test_commutative_kernels_are_groups_exhaustive_order3():
         for k in ker:
             assert t.mul[k][info["inverse"][k]] == e
             assert t.mul[e][k] == k
-
-
-# --- subsemigroups ---------------------------------------------------------
-
-
-def test_subsemigroups_of_cyclic4():
-    subs = subsemigroups(cyclic_table(4))
-    assert (0,) in subs and (0, 2) in subs and (0, 1, 2, 3) in subs
-    assert (1, 3) not in subs  # 1+3=0 missing
-
-
-def test_subtable_reindexes():
-    sub = subtable(cyclic_table(4), (0, 2))
-    assert sub.mul == ((0, 1), (1, 0))  # isomorphic to ℤ/2
 
 
 # --- ultrafilter product ---------------------------------------------------

@@ -12,22 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ufw.cli import run
-from ufw.errors import CapExceeded, IndexOutOfRange, NotFIP, NotMeasure, NotUltrafilter
+from ufw.errors import CapExceeded, IndexOutOfRange, NotFIP
+from ufw.semigroup import CayleyTable
 from ufw.setfam import (
     FamilyVerdict,
     GroundSet,
-    Measure01,
     SetFamily,
     classify_family,
     enumerate_ultrafilters,
     filter_closure,
-    fip_check,
-    from_measure,
-    generalized_limit,
     principal_ultrafilter,
-    quotient_set,
     star,
-    to_measure,
 )
 
 G3 = GroundSet(3)
@@ -81,7 +76,17 @@ def test_json_roundtrip():
     assert SetFamily.from_json(fam.to_json()) == fam
 
 
-# --- fip_check -------------------------------------------------------------
+# --- finite intersection property ------------------------------------------
+
+
+def fip_check(f):
+    """``(True, None)``, or ``(False, witness)`` with classify_family's
+    not-fip witness: the smallest, then lexicographically least, sub-family
+    with empty intersection."""
+    verdict = classify_family(f)
+    if verdict.kind == "not-fip":
+        return False, verdict.witness
+    return True, None
 
 
 def test_fip_oracle_positive():
@@ -244,56 +249,14 @@ def test_star_antitone_and_triple_idempotent():
     assert star(star(star(a))) == star(a)
 
 
-# --- measures --------------------------------------------------------------
-
-
-def test_measure_roundtrip_all_ultrafilters():
-    for n in range(1, 5):
-        for u in enumerate_ultrafilters(GroundSet(n)):
-            m = to_measure(u)
-            assert m.value([0]) in (0, 1)
-            assert from_measure(m) == u
-
-
-def test_to_measure_rejects_non_ultrafilter():
-    with pytest.raises(NotUltrafilter):
-        to_measure(SetFamily(G3, [[0, 1, 2]]))
-
-
-def test_from_measure_rejects_non_additive():
-    bad = Measure01(G3, frozenset({0b111, 0b001, 0b010}))  # two disjoint 1-sets
-    with pytest.raises(NotMeasure) as err:
-        from_measure(bad)
-    assert err.value.witness == ((0,), (1,))
-
-
-# --- limits and quotients --------------------------------------------------
-
-
-def test_limit_along_principal_is_evaluation():
-    for x in range(4):
-        u = principal_ultrafilter(G4, x)
-        seq = ["a", "b", "c", "d"]
-        assert generalized_limit(seq, u) == seq[x]
-
-
-def test_limit_unique_for_ultrafilter():
-    u = principal_ultrafilter(G3, 2)
-    assert generalized_limit([7, 7, 9], u) == 9
-
-
-def test_limit_may_not_exist_for_filter():
-    triv = SetFamily(G3, [[0, 1, 2]])
-    assert generalized_limit([1, 2, 3], triv) is None
-    assert generalized_limit([5, 5, 5], triv) == 5
+# --- quotients -------------------------------------------------------------
 
 
 def test_quotient_sets_mod_table():
     # multiplication mod 4: x=2, A={0}: left quotient {y : 2y ≡ 0}
-    mul = [[(a * b) % 4 for b in range(4)] for a in range(4)]
-    assert quotient_set(mul, 2, [0]) == (0, 2)
-    assert quotient_set(mul, 2, [0], side="right") == (0, 2)
-    assert quotient_set(mul, 3, [1], side="left") == (3,)
+    pre = CayleyTable([[(a * b) % 4 for b in range(4)] for a in range(4)]).preimage_masks
+    assert pre[2][0b0001] == 0b0101
+    assert pre[3][0b0010] == 0b1000
 
 
 # --- scan-order oracles ----------------------------------------------------
@@ -400,31 +363,6 @@ def test_star_matches_definition(case):
     n, masks = case
     expect = [b for b in range(1 << n) if all(a & b for a in masks)]
     assert list(star(SetFamily.from_masks(GroundSet(n), masks)).masks) == expect
-
-
-@given(families(4))
-@settings(max_examples=300, deadline=None)
-def test_from_measure_witness_matches_pair_scan(case):
-    n, ones = case
-    full = (1 << n) - 1
-    if 0 in ones:
-        expect = ((),)
-    elif full not in ones:
-        expect = (_indices(full),)
-    else:
-        subs = _lex_subsets(n)
-        expect = next(
-            ((_indices(a), _indices(b)) for a in subs for b in subs
-             if not a & b and (a in ones) + (b in ones) != ((a | b) in ones)),
-            None,
-        )
-    measure = Measure01(GroundSet(n), frozenset(ones))
-    if expect is None:
-        assert from_measure(measure).masks == tuple(sorted(ones))
-    else:
-        with pytest.raises(NotMeasure) as err:
-            from_measure(measure)
-        assert err.value.witness == expect
 
 
 # --- hang regressions ------------------------------------------------------

@@ -22,7 +22,7 @@ from ufw.largeness.search import (
     WordColoring,
 )
 from ufw.semigroup import CayleyTable
-from ufw.setfam import FamilyVerdict, GroundSet, Measure01, principal_ultrafilter
+from ufw.setfam import FamilyVerdict, GroundSet, principal_ultrafilter
 
 Z2 = ((0, 1), (1, 0))
 SIG = Signature(functions=(("f", 1),))
@@ -124,11 +124,6 @@ RECORDS = {
         lambda: FamilyVerdict("filter", ((0,),)),
         ("kind", "witness"),
         "FamilyVerdict(kind='filter', witness=((0,),))",
-    ),
-    "Measure01": (
-        lambda: Measure01(GroundSet(1), frozenset({1})),
-        ("ground", "one_masks"),
-        "Measure01(ground=GroundSet(size=1), one_masks=frozenset({1}))",
     ),
 }
 
