@@ -17,11 +17,17 @@ def run(args, digests):
         size = min(s.size for s in structs)
         for item in args.env.split(",") if args.env else []:
             name, _, value = item.partition("=")
-            value = int(value)
+            try:
+                value = int(value)
+            except ValueError:
+                raise InputError("--env item %r is not name=integer" % item.strip())
             # a negative value would index a table from its end
             if not 0 <= value < size:
                 raise IndexOutOfRange("%s is outside a universe of size %d" % (item.strip(), size))
             env[name.strip()] = value
+        unset = sorted(folup.free_vars(phi) - env.keys())
+        if unset:
+            raise InputError("free variable %r has no value in --env" % unset[0])
         values = [folup.eval_formula(s, phi, env) for s in structs]
         return {"formula": folup.print_formula(phi), "values": values}, EXIT_OK
     # only the ultraproduct actions read an ultrafilter

@@ -23,7 +23,11 @@ def _digit_system(text):
     if text == "fib":
         return genpoly.DigitSystem.fibonacci()
     if text.startswith("base:"):
-        return genpoly.DigitSystem.base(int(text.split(":", 1)[1]))
+        try:
+            base = int(text[5:])
+        except ValueError:
+            raise InputError("digit system %r: base takes an integer, as in base:10" % text)
+        return genpoly.DigitSystem.base(base)
     if text.startswith("custom:"):
         return genpoly.DigitSystem.custom(int_list(text.split(":", 1)[1]))
     raise InputError("unknown digit system %r (use fib, base:A, custom:d0,d1,…)" % text)

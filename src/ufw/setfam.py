@@ -151,73 +151,56 @@ def _fip_witness(f):
     """The smallest, then lexicographically least, sub-family with empty
     intersection, for a family whose meet is empty.
 
-    need(u), the fewest members whose intersection with u is empty, is
-    memoised over the intersections reachable from X.  With k = need(X), take
-    members in lexicographic order: at each step the first member after the
-    last one taken that leaves a remainder coverable by the members still to
-    be chosen.  No step needs to backtrack: were some completion to use an
-    earlier member, sorting the whole witness would show an earlier member
-    that also passes at some step before.
+    For k = ceil(|X| / cut(X)), k + 1, … walk the k-combinations of the
+    members, sorted by index tuple, in lexicographic order; the first whose
+    intersection is empty is the witness.  A node is u, the intersection so
+    far, with ``left`` members still to take from those after the last one
+    taken.  A member that leaves u whole is skipped, and a child c = u ∩ m
+    needs at least ceil(|c| / cut(u)) more members, cut(u) being the most
+    any member removes from u (and so from c ⊆ u).
+
+    ``short[u]`` is the most members proven too few to empty u, by any
+    members at all.  When the walk fails below u with ``left`` members to go,
+    suppose some set T of at most ``left`` members empties u.  The prefix P
+    taken so far and T make a combination of at most k members with empty
+    intersection, and fewer than k cannot do that, by the bound or an
+    earlier pass.  So T misses P and has exactly ``left`` members, and one
+    of them comes before the last member of P, or the walk below u would
+    have found P ∪ T.  Then P ∪ T, sorted, precedes every combination that
+    begins with P: the walk reached it first and would already have
+    returned it.  So the memo holds across nodes and passes.
     """
-    masks = f.masks
-    memo = {0: 0}
-    # u -> [children of u sorted by size, next child to try, best, cut]
-    frames = {}
+    lex = sorted(f.masks, key=indices_of)
 
-    def need(root):
-        # Branch and bound: every member removes at most ``cut`` elements of
-        # u or of any subset of it, so child c needs at least ceil(|c| / cut)
-        # more, and once that bound reaches the best count found so far no
-        # later (larger) child can improve on it.  An explicit stack, as
-        # chains of ever smaller intersections can be as long as the ground.
-        stack = [root]
+    def cut(u):
+        return u.bit_count() - min((u & m).bit_count() for m in lex)
+
+    short = {}
+    full = f.ground.full_mask
+    k = -(-full.bit_count() // cut(full))
+    while True:
+        # a frame is [u, left, just past the member last tried, cut(u)]; an
+        # explicit stack, as a witness can have as many members as the ground
+        stack = [[full, k, 0, cut(full)]]
         while stack:
-            u = stack[-1]
-            if u in memo:
-                stack.pop()
-                continue
-            frame = frames.get(u)
-            if frame is None:
-                children = {u & m for m in masks}
-                children.discard(u)
-                children = sorted(children, key=int.bit_count)
-                size = u.bit_count()
-                frame = frames[u] = [children, 0, size, size - children[0].bit_count()]
-            children, pos, best, cut = frame
-            while pos < len(children):
-                c = children[pos]
-                if 1 - (-c.bit_count() // cut) >= best:
-                    pos = len(children)
-                elif c in memo:
-                    best = min(best, 1 + memo[c])
-                    pos += 1
-                else:
+            frame = stack[-1]
+            u, left, pos, cut_u = frame
+            for i in range(pos, len(lex)):
+                c = u & lex[i]
+                if c == u:
+                    continue
+                frame[2] = i + 1
+                if not c:
+                    return tuple(indices_of(lex[fr[2] - 1]) for fr in stack)
+                if -(-c.bit_count() // cut_u) < left and short.get(c, 0) < left - 1:
+                    stack.append([c, left - 1, i + 1, cut(c)])
                     break
-            frame[1:3] = pos, best
-            if pos < len(children):
-                stack.append(children[pos])
             else:
-                memo[u] = best
-                del frames[u]
-        return memo[root]
-
-    lex = sorted(masks, key=indices_of)
-    u = f.ground.full_mask
-    witness = []
-    start = 0
-    for left in range(need(u) - 1, -1, -1):
-        # every member removes at most ``cut`` elements of u, and so of any
-        # candidate c ⊆ u: one that needs ceil(|c| / cut) > left members is
-        # passed over without asking need() for it
-        cut = u.bit_count() - min((u & m).bit_count() for m in masks)
-        for i in range(start, len(lex)):
-            c = u & lex[i]
-            if -(-c.bit_count() // cut) <= left and need(c) <= left:
-                break
-        witness.append(indices_of(lex[i]))
-        u &= lex[i]
-        start = i + 1
-    return tuple(witness)
+                # short[u] < left when u was pushed, and since then only
+                # proper subsets of u were recorded
+                short[u] = left
+                stack.pop()
+        k += 1
 
 
 def _filter_axiom_witness(f):

@@ -531,7 +531,12 @@ def test_golden_digests(capsys, tmp_path, case):
     # returns and eval cases after those were recorded before certified
     # evaluation ran each expression's compiled program on int triples, the
     # negative square root after them once its error text was fixed, and
-    # the last two, a square root of no integer, once theirs was.
+    # the two after it, a square root of no integer, once theirs was.  The
+    # setfam cases after those (singles and pairs at ground 40, sliding
+    # triples at 24, repeated and redundant members, a closure that exits 1)
+    # were recorded before the FIP witness became one lexicographic search,
+    # and the digit-system and --env errors that close the list once their
+    # error texts named the bad input.
     # An argv entry naming one of the case's inline files stands for that
     # file's path.
     paths = {name: write_json(tmp_path, name, body) for name, body in case.get("files", {}).items()}

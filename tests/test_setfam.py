@@ -415,9 +415,9 @@ def test_pair_cover_witness_matches_combinations_oracle(n):
 
 
 def _unbounded_pick_witness(n, masks):
-    """The FIP witness as ``_fip_witness`` found it before its greedy pick
-    skipped candidates by the ceil(|c| / cut) bound: the same need() with
-    branch and bound, and a pick that asks need() of every candidate."""
+    """The FIP witness by another road: need(u), the fewest members that
+    empty u, by branch and bound, then a greedy pick in lexicographic order
+    that asks need() of every candidate."""
     memo = {0: 0}
 
     def need(u):
@@ -492,6 +492,59 @@ def test_classify_pair_cover_at_ground_14_is_fast(capsys, tmp_path):
                         {"ground": 14, "members": members})
     assert code == 0
     assert result == {"kind": "not-fip", "witness": [list(w) for w in _pair_cover_witness(14)]}
+
+
+def _sliding_triples(n):
+    """X∖{i, i+1, i+2} for i = 0 … n−3: ceil(n/3) of them cover X, and
+    covers overlap where 3 does not divide n."""
+    full = (1 << n) - 1
+    return [full ^ (7 << i) for i in range(n - 2)]
+
+
+def _sliding_triples_witness(n):
+    # X∖{i, i+1, i+2} comes earlier the larger i is: the last triple, then
+    # the triples at 3j from the top down, so any overlap is between the
+    # first two
+    full = (1 << n) - 1
+    k = -(-n // 3)
+    return tuple(_indices(full ^ (7 << i)) for i in [n - 3, *range(3 * (k - 2), -1, -3)])
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_singles_and_pairs_witness_matches_combinations_oracle(n):
+    assert _fip_oracle(n, _singles_and_pairs(n)) == _pair_cover_witness(n)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_sliding_triples_witness_matches_combinations_oracle(n):
+    assert _fip_oracle(n, _sliding_triples(n)) == _sliding_triples_witness(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fip_witness_matches_combinations_oracle_exhaustive(n):
+    for fam in all_families(n):
+        witness = _fip_oracle(n, fam.masks)
+        assert fip_check(fam) == (witness is None, witness)
+
+
+def test_classify_singles_and_pairs_at_ground_600_is_fast(capsys, tmp_path):
+    # 900 members, a witness of the 300 pairs: 5.6–8.1 s when a greedy pick
+    # re-asked the fewest members that empty each candidate
+    members = [list(_indices(a)) for a in _singles_and_pairs(600)]
+    code, result = _cli(capsys, tmp_path, ["setfam", "classify"],
+                        {"ground": 600, "members": members})
+    assert code == 0
+    assert result == {"kind": "not-fip", "witness": [list(w) for w in _pair_cover_witness(600)]}
+
+
+def test_classify_sliding_triples_at_ground_40_is_fast(capsys, tmp_path):
+    # 38 members, a witness of 14: 12.7 s at ground 32 and more than 60 s at
+    # 40 for the same greedy pick
+    members = [list(_indices(a)) for a in _sliding_triples(40)]
+    code, result = _cli(capsys, tmp_path, ["setfam", "classify"],
+                        {"ground": 40, "members": members})
+    assert code == 0
+    assert result == {"kind": "not-fip", "witness": [list(w) for w in _sliding_triples_witness(40)]}
 
 
 def test_star_at_ground_16_is_fast(capsys, tmp_path):
