@@ -7,10 +7,14 @@ from . import EXIT_NEGATIVE, EXIT_OK, InputError, load_json
 
 def run(args, digests):
     if args.action == "from-uf":
+        if not args.uf:
+            raise InputError("from-uf needs --uf with an ultrafilter file")
         u = setfam.SetFamily.from_json(load_json(args.uf, digests))
         el = arrow.Election(args.voters, args.candidates)
         rule = arrow.rule_from_ultrafilter(u, el)
         return {"rule": rule.to_json()}, EXIT_OK
+    if not args.rule:
+        raise InputError("%s needs --rule with a rule file" % args.action)
     rule = arrow.AggregationRule.from_json(load_json(args.rule, digests))
     if args.action == "check":
         report = arrow.check_axioms(rule)

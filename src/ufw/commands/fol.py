@@ -33,6 +33,8 @@ def run(args, digests):
     # only the ultraproduct actions read an ultrafilter
     from .. import setfam
 
+    if not args.uf:
+        raise InputError("%s needs --uf with an ultrafilter file" % args.action)
     u = setfam.SetFamily.from_json(load_json(args.uf, digests))
     spec = folup.UltraproductSpec(tuple(structs), u)
     if args.action == "uprod":

@@ -33,6 +33,12 @@ def _digit_system(text):
     raise InputError("unknown digit system %r (use fib, base:A, custom:d0,d1,…)" % text)
 
 
+def _load_in(args, what, digests):
+    if not args.infile:
+        raise InputError("%s needs --in with %s file" % (args.action, what))
+    return load_json(args.infile, digests)
+
+
 def run(args, digests):
     if args.action == "eval":
         expr = genpoly.parse_gpexpr(args.expr)
@@ -42,7 +48,7 @@ def run(args, digests):
         system = _digit_system(args.system)
         return {"n": args.n, "map": genpoly.digit_map(args.n, system)}, EXIT_OK
     if args.action == "dfao":
-        m = genpoly.Dfao.from_json(load_json(args.infile, digests))
+        m = genpoly.Dfao.from_json(_load_in(args, "an automaton", digests))
         return {"n": args.n, "value": genpoly.dfao_eval(m, args.n)}, EXIT_OK
     if args.action == "returns":
         expr = genpoly.parse_gpexpr(args.expr)
@@ -53,7 +59,7 @@ def run(args, digests):
         ks = int_list(args.ks)
         return {"weyl": genpoly.weyl_sum(alphas, ks, args.n)}, EXIT_OK
     if args.action == "fit":
-        obj = load_json(args.infile, digests)
+        obj = _load_in(args, "a values", digests)
         values = {int(k): parse_fraction(str(v)) for k, v in obj["values"].items()}
         report = genpoly.fit_generating_function(
             lambda x: values[x], obj["generators"], obj["d"]

@@ -81,14 +81,25 @@ class Structure:
     def from_json(cls, sig, obj):
         if not isinstance(obj, dict):
             raise ValueError("a structure is a JSON object")
-        rels = {n: [tuple(t) for t in tups] for n, tups in dict(obj.get("relations", {})).items()}
-        return cls(
-            sig,
-            obj["universe"],
-            funcs=obj.get("functions", {}),
-            rels=rels,
-            consts=obj.get("constants", {}),
+        if "universe" not in obj:
+            raise ValueError("a structure needs a universe size")
+        funcs, rels, consts = (
+            _json_object(obj, key) for key in ("functions", "relations", "constants")
         )
+        for name, tups in rels.items():
+            if not isinstance(tups, list):
+                raise ValueError("relation %r is not a list of tuples" % name)
+            for tup in tups:
+                if not isinstance(tup, list) or not all(type(v) is int for v in tup):
+                    raise ValueError("relation %r contains invalid tuple %r" % (name, tup))
+        return cls(sig, obj["universe"], funcs=funcs, rels=rels, consts=consts)
+
+
+def _json_object(obj, key):
+    value = obj.get(key, {})
+    if not isinstance(value, dict):
+        raise ValueError("structure %s must be an object keyed by symbol name" % key)
+    return value
 
 
 def _is_element(v, size):
@@ -100,8 +111,7 @@ def _freeze_table(table, arity, size, name):
         if not _is_element(table, size):
             raise ValueError("function %r has entry %r outside the universe" % (name, table))
         return table
-    table = tuple(table)
-    if len(table) != size:
+    if not isinstance(table, (list, tuple)) or len(table) != size:
         raise ValueError("function table %r has wrong shape" % name)
     return tuple(_freeze_table(row, arity - 1, size, name) for row in table)
 
@@ -127,20 +137,28 @@ def equality_axiom_witness(s):
         for c in range(n):
             if (b, c) in eq and (a, c) not in eq:
                 return ("not-transitive", a, b, c)
-    for name, arity in s.sig.functions:
+    cls = [[] for _ in range(n)]
+    for a, b in sorted(eq):
+        cls[a].append(b)
+
+    def equivalent(arity):
+        # every (args1, args2) whose i-th entries are equal under "=" for
+        # each i, in lexicographic order: args2 ranges over the classes of
+        # args1's entries only
         for args1 in iproduct(range(n), repeat=arity):
-            for args2 in iproduct(range(n), repeat=arity):
-                if all((u, v) in eq for u, v in zip(args1, args2)):
-                    if (s.apply(name, args1), s.apply(name, args2)) not in eq:
-                        return ("function-congruence", name, args1, args2)
+            for args2 in iproduct(*(cls[a] for a in args1)):
+                yield args1, args2
+
+    for name, arity in s.sig.functions:
+        for args1, args2 in equivalent(arity):
+            if (s.apply(name, args1), s.apply(name, args2)) not in eq:
+                return ("function-congruence", name, args1, args2)
     for name, arity in s.sig.relations:
         if name == "=":
             continue
-        for args1 in iproduct(range(n), repeat=arity):
-            for args2 in iproduct(range(n), repeat=arity):
-                if all((u, v) in eq for u, v in zip(args1, args2)):
-                    if s.holds(name, args1) != s.holds(name, args2):
-                        return ("relation-congruence", name, args1, args2)
+        for args1, args2 in equivalent(arity):
+            if s.holds(name, args1) != s.holds(name, args2):
+                return ("relation-congruence", name, args1, args2)
     # "=" itself must be a congruence for "=": guaranteed by
     # symmetry+transitivity, no separate scan needed.
     return None

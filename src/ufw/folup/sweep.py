@@ -23,22 +23,31 @@ coordinates, and a coordinate is 0 or 1, so an atom t1 = t2 holds at a cell
 iff t1 and t2 project to the same bit there.  A pair's *context* is the
 valid-cell mask, the masks of cells where x, y and f(x,y) project to 1 (those
 of f(x,x), f(y,x) and f(y,y) follow from the last), and the id of factor j.
+
+A product is built in that bit-sliced form, never as a table: plane j of a
+product is the mask of cells (x, y) where coordinate j of f(x, y) is 1.
+The product of a v-element prefix with an s-element last factor numbers its
+elements a·s+c, so each prefix plane is *spread* (cell (a·s+c, b·s+d) takes
+the bit of cell (a, b)) and the last plane has f_last(c, d) there.  Both
+depend only on (plane, v, s) and (v, last factor), so each is one cached
+lookup per tuple, and a pair's context is its coordinate's valid, x and y
+masks plus plane j.
+
 The transfer property for the pair is a mask equation: every product-side
 mask must equal the pullback of the factor-j mask through the projection,
 and both sides are functions of the context.  So the corpus is evaluated and
 compared once per distinct context (99 of them for the 15,334 pairs of the
-full sweep), and the verdict applies to every pair that shares it.  The
-test suite checks the masks against the plain recursive evaluator.
+full sweep), in one list comparison, and the verdict applies to every pair
+that shares it.  The test suite checks the planes against product tables
+built cell by cell, and the masks against the plain recursive evaluator.
 """
 
 from functools import lru_cache
-from itertools import compress
 from math import prod
+from operator import xor
 
 #: bit 0 of each of the 8 rows
 _ROWS = 0x0101010101010101
-#: the mask bit of each cell of a row-major u×u table, for u = 0..8
-_CELL_BITS = [[1 << (a * 8 + b) for a in range(u) for b in range(u)] for u in range(9)]
 
 
 def factor_structures():
@@ -82,38 +91,56 @@ def build_corpus(max_nodes=4):
     return nodes
 
 
-def _product_table(tup, structs, prefixes):
-    """Universe size and row-major u×u f-table of the direct product of the
-    factors named by ``tup``, elements numbered in lex order of their
-    coordinate tuples; extends the table of ``tup[:-1]`` in ``prefixes``."""
-    v, prev = prefixes[tup[:-1]]
-    s, last = structs[tup[-1]]
-    return v * s, [
-        prev[a * v + b] * s + last[c][d]
+@lru_cache(maxsize=None)
+def _spread(plane, v, s):
+    """A plane of a v-element prefix, spread over its product with an
+    s-element factor: cell (a·s+c, b·s+d) takes the bit of cell (a, b)."""
+    return sum(
+        1 << ((a * s + c) * 8 + b * s + d)
         for a in range(v)
-        for c in range(s)
         for b in range(v)
+        if plane >> (a * 8 + b) & 1
+        for c in range(s)
         for d in range(s)
-    ]
+    )
+
+
+@lru_cache(maxsize=None)
+def _last_plane(v, table):
+    """The plane of the last factor in its product with a v-element prefix:
+    cell (a·s+c, b·s+d) is f(c, d) of the s-element factor's ``table``."""
+    s = len(table)
+    return sum(
+        1 << ((a * s + c) * 8 + b * s + d)
+        for a in range(v)
+        for b in range(v)
+        for c in range(s)
+        for d in range(s)
+        if table[c][d]
+    )
+
+
+def _product(tup, structs, prefixes):
+    """Universe size and f-planes of the direct product of the factors named
+    by ``tup``, elements numbered in lex order of their coordinate tuples:
+    plane j masks the cells (x, y) where coordinate j of f(x, y) is 1.
+    Extends the product of ``tup[:-1]`` in ``prefixes``."""
+    v, planes = prefixes[tup[:-1]]
+    s, table = structs[tup[-1]]
+    return v * s, [_spread(p, v, s) for p in planes] + [_last_plane(v, table)]
 
 
 @lru_cache(maxsize=None)
 def _coordinate(u, stride, size):
     """For a u-element product whose coordinate j has the given stride and
-    factor size: the valid-cell mask, the masks of cells where x and where y
-    project to 1, and the projected bit of each element."""
+    factor size: the valid-cell mask and the masks of cells where x and
+    where y project to 1."""
     bits = [e // stride % size for e in range(u)]
     cells = [(a, b) for a in range(u) for b in range(u)]
-    valid = sum(_CELL_BITS[u])
+    valid = sum(1 << (a * 8 + b) for a, b in cells)
     px = sum(1 << (a * 8 + b) for a, b in cells if bits[a])
     py = sum(1 << (a * 8 + b) for a, b in cells if bits[b])
-    return valid, px, py, bits
-
-
-def _context(u, table, stride, size):
-    """(valid, x mask, y mask, f(x,y) mask) of one coordinate of a product."""
-    valid, px, py, bits = _coordinate(u, stride, size)
-    return valid, px, py, sum(compress(_CELL_BITS[u], map(bits.__getitem__, table)))
+    return valid, px, py
 
 
 def _masks(nodes, valid, px, py, fxy):
@@ -156,12 +183,15 @@ def _verdict(nodes, valid, px, py, fxy, codes):
     (0,0), (0,1), (1,0), (1,1)."""
     over = (valid ^ (px | py), py & ~px, px & ~py, px & py)
     pullback = [sum(m for k, m in enumerate(over) if code >> k & 1) for code in range(16)]
-    out = []
-    for i, (m, code) in enumerate(zip(_masks(nodes, valid, px, py, fxy), codes)):
-        diff = m ^ pullback[code]
-        if diff:
-            out.append((i, (diff & -diff).bit_length() - 1))
-    return out
+    masks = _masks(nodes, valid, px, py, fxy)
+    expected = list(map(pullback.__getitem__, codes))
+    if masks == expected:
+        return []
+    return [
+        (i, (diff & -diff).bit_length() - 1)
+        for i, diff in enumerate(map(xor, masks, expected))
+        if diff
+    ]
 
 
 def exhaustive_transfer_sweep(max_x=3, max_nodes=4):
@@ -180,24 +210,23 @@ def exhaustive_transfer_sweep(max_x=3, max_nodes=4):
     # factor side: each formula's mask on each factor, as a 4-bit code
     codes = []
     for size, f in structs:
-        table = [v for row in f for v in row]
-        masks = _masks(nodes, *_context(size, table, 1, size))
+        masks = _masks(nodes, *_coordinate(size, 1, size), _last_plane(1, f))
         codes.append([m & 3 | m >> 6 & 12 for m in masks])
 
     verdicts = {}
     violations = []
     pairs = cells = 0
-    prefixes = {(): (1, [0])}
+    prefixes = {(): (1, [])}
     for nx in range(1, max_x + 1):
-        tables = {}
+        products = {}
         for tup in (p + (f,) for p in prefixes for f in range(len(structs))):
-            u, table = tables[tup] = _product_table(tup, structs, prefixes)
+            u, planes = products[tup] = _product(tup, structs, prefixes)
             sizes = [structs[f][0] for f in tup]
             pairs += nx
             cells += nx * u * u
             for j, f in enumerate(tup):
-                context = _context(u, table, prod(sizes[j + 1 :]), sizes[j])
-                key = context + (f,)  # the rest implies f only if the table is right
+                context = _coordinate(u, prod(sizes[j + 1 :]), sizes[j]) + (planes[j],)
+                key = context + (f,)  # the rest implies f only if the plane is right
                 if key not in verdicts:
                     verdicts[key] = _verdict(nodes, *context, codes[f])
                 for i, cell in verdicts[key]:
@@ -209,7 +238,7 @@ def exhaustive_transfer_sweep(max_x=3, max_nodes=4):
                             "cell": (cell // 8, cell % 8),
                         }
                     )
-        prefixes = tables
+        prefixes = products
     return {
         "formulas": len(nodes),
         "pairs": pairs,

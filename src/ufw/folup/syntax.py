@@ -59,11 +59,28 @@ class Signature(Record):
     def from_json(cls, obj):
         if not isinstance(obj, dict):
             raise ValueError("a signature is a JSON object")
+        constants = obj.get("constants", [])
+        if not isinstance(constants, list):
+            raise ValueError("signature constants must be a list of names")
+        for name in constants:
+            if type(name) is not str:
+                raise ValueError("constant name %r is not a string" % (name,))
         return cls(
-            tuple(dict(obj.get("functions", {})).items()),
-            tuple(dict(obj.get("relations", {})).items()),
-            tuple(obj.get("constants", ())),
+            _arities(obj.get("functions", {}), "function"),
+            _arities(obj.get("relations", {}), "relation"),
+            tuple(constants),
         )
+
+
+def _arities(items, kind):
+    """The (name, arity) pairs of a signature's object of name: arity."""
+    if not isinstance(items, dict):
+        raise ValueError("signature %ss must be an object of name: arity" % kind)
+    for name, arity in items.items():
+        # type(), not isinstance(): True and False are ints too
+        if type(arity) is not int or arity < 0:
+            raise ValueError("%s %r has arity %r, not an integer >= 0" % (kind, name, arity))
+    return tuple(items.items())
 
 
 _TOKEN = re.compile(r"\s*(<->|->|[A-Za-z_][A-Za-z_0-9]*|[!&|().,=])")

@@ -7,6 +7,7 @@ import copy
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -535,8 +536,10 @@ def test_golden_digests(capsys, tmp_path, case):
     # setfam cases after those (singles and pairs at ground 40, sliding
     # triples at 24, repeated and redundant members, a closure that exits 1)
     # were recorded before the FIP witness became one lexicographic search,
-    # and the digit-system and --env errors that close the list once their
-    # error texts named the bad input.
+    # and the digit-system and --env errors after them once their error
+    # texts named the bad input.  The missing --rule, --uf and --in flags
+    # and the malformed signatures and structures that close the list were
+    # recorded once their errors named the flag or the symbol.
     # An argv entry naming one of the case's inline files stands for that
     # file's path.
     paths = {name: write_json(tmp_path, name, body) for name, body in case.get("files", {}).items()}
@@ -640,3 +643,119 @@ def test_fol_eval_contract_on_token_strings(tokens):
                                      "--env", "x=1", "--formula=" + " ".join(tokens)])
     assert code in (0, 1, 3)
     assert set(report) == {"result", "manifest"}
+
+
+class _Overtime(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _wall_clock(seconds):
+    def expire(signum, frame):
+        raise _Overtime("still running after %s s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_fol_eval_checks_a_4096_entry_table_at_once(capsys, tmp_path):
+    # a 4-ary function on 8 elements whose equality pairs 2a with 2a + 1:
+    # the congruence check once walked all 8^8 pairs of argument tuples
+    # (over 20 s); it now walks the 16 equivalent tuples of each one
+    sig = write_json(tmp_path, "sig.json", {"functions": {"g": 4}})
+    g = [[[[2 * ((a // 2 + b // 2 + c // 2 + d // 2) % 4) for d in range(8)] for c in range(8)]
+          for b in range(8)] for a in range(8)]
+    eq = [[a, b] for a in range(8) for b in range(8) if a // 2 == b // 2]
+    structure = write_json(tmp_path, "s.json", {"universe": 8, "functions": {"g": g},
+                                                 "relations": {"=": eq}})
+    argv = ["fol", "eval", "--sig", sig, "--structs", structure,
+            "--formula", "g(x, x, x, x) = x", "--env", "x=1"]
+    try:
+        with _wall_clock(5):
+            code, report = invoke(capsys, argv)
+    except _Overtime as err:
+        pytest.fail(str(err), pytrace=False)
+    assert (code, report["result"]["values"]) == (0, [True])
+
+
+FOL_SIGNATURE = {"functions": {"f": 2}, "relations": {"r": 1}, "constants": ["c"]}
+FOL_STRUCTURES = [
+    {"universe": 2, "functions": {"f": [[0, 1], [1, 0]]}, "relations": {"r": [[1]]},
+     "constants": {"c": 0}},
+    {"universe": 3, "functions": {"f": [[0, 0, 0], [0, 1, 2], [0, 2, 1]]},
+     "relations": {"r": [[0], [2]], "=": [[0, 0], [1, 1], [2, 2]]}, "constants": {"c": 1}},
+]
+JSON_JUNK = [None, "x", "", 1.5, True, False, -1, 0, 1, 3, [], {}, [0], [[0]], [["f"]],
+             [["f", 2]], {"a": 1}, {"f": -1}]
+JSON_KEYS = ["", "=", "E", "x", "f", "r", "c", "universe", "functions", "relations"]
+
+
+def _positions(node):
+    """Every (container, key) of a JSON tree, each container before its
+    children."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return
+    for key, child in items:
+        yield node, key
+        yield from _positions(child)
+
+
+@st.composite
+def mutated_json(draw, body):
+    """``body`` with 1 to 3 entries dropped, replaced by junk or renamed, or
+    now and then replaced whole."""
+    junk = st.sampled_from(JSON_JUNK).map(copy.deepcopy)  # a later mutation may edit it
+    body = copy.deepcopy(body)
+    for _ in range(draw(st.integers(1, 3))):
+        positions = list(_positions(body))
+        if not positions or draw(st.integers(0, 9)) == 0:
+            return draw(junk)
+        node, key = draw(st.sampled_from(positions))
+        how = draw(st.sampled_from(["drop", "junk", "rename"]))
+        if how == "drop":
+            del node[key]
+        elif how == "junk" or isinstance(node, list):
+            node[key] = draw(junk)
+        else:
+            node[draw(st.sampled_from(JSON_KEYS))] = node.pop(key)
+    return body
+
+
+@given(st.sampled_from(["eval", "los"]), st.integers(0, 2),
+       mutated_json(FOL_SIGNATURE), mutated_json(FOL_STRUCTURES[0]))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fol_contract_on_malformed_json(action, target, sig, structure):
+    # a malformed signature, structure or both: a JSON body, a documented
+    # exit code, and no Python error text (src/ufw raises no TypeError or
+    # KeyError of its own, so one that escapes is an unchecked input)
+    bodies = {"sig.json": sig if target != 1 else FOL_SIGNATURE,
+              "a.json": structure if target != 0 else FOL_STRUCTURES[0],
+              "b.json": FOL_STRUCTURES[1],
+              "uf.json": principal_ultrafilter(GroundSet(2), 0).to_json()}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, body in bodies.items():
+            paths[name] = os.path.join(tmp, name)
+            with open(paths[name], "w") as fh:
+                json.dump(body, fh)
+        argv = ["fol", action, "--sig", paths["sig.json"],
+                "--structs", paths["a.json"], paths["b.json"], "--formula", "E y. f(x, y) = c"]
+        argv += ["--env", "x=1"] if action == "eval" else ["--uf", paths["uf.json"]]
+        try:
+            with _wall_clock(5):
+                code, report = _run_quietly(argv)
+        except _Overtime as err:
+            pytest.fail("%s: %s" % (argv, err), pytrace=False)
+    assert code in (0, 1, 3)
+    assert set(report) == {"result", "manifest"}
+    error = report["result"].get("error", "")
+    assert not error.startswith(("TypeError:", "KeyError:")), error

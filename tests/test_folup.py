@@ -5,6 +5,9 @@ evaluator."""
 
 import random
 import time
+from collections import Counter
+from itertools import product as iproduct
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -258,6 +261,83 @@ def test_equality_axiom_witness_congruence():
     assert w is not None and w[0] == "relation-congruence"
 
 
+def _scanning_witness(s):
+    """equality_axiom_witness as it was: the congruence checks walk all
+    n^(2k) pairs of argument tuples and keep the equivalent ones."""
+    n = s.size
+    eq = s.rels["="]
+    for a in range(n):
+        if (a, a) not in eq:
+            return ("not-reflexive", a)
+    for a, b in eq:
+        if (b, a) not in eq:
+            return ("not-symmetric", a, b)
+    for a, b in eq:
+        for c in range(n):
+            if (b, c) in eq and (a, c) not in eq:
+                return ("not-transitive", a, b, c)
+    for name, arity in s.sig.functions:
+        for args1 in iproduct(range(n), repeat=arity):
+            for args2 in iproduct(range(n), repeat=arity):
+                if all((u, v) in eq for u, v in zip(args1, args2)):
+                    if (s.apply(name, args1), s.apply(name, args2)) not in eq:
+                        return ("function-congruence", name, args1, args2)
+    for name, arity in s.sig.relations:
+        if name == "=":
+            continue
+        for args1 in iproduct(range(n), repeat=arity):
+            for args2 in iproduct(range(n), repeat=arity):
+                if all((u, v) in eq for u, v in zip(args1, args2)):
+                    if s.holds(name, args1) != s.holds(name, args2):
+                        return ("relation-congruence", name, args1, args2)
+    return None
+
+
+def _random_structure(rng):
+    """A structure with one function and one relation, of arity 1 or 2,
+    over a random partition; its tables respect the partition or not, and
+    its equality is sometimes broken by one dropped pair."""
+    n = rng.randint(1, 4)
+    label = [rng.randrange(n) for _ in range(n)]
+    eq = {(a, b) for a in range(n) for b in range(n) if label[a] == label[b]}
+    if rng.random() < 0.2:
+        eq.discard(rng.choice(sorted(eq)))
+    farity, rarity = rng.randint(1, 2), rng.randint(1, 2)
+    congruent = rng.random() < 0.5
+    # one class per tuple of labels, so a congruent table picks its value
+    # from the same class for equivalent arguments
+    target = {}
+
+    def table(prefix):
+        if len(prefix) < farity:
+            return [table(prefix + (a,)) for a in range(n)]
+        if not congruent:
+            return rng.randrange(n)
+        c = target.setdefault(tuple(label[a] for a in prefix), rng.randrange(n))
+        return rng.choice([b for b in range(n) if label[b] == label[c]])
+
+    tuples = list(iproduct(range(n), repeat=rarity))
+    held = {t for t in tuples if rng.random() < 0.5}
+    if rng.random() < 0.5:
+        labels = {tuple(label[a] for a in t) for t in held}
+        held = {t for t in tuples if tuple(label[a] for a in t) in labels}
+    sig = Signature(functions=(("g", farity),), relations=(("R", rarity),))
+    return Structure(sig, n, funcs={"g": table(())}, rels={"=": eq, "R": held}, validate=False)
+
+
+def test_equality_axiom_witness_matches_the_full_scan():
+    # args2 walks only the classes of args1, in the order the full scan
+    # met them, so the first witness is the same one
+    rng = random.Random(24)
+    kinds = Counter()
+    for _ in range(3000):
+        s = _random_structure(rng)
+        witness = equality_axiom_witness(s)
+        assert witness == _scanning_witness(s)
+        kinds[witness and witness[0]] += 1
+    assert {None, "function-congruence", "relation-congruence"} <= set(kinds)
+
+
 def test_normalize_collapses_everything_equal():
     s = Structure(
         Signature(),
@@ -295,6 +375,42 @@ def test_normalize_is_identity_on_normal_structures():
 def test_structure_json_roundtrip():
     again = Structure.from_json(SIG, Z3.to_json())
     assert again.funcs == Z3.funcs and again.rels == Z3.rels and again.consts == Z3.consts
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"functions": [["f"]]}, "signature functions must be an object of name: arity"),
+        ({"functions": {"f": -1}}, "function 'f' has arity -1, not an integer >= 0"),
+        ({"relations": {"R": True}}, "relation 'R' has arity True, not an integer >= 0"),
+        ({"relations": {"R": 2.0}}, "relation 'R' has arity 2.0, not an integer >= 0"),
+        ({"constants": ["c", None]}, "constant name None is not a string"),
+        ({"constants": "c"}, "signature constants must be a list of names"),
+    ],
+)
+def test_signature_json_errors_name_the_symbol(obj, message):
+    with pytest.raises(ValueError) as err:
+        Signature.from_json(obj)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"universe": None}, "a structure needs a universe size"),
+        ({"functions": [[0, 1, 2]]}, "structure functions must be an object keyed by symbol name"),
+        ({"functions": {"f": 3}}, "function table 'f' has wrong shape"),
+        ({"relations": {"r": [0]}}, "relation 'r' contains invalid tuple 0"),
+        ({"relations": {"r": 0}}, "relation 'r' is not a list of tuples"),
+        ({"constants": ["c"]}, "structure constants must be an object keyed by symbol name"),
+    ],
+)
+def test_structure_json_errors_name_the_problem(change, message):
+    # None drops the key
+    obj = {k: v for k, v in dict(Z3.to_json(), **change).items() if v is not None}
+    with pytest.raises(ValueError) as err:
+        Structure.from_json(SIG, obj)
+    assert str(err.value) == message
 
 
 # --- ultraproducts ---------------------------------------------------------
@@ -438,21 +554,72 @@ def test_sweep_counts_pinned(max_x, max_nodes):
 
 
 def test_sweep_reports_a_corrupted_product(monkeypatch):
-    # one wrong entry in the f-table of the product of factors 5 and 9
-    # (both of size 2, so the product has 4 elements)
-    build = sweep._product_table
+    # one flipped cell in plane 0 of the product of factors 5 and 9 (both
+    # of size 2, so the product has 4 elements)
+    build = sweep._product
 
     def corrupted(tup, structs, prefixes):
-        u, table = build(tup, structs, prefixes)
+        u, planes = build(tup, structs, prefixes)
         if tup == (5, 9):
-            table = list(table)
-            table[1 * u + 2] = (table[1 * u + 2] + 1) % u
-        return u, table
+            planes = [planes[0] ^ 1 << (1 * 8 + 2)] + planes[1:]
+        return u, planes
 
-    monkeypatch.setattr(sweep, "_product_table", corrupted)
+    monkeypatch.setattr(sweep, "_product", corrupted)
     violations = exhaustive_transfer_sweep(max_x=2, max_nodes=3)["violations"]
     assert violations
     assert {v["factors"] for v in violations} == {(5, 9)}
+
+
+def _product_table(tup, structs, prefixes):
+    """Universe size and row-major u×u f-table of the direct product of the
+    factors named by ``tup``, elements numbered in lex order of their
+    coordinate tuples; extends the table of ``tup[:-1]`` in ``prefixes``.
+    The sweep built its products this way before it built their planes."""
+    v, prev = prefixes[tup[:-1]]
+    s, last = structs[tup[-1]]
+    return v * s, [
+        prev[a * v + b] * s + last[c][d]
+        for a in range(v)
+        for c in range(s)
+        for b in range(v)
+        for d in range(s)
+    ]
+
+
+def _context(u, table, stride, size):
+    """(valid, x mask, y mask, f(x,y) mask) of one coordinate of a product,
+    read cell by cell off its f-table."""
+    bits = [e // stride % size for e in range(u)]
+    cells = [(a, b) for a in range(u) for b in range(u)]
+    valid = sum(1 << (a * 8 + b) for a, b in cells)
+    px = sum(1 << (a * 8 + b) for a, b in cells if bits[a])
+    py = sum(1 << (a * 8 + b) for a, b in cells if bits[b])
+    fxy = sum(1 << (a * 8 + b) for (a, b), e in zip(cells, table) if bits[e])
+    return valid, px, py, fxy
+
+
+def test_sweep_planes_match_product_tables():
+    # every tuple of at most 3 factors, every coordinate: the spread and
+    # last planes equal the f-masks read off the product's table
+    structs = factor_structures()
+    tables = {(): (1, [0])}
+    products = {(): (1, [])}
+    seen = 0
+    for _ in range(3):
+        next_tables, next_products = {}, {}
+        for tup in (p + (f,) for p in tables for f in range(len(structs))):
+            u, table = next_tables[tup] = _product_table(tup, structs, tables)
+            v, planes = next_products[tup] = sweep._product(tup, structs, products)
+            assert v == u and len(planes) == len(tup)
+            sizes = [structs[f][0] for f in tup]
+            for j in range(len(tup)):
+                stride = prod(sizes[j + 1 :])
+                context = _context(u, table, stride, sizes[j])
+                assert sweep._coordinate(u, stride, sizes[j]) == context[:3]
+                assert planes[j] == context[3], (tup, j)
+            seen += 1
+        tables, products = next_tables, next_products
+    assert seen == 17 + 17**2 + 17**3
 
 
 def corpus_formula(nodes, idx):
@@ -484,8 +651,7 @@ def test_sweep_truth_tables_match_slow_evaluator():
     sig = Signature(functions=(("f", 2),))
     for size, f in factor_structures():
         structure = Structure(sig, size, funcs={"f": f})
-        table = [v for row in f for v in row]
-        masks = sweep._masks(nodes, *sweep._context(size, table, 1, size))
+        masks = sweep._masks(nodes, *sweep._coordinate(size, 1, size), sweep._last_plane(1, f))
         for i, m in enumerate(masks):
             phi = corpus_formula(nodes, i)
             for vx in range(size):
