@@ -39,6 +39,29 @@ def _load_in(args, what, digests):
     return load_json(args.infile, digests)
 
 
+def _fit_input(obj):
+    """The values, generators and d of a ``gp fit`` file, each checked with
+    type(), not isinstance(): True and False are ints too."""
+    if type(obj) is not dict:
+        raise InputError("a fit file is a JSON object, got %s" % type(obj).__name__)
+    for key, kind, name in (
+        ("values", dict, "an object"), ("generators", list, "a list"), ("d", int, "an integer")
+    ):
+        if type(obj.get(key)) is not kind:
+            raise InputError("fit file key %r must be %s" % (key, name))
+    if any(type(g) is not int for g in obj["generators"]):
+        raise InputError("fit file key 'generators' must list integers")
+    if obj["d"] < 0:
+        raise InputError("fit file key 'd' must be at least 0")
+    values = {}
+    for k, v in obj["values"].items():
+        try:
+            values[int(k)] = parse_fraction(str(v))
+        except ValueError:
+            raise InputError("fit file key 'values' has a non-integer index %r" % k)
+    return values, obj["generators"], obj["d"]
+
+
 def run(args, digests):
     if args.action == "eval":
         expr = genpoly.parse_gpexpr(args.expr)
@@ -59,10 +82,13 @@ def run(args, digests):
         ks = int_list(args.ks)
         return {"weyl": genpoly.weyl_sum(alphas, ks, args.n)}, EXIT_OK
     if args.action == "fit":
-        obj = _load_in(args, "a values", digests)
-        values = {int(k): parse_fraction(str(v)) for k, v in obj["values"].items()}
-        report = genpoly.fit_generating_function(
-            lambda x: values[x], obj["generators"], obj["d"]
-        )
+        values, generators, d = _fit_input(_load_in(args, "a values", digests))
+
+        def value(x):
+            if x not in values:
+                raise InputError("fit file key 'values' has no entry for %d" % x)
+            return values[x]
+
+        report = genpoly.fit_generating_function(value, generators, d)
         return {"fit": report}, EXIT_OK if report["exact"] else EXIT_NEGATIVE
     raise InputError("unknown gp action %r" % args.action)

@@ -11,6 +11,7 @@ subformula is evaluated at most once per assignment of its free variables
 (↔ rewritten as (a→b)∧(b→a) would evaluate both sides twice per level).
 """
 
+from heapq import merge
 from itertools import product as iproduct
 
 
@@ -141,22 +142,28 @@ def equality_axiom_witness(s):
     for a, b in sorted(eq):
         cls[a].append(b)
 
-    def equivalent(arity):
+    def equivalent(firsts):
         # every (args1, args2) whose i-th entries are equal under "=" for
         # each i, in lexicographic order: args2 ranges over the classes of
         # args1's entries only
-        for args1 in iproduct(range(n), repeat=arity):
+        for args1 in firsts:
             for args2 in iproduct(*(cls[a] for a in args1)):
                 yield args1, args2
 
     for name, arity in s.sig.functions:
-        for args1, args2 in equivalent(arity):
+        for args1, args2 in equivalent(iproduct(range(n), repeat=arity)):
             if (s.apply(name, args1), s.apply(name, args2)) not in eq:
                 return ("function-congruence", name, args1, args2)
     for name, arity in s.sig.relations:
         if name == "=":
             continue
-        for args1, args2 in equivalent(arity):
+        # an args1 equivalent to no member has no member among its args2,
+        # so args1 walks, lazily and in lexicographic order, the class
+        # products of the members: one per class tuple (named by its least
+        # elements), so no two overlap and the merge repeats nothing
+        keys = {tuple(cls[a][0] for a in m) for m in s.rels[name]}
+        firsts = merge(*(iproduct(*(cls[a] for a in key)) for key in keys))
+        for args1, args2 in equivalent(firsts):
             if s.holds(name, args1) != s.holds(name, args2):
                 return ("relation-congruence", name, args1, args2)
     # "=" itself must be a congruence for "=": guaranteed by

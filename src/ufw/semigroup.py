@@ -3,11 +3,15 @@ ideals, the smallest two-sided ideal K(S), the idempotent order, direct
 products, and the ultrafilter product on the element set.
 
 Elements are 0-based indices; the pair (a, b) in a direct product of orders
-(m, n) becomes index a·n + b.
+(m, n) becomes index a·n + b.  The ideal questions are decided on bitmasks
+(bit x for element x): one pass over the table's columns gives every
+principal left ideal S·x, and the minimal left ideals, the kernel and the
+ideal report all come from the masks of the minimal ones.
 """
 
 from functools import cached_property
 
+from .bitsets import indices_of
 from .errors import NotAssociative, NotCommutative, NotIdempotent, NotUltrafilter
 from .record import Record
 from .setfam import SetFamily, classify_family
@@ -107,23 +111,41 @@ def idempotents(table):
     return tuple(x for x in range(table.n) if table.mul[x][x] == x)
 
 
-def principal_left_ideal(table, x):
-    """S·x as a sorted tuple (a left ideal; x itself need not belong)."""
-    return tuple(sorted({table.mul[s][x] for s in range(table.n)}))
+def _minimal_left_masks(table):
+    """The masks of the minimal left ideals, from one pass over the columns:
+    S·x is the OR of 1 << z over column x, and L = S·x is minimal iff
+    S·y = L for every y in L (the principal-ideal minimality criterion),
+    tested by walking the set bits of L."""
+    _require_assoc(table)
+    principal = []
+    for col in zip(*table.mul):
+        m = 0
+        for z in col:
+            m |= 1 << z
+        principal.append(m)
+    minimal = set()
+    for L in set(principal):
+        rest = L
+        while rest:
+            low = rest & -rest
+            if principal[low.bit_length() - 1] != L:
+                break
+            rest ^= low
+        else:
+            minimal.add(L)
+    return minimal
 
 
 def minimal_left_ideals(table):
-    """All minimal left ideals, sorted: the sets L = S·x with S·y = L for
-    every y in L (the principal-ideal minimality criterion)."""
-    _require_assoc(table)
-    principal = [principal_left_ideal(table, x) for x in range(table.n)]
-    return sorted({L for L in principal if all(principal[y] == L for y in L)})
+    """All minimal left ideals, as sorted tuples in sorted order."""
+    return sorted(indices_of(L) for L in _minimal_left_masks(table))
 
 
 def kernel(table):
     """K(S): the smallest two-sided ideal, as the union of all minimal left
-    ideals."""
-    return tuple(sorted(set().union(*minimal_left_ideals(table))))
+    ideals.  Distinct minimal left ideals are disjoint, so the mask of
+    their union is the sum of their masks."""
+    return indices_of(sum(_minimal_left_masks(table)))
 
 
 def is_minimal_element(table, x):
@@ -149,14 +171,14 @@ def idempotent_leq(table, p, q):
 def ideal_report(table):
     """One-stop structural report used by the CLI."""
     idems = idempotents(table)
-    lefts = minimal_left_ideals(table)
-    ker = tuple(sorted(set().union(*lefts)))
+    masks = _minimal_left_masks(table)
+    ker = sum(masks)
     mul = table.mul
     return {
-        "minimal_left_ideals": lefts,
-        "kernel": ker,
+        "minimal_left_ideals": sorted(indices_of(L) for L in masks),
+        "kernel": indices_of(ker),
         "idempotents": idems,
-        "minimal_idempotents": tuple(e for e in idems if e in ker),
+        "minimal_idempotents": tuple(e for e in idems if ker >> e & 1),
         "order_pairs": [(p, q) for p in idems for q in idems if mul[p][q] == p == mul[q][p]],
     }
 

@@ -367,6 +367,33 @@ def test_non_integer_counts_are_input_errors(capsys, tmp_path, argv, body):
     assert report["result"]["error"].startswith("ValueError: ")
 
 
+FIT_FILE = {"values": {str(n): n * n for n in range(8)}, "generators": [1, 2, 4], "d": 1}
+
+
+@pytest.mark.parametrize(
+    "body, key",
+    [
+        ([FIT_FILE], None),
+        (dict(FIT_FILE, values=[1, 2]), "values"),
+        ({"generators": [1, 2], "d": 1}, "values"),
+        (dict(FIT_FILE, values={"1.5": 1}), "values"),
+        (dict(FIT_FILE, values={"1": 1, "2": 4}), "values"),
+        (dict(FIT_FILE, generators="1,2"), "generators"),
+        (dict(FIT_FILE, generators=[1, True]), "generators"),
+        (dict(FIT_FILE, d=True), "d"),
+        (dict(FIT_FILE, d=1.0), "d"),
+        (dict(FIT_FILE, d=-1), "d"),
+    ],
+)
+def test_gp_fit_input_errors_name_the_key(capsys, tmp_path, body, key):
+    # the fit file was read unchecked: a list of values ended in an
+    # AttributeError traceback, a missing key in Python's KeyError text
+    code, report = invoke(capsys, ["gp", "fit", "--in", write_json(tmp_path, "f.json", body)])
+    assert code == 3
+    error = report["result"]["error"]
+    assert ("fit file key %r" % key in error) if key else error.startswith("a fit file is")
+
+
 def test_member_outside_ground_is_input_error(capsys, tmp_path):
     path = write_json(tmp_path, "fam.json", {"ground": 2, "members": [[5]]})
     code, report = invoke(capsys, ["setfam", "classify", "--in", path])
@@ -538,8 +565,12 @@ def test_golden_digests(capsys, tmp_path, case):
     # were recorded before the FIP witness became one lexicographic search,
     # and the digit-system and --env errors after them once their error
     # texts named the bad input.  The missing --rule, --uf and --in flags
-    # and the malformed signatures and structures that close the list were
-    # recorded once their errors named the flag or the symbol.
+    # and the malformed signatures and structures after them were recorded
+    # once their errors named the flag or the symbol.  The sg reports on a
+    # right-zero band of order 4, left-zero(2) × right-zero(3), ℤ/3 ×
+    # left-zero(2) and multiplication mod 12 were recorded before the ideal
+    # routines ran on column bitmasks, and the gp fit input errors that
+    # close the list once fit checked its file.
     # An argv entry naming one of the case's inline files stands for that
     # file's path.
     paths = {name: write_json(tmp_path, name, body) for name, body in case.get("files", {}).items()}
@@ -675,6 +706,22 @@ def test_fol_eval_checks_a_4096_entry_table_at_once(capsys, tmp_path):
                                                  "relations": {"=": eq}})
     argv = ["fol", "eval", "--sig", sig, "--structs", structure,
             "--formula", "g(x, x, x, x) = x", "--env", "x=1"]
+    try:
+        with _wall_clock(5):
+            code, report = invoke(capsys, argv)
+    except _Overtime as err:
+        pytest.fail(str(err), pytrace=False)
+    assert (code, report["result"]["values"]) == (0, [True])
+
+
+@pytest.mark.parametrize("members", [[], [[0] * 25]])
+def test_fol_eval_checks_a_25_ary_relation_at_once(capsys, tmp_path, members):
+    # the congruence check once walked all 3^25 argument tuples of r (over
+    # 20 s); it now walks only the tuples equivalent to one of r's members
+    sig = write_json(tmp_path, "sig.json", {"relations": {"r": 25}})
+    structure = write_json(tmp_path, "s.json", {"universe": 3, "relations": {"r": members}})
+    argv = ["fol", "eval", "--sig", sig, "--structs", structure,
+            "--formula", "x = x", "--env", "x=0"]
     try:
         with _wall_clock(5):
             code, report = invoke(capsys, argv)

@@ -293,16 +293,17 @@ def _scanning_witness(s):
     return None
 
 
-def _random_structure(rng):
-    """A structure with one function and one relation, of arity 1 or 2,
-    over a random partition; its tables respect the partition or not, and
-    its equality is sometimes broken by one dropped pair."""
+def _random_structure(rng, max_rarity=2, density=0.5):
+    """A structure with one function of arity 1 or 2 and one relation of
+    arity 1 to max_rarity, over a random partition; its tables respect the
+    partition or not, each tuple is held with probability density, and its
+    equality is sometimes broken by one dropped pair."""
     n = rng.randint(1, 4)
     label = [rng.randrange(n) for _ in range(n)]
     eq = {(a, b) for a in range(n) for b in range(n) if label[a] == label[b]}
     if rng.random() < 0.2:
         eq.discard(rng.choice(sorted(eq)))
-    farity, rarity = rng.randint(1, 2), rng.randint(1, 2)
+    farity, rarity = rng.randint(1, 2), rng.randint(1, max_rarity)
     congruent = rng.random() < 0.5
     # one class per tuple of labels, so a congruent table picks its value
     # from the same class for equivalent arguments
@@ -317,7 +318,7 @@ def _random_structure(rng):
         return rng.choice([b for b in range(n) if label[b] == label[c]])
 
     tuples = list(iproduct(range(n), repeat=rarity))
-    held = {t for t in tuples if rng.random() < 0.5}
+    held = {t for t in tuples if rng.random() < density}
     if rng.random() < 0.5:
         labels = {tuple(label[a] for a in t) for t in held}
         held = {t for t in tuples if tuple(label[a] for a in t) in labels}
@@ -336,6 +337,20 @@ def test_equality_axiom_witness_matches_the_full_scan():
         assert witness == _scanning_witness(s)
         kinds[witness and witness[0]] += 1
     assert {None, "function-congruence", "relation-congruence"} <= set(kinds)
+
+
+def test_relation_walk_matches_the_full_scan_on_sparse_relations():
+    # args1 walks only the class products of a relation's members, merged
+    # in lexicographic order; on empty, sparse and dense relations up to
+    # arity 3 the first witness is still the full scan's
+    rng = random.Random(25)
+    kinds = Counter()
+    for _ in range(400):
+        s = _random_structure(rng, max_rarity=3, density=rng.choice((0.0, 0.05, 0.5)))
+        witness = equality_axiom_witness(s)
+        assert witness == _scanning_witness(s)
+        kinds[witness and witness[0]] += 1
+    assert {None, "relation-congruence"} <= set(kinds)
 
 
 def test_normalize_collapses_everything_equal():

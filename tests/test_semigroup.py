@@ -23,7 +23,6 @@ from ufw.semigroup import (
     left_zero_table,
     minimal_left_ideals,
     mult_mod_table,
-    principal_left_ideal,
     right_zero_table,
     ultrafilter_product,
 )
@@ -158,6 +157,56 @@ def test_enumeration_order_is_lexicographic(n):
 # --- ideal structure oracles ------------------------------------------------
 
 
+def _principal_left_ideal(table, x):
+    """S·x as a sorted tuple (a left ideal; x itself need not belong)."""
+    return tuple(sorted({table.mul[s][x] for s in range(table.n)}))
+
+
+def _oracle_minimal_left_ideals(table):
+    """The set-based criterion: L = S·x is minimal iff S·y = L for every y
+    in L; sorted tuples in sorted order."""
+    principal = [_principal_left_ideal(table, x) for x in range(table.n)]
+    return sorted({L for L in principal if all(principal[y] == L for y in L)})
+
+
+def _oracle_kernel(table):
+    return tuple(sorted(set().union(*_oracle_minimal_left_ideals(table))))
+
+
+def _assert_ideals_agree(table):
+    lefts, ker = _oracle_minimal_left_ideals(table), _oracle_kernel(table)
+    assert minimal_left_ideals(table) == lefts
+    assert kernel(table) == ker
+    rep = ideal_report(table)
+    assert rep["minimal_left_ideals"] == lefts
+    assert rep["kernel"] == ker
+    assert rep["minimal_idempotents"] == tuple(e for e in idempotents(table) if e in ker)
+
+
+def test_ideals_agree_with_the_set_oracle_through_order_4():
+    for n in (1, 2, 3, 4):
+        for t in all_assoc(n):
+            _assert_ideals_agree(t)
+
+
+def test_ideals_agree_with_the_set_oracle_on_direct_products():
+    rng = random.Random(25)
+    pool = all_assoc(2) + all_assoc(3) + [mult_mod_table(5), cyclic_table(5), right_zero_table(4)]
+    for _ in range(12):
+        t = rng.choice(pool)
+        while t.n < 20:
+            t = direct_product(t, rng.choice(pool))
+        _assert_ideals_agree(t)
+
+
+def test_ideal_queries_raise_the_stored_witness():
+    t = CayleyTable([[1, 0, 0], [0, 0, 0], [0, 0, 2]])
+    for query in (minimal_left_ideals, kernel, ideal_report):
+        with pytest.raises(NotAssociative) as err:
+            query(t)
+        assert err.value.witness == (0, 0, 1)
+
+
 def test_cyclic_group_ideals():
     t = cyclic_table(4)
     assert idempotents(t) == (0,)
@@ -171,7 +220,7 @@ def test_left_zero_structure():
     assert idempotents(t) == (0, 1, 2)
     assert kernel(t) == (0, 1, 2)
     assert list(minimal_left_ideals(t)) == [(0, 1, 2)]
-    assert principal_left_ideal(t, 1) == (0, 1, 2)
+    assert _principal_left_ideal(t, 1) == (0, 1, 2)
 
 
 def test_right_zero_structure():
