@@ -149,9 +149,6 @@ class AggregationRule:
     def __setattr__(self, name, value):
         raise AttributeError("AggregationRule is immutable")
 
-    def order(self, pidx):
-        return all_orders(self.election.candidates)[self.table[pidx]]
-
     def to_json(self):
         return {
             "voters": self.election.voters,

@@ -67,11 +67,6 @@ class RationalPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, a):
-        """The polynomial x ↦ f(x + a), expanded exactly."""
-        _, after, dens = _taylor_shift(self.coeffs, a)
-        return RationalPoly([Fraction(e, q) for e, q in zip(after, dens)])
-
     def __eq__(self, other):
         return isinstance(other, RationalPoly) and self.coeffs == other.coeffs
 

@@ -56,7 +56,9 @@ class PrecisionExhausted(UfwError):
     """A floor/nearest decision could not be certified at the precision cap.
 
     ``interval`` is the final (lo, hi) rational interval that still straddles
-    the decision boundary; ``node`` identifies the expression node.
+    the decision boundary, or the value's interval when it is not a point;
+    ``node`` is the index of that step in the expression's program (the last
+    step for a value that is not a point).
     """
 
     def __init__(self, message, node=None, interval=None):

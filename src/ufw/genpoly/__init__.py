@@ -10,7 +10,7 @@ _EXPORTS = {
     "analysis": ("return_times", "weyl_sum"),
     "dfao": ("Dfao", "dfao_eval"),
     "digits": ("DigitSystem", "base_change", "digit_map"),
-    "expr": ("GPExpr", "eval_exact", "parse_gpexpr"),
+    "expr": ("eval_exact", "parse_gpexpr"),
     "fitting": ("fit_generating_function",),
     "reals": ("Interval", "RealConst"),
 }

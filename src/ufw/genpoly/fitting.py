@@ -4,12 +4,17 @@ polynomial's sampled values."""
 from fractions import Fraction
 from itertools import combinations
 
-from ..errors import Underdetermined
+from ..errors import CapExceeded, Underdetermined
+
+# the fit builds one row of Fractions per non-empty index set, 2^r − 1 rows
+# for r generators, and eliminates over all of them
+ROW_CAP = 4096
 
 
 def fit_generating_function(f, generators, d):
     """Fit f(Σ_{i∈I} aᵢ) = Σ_{α⊆I, 1≤|α|≤d} u(α) + c over all non-empty
-    I ⊆ [r], exactly over the rationals.
+    I ⊆ [r], exactly over the rationals.  Raises CapExceeded, before any
+    row is built, when the 2^r − 1 index sets exceed ROW_CAP (r ≥ 13).
 
     Returns {"exact": True, "u": {α: value}, "c": value} on an exact fit,
     otherwise the same data for the best (pivot-row) solution plus
@@ -19,6 +24,8 @@ def fit_generating_function(f, generators, d):
     r = len(generators)
     if r < d + 1:
         raise Underdetermined("need at least d+1 = %d generators, got %d" % (d + 1, r))
+    if (1 << r) - 1 > ROW_CAP:
+        raise CapExceeded("%d generators give %d index sets; cap %d" % (r, (1 << r) - 1, ROW_CAP))
     unknowns = []
     for size in range(1, d + 1):
         unknowns.extend(combinations(range(r), size))

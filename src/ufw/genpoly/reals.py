@@ -30,14 +30,6 @@ class Interval(Record):
         q = Fraction(q)
         return cls(q, q)
 
-    @property
-    def exact(self):
-        return self.lo == self.hi
-
-    @property
-    def width(self):
-        return self.hi - self.lo
-
     def __add__(self, other):
         return Interval(self.lo + other.lo, self.hi + other.hi)
 

@@ -12,16 +12,17 @@ ideal report all come from the masks of the minimal ones.
 from functools import cached_property
 
 from .bitsets import indices_of
-from .errors import NotAssociative, NotCommutative, NotIdempotent, NotUltrafilter
+from .errors import CapExceeded, NotAssociative, NotCommutative, NotIdempotent, NotUltrafilter
 from .record import Record
 from .setfam import SetFamily, classify_family
+
+PRODUCT_ORDER_CAP = 400
 
 
 class CayleyTable(Record):
     """A finite magma given by its multiplication table.  The lex-first
     witnesses of non-associativity (a, b, c) and non-commutativity (a, b)
-    are found once, on construction, so the flags read from them can never
-    disagree with the table; each is None when the law holds."""
+    are found once, on construction; each is None when the law holds."""
 
     _fields = ("mul", "n", "assoc_witness", "comm_witness")
 
@@ -38,14 +39,6 @@ class CayleyTable(Record):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "assoc_witness", _assoc_witness(mul))
         object.__setattr__(self, "comm_witness", _comm_witness(mul))
-
-    @property
-    def associative(self):
-        return self.assoc_witness is None
-
-    @property
-    def commutative(self):
-        return self.comm_witness is None
 
     def __call__(self, x, y):
         return self.mul[x][y]
@@ -184,10 +177,14 @@ def ideal_report(table):
 
 
 def direct_product(table_s, table_t):
-    """Componentwise product; (a, b) ↦ a·n_T + b."""
+    """Componentwise product; (a, b) ↦ a·n_T + b.  A product of order above
+    PRODUCT_ORDER_CAP raises CapExceeded before its table is filled: the
+    associativity scan of its construction takes order³ steps."""
     _require_assoc(table_s)
     _require_assoc(table_t)
     ns, nt = table_s.n, table_t.n
+    if ns * nt > PRODUCT_ORDER_CAP:
+        raise CapExceeded("product order %d exceeds cap %d" % (ns * nt, PRODUCT_ORDER_CAP))
     mul = [[0] * (ns * nt) for _ in range(ns * nt)]
     for a in range(ns):
         for b in range(nt):

@@ -52,6 +52,11 @@ def _decode(el, pidx):
     return tuple(reversed(out))
 
 
+def _social(rule, pidx):
+    """The strict order rule gives at profile pidx."""
+    return all_orders(rule.election.candidates)[rule.table[pidx]]
+
+
 def _prec(order, a, b):
     """a ≺ b in the worst-to-best order: a appears earlier."""
     return order.index(a) < order.index(b)
@@ -88,7 +93,7 @@ def test_borda_violates_iia_with_witness():
     a, b = pair
     o1, o2 = _decode(el, p1), _decode(el, p2)
     assert all(_prec(x, a, b) == _prec(y, a, b) for x, y in zip(o1, o2))
-    assert _prec(rule.order(p1), a, b) != _prec(rule.order(p2), a, b)
+    assert _prec(_social(rule, p1), a, b) != _prec(_social(rule, p2), a, b)
 
 
 def test_majority_cycle_detected():
@@ -107,7 +112,7 @@ def test_unanimity_witness_for_antidictator():
     p1, p2, (a, b) = witness
     orders = _decode(el, p1)
     assert p1 == p2 and len(set(orders)) == 1
-    assert _prec(orders[0], a, b) and not _prec(rule.order(p1), a, b)
+    assert _prec(orders[0], a, b) and not _prec(_social(rule, p1), a, b)
 
 
 def test_monotone_witness_for_antidictator():
@@ -121,8 +126,8 @@ def test_monotone_witness_for_antidictator():
     for o1, o2 in zip(_decode(el, p1), _decode(el, p2)):
         assert [c for c in o1 if c != a] == [c for c in o2 if c != a]
         assert o1.index(a) <= o2.index(a)
-    assert _prec(rule.order(p1), b, a)
-    assert not _prec(rule.order(p2), b, a)
+    assert _prec(_social(rule, p1), b, a)
+    assert not _prec(_social(rule, p2), b, a)
 
 
 def test_profile_cap_comes_before_any_profile_is_built(monkeypatch):
@@ -228,7 +233,7 @@ def _pairwise_monotone(rule):
     which a weakly rises for every voter."""
     el = rule.election
     decoded = _decoded(el)
-    social = [rule.order(pidx) for pidx in range(el.profile_count)]
+    social = [_social(rule, pidx) for pidx in range(el.profile_count)]
     for a in range(el.candidates):
         groups = {}
         for pidx, orders in enumerate(decoded):
@@ -257,7 +262,7 @@ def _decoding_iia(rule):
             groups = {}
             for pidx in range(el.profile_count):
                 key = tuple(_prec(o, a, b) for o in _decode(el, pidx))
-                soc = _prec(rule.order(pidx), a, b)
+                soc = _prec(_social(rule, pidx), a, b)
                 if key not in groups:
                     groups[key] = (pidx, soc)
                 elif groups[key][1] != soc:
@@ -274,7 +279,7 @@ def _scanning_decisive(rule, a, b):
         coalition
         for coalition in range(1 << el.voters)
         if all(
-            _prec(rule.order(pidx), a, b)
+            _prec(_social(rule, pidx), a, b)
             for pidx, orders in enumerate(decoded)
             if all(_prec(orders[v], a, b) for v in range(el.voters) if coalition >> v & 1)
         )

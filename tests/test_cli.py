@@ -569,8 +569,13 @@ def test_golden_digests(capsys, tmp_path, case):
     # once their errors named the flag or the symbol.  The sg reports on a
     # right-zero band of order 4, left-zero(2) × right-zero(3), ℤ/3 ×
     # left-zero(2) and multiplication mod 12 were recorded before the ideal
-    # routines ran on column bitmasks, and the gp fit input errors that
-    # close the list once fit checked its file.
+    # routines ran on column bitmasks, and the gp fit input errors after
+    # them once fit checked its file.  The gp eval and returns cases after
+    # those (each rounding kind, undecidable and non-degenerate values,
+    # 1,200-term sums, zero denominators and nesting past the limit) were
+    # recorded before a parsed expression became its post-order program,
+    # and the two exit-2 cases that close the list (a fit on 13 generators
+    # and a product of order 441) once fit and product had size caps.
     # An argv entry naming one of the case's inline files stands for that
     # file's path.
     paths = {name: write_json(tmp_path, name, body) for name, body in case.get("files", {}).items()}

@@ -10,11 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ufw.errors import ParseError, PrecisionExhausted, Underdetermined
+from ufw.errors import CapExceeded, ParseError, PrecisionExhausted, Underdetermined
 from ufw.genpoly import (
     Dfao,
     DigitSystem,
-    GPExpr,
     Interval,
     RealConst,
     base_change,
@@ -62,11 +61,12 @@ def test_pi_bracket_contains_reference(bits):
     # the reference is exact to ~249 bits, enough for brackets up to 128 bits
     iv = RealConst.pi().bracket(bits)
     assert iv.lo <= PI_REF <= iv.hi
-    assert iv.width <= Fraction(1, 1 << bits)
+    assert iv.hi - iv.lo <= Fraction(1, 1 << bits)
 
 
 def test_pi_bracket_width_at_256_bits():
-    assert RealConst.pi().bracket(256).width <= Fraction(1, 1 << 256)
+    iv = RealConst.pi().bracket(256)
+    assert iv.hi - iv.lo <= Fraction(1, 1 << 256)
 
 
 def test_e_bracket():
@@ -81,7 +81,7 @@ def test_e_bracket():
 def test_sqrt_bracket_squares_straddle():
     iv = RealConst.sqrt(2).bracket(200)
     assert iv.lo * iv.lo <= 2 <= iv.hi * iv.hi
-    assert iv.width <= Fraction(1, 1 << 200)
+    assert iv.hi - iv.lo <= Fraction(1, 1 << 200)
 
 
 def test_sqrt_of_perfect_square_is_rational():
@@ -98,26 +98,31 @@ def test_golden_bracket_satisfies_equation():
 # --- rounding nodes --------------------------------------------------------
 
 
+def _rational_text(q):
+    """q in the grammar, which has no unary minus."""
+    text = "%d/%d" % (abs(q.numerator), q.denominator)
+    return text if q >= 0 else "(0 - %s)" % text
+
+
 def test_nearest_rounds_half_up():
     for q, k in [(Fraction(1, 2), 1), (Fraction(-1, 2), 0), (Fraction(3, 2), 2),
                  (Fraction(-3, 2), -1)]:
-        assert eval_exact(GPExpr.constant(q).nearest(), 0) == k
+        assert eval_exact(parse_gpexpr("round(%s)" % _rational_text(q)), 0) == k
 
 
 @given(st.fractions(min_value=-100, max_value=100, max_denominator=997))
 @settings(max_examples=200, deadline=None)
 def test_signed_frac_range_and_identity(q):
-    r = eval_exact(GPExpr.constant(q).frac(), 0)
+    r = eval_exact(parse_gpexpr("frac(%s)" % _rational_text(q)), 0)
     assert Fraction(-1, 2) <= r < Fraction(1, 2)
-    assert eval_exact(GPExpr.constant(q).nearest(), 0) + r == q
+    assert eval_exact(parse_gpexpr("round(%s)" % _rational_text(q)), 0) + r == q
 
 
 # --- certified evaluation --------------------------------------------------
 
 
 def test_eval_exact_floor_pi_n():
-    n_var = GPExpr.var()
-    expr = (GPExpr.constant(RealConst.pi()) * n_var).floor()
+    expr = parse_gpexpr("floor(pi * n)")
     expect = [3, 6, 9, 12, 15, 18, 21, 25, 28, 31]
     assert [eval_exact(expr, n) for n in range(1, 11)] == expect
 
@@ -131,7 +136,7 @@ def test_eval_exact_rational_passthrough():
 def test_eval_interval_certifies_floor_decision():
     expr = parse_gpexpr("floor(sqrt 2 * n)")
     iv = eval_interval(expr, 5, 64)
-    assert iv.exact and iv.lo == 7
+    assert iv.lo == iv.hi == 7
 
 
 def test_unresolvable_floor_raises_not_guesses():
@@ -188,18 +193,20 @@ def test_irrational_value_takes_one_pass(monkeypatch):
     assert passes == [64]
 
 
-@pytest.mark.parametrize("duplicate", [copy.copy, lambda e: pickle.loads(pickle.dumps(e))],
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))],
                          ids=["copy", "pickle"])
-def test_a_duplicate_of_an_evaluated_tree_reports_its_own_node(duplicate):
-    # the root's floor is never decided, so the error names the root
-    expr = parse_gpexpr("floor(e - e)")
+def test_a_duplicate_of_an_evaluated_program_reports_the_same_step(duplicate):
+    # the floor, step 3 of e e sub floor n add, is never decided; a
+    # duplicate carries the brackets filled so far and names the same step
+    expr = parse_gpexpr("floor(e - e) + n")
     with pytest.raises(PrecisionExhausted) as err:
         eval_exact(expr, 0)
-    assert err.value.node is expr
+    assert err.value.node == 3
     twin = duplicate(expr)
-    with pytest.raises(PrecisionExhausted) as err:
+    assert twin == expr and twin[0][1][1] == expr[0][1][1] != {}
+    with pytest.raises(PrecisionExhausted) as again:
         eval_exact(twin, 0)
-    assert err.value.node is twin
+    assert (again.value.node, again.value.interval) == (3, err.value.interval)
 
 
 def test_sqrt_of_a_negative_number_is_refused():
@@ -207,28 +214,70 @@ def test_sqrt_of_a_negative_number_is_refused():
         RealConst.sqrt(-4)
 
 
+# expression trees as nested tuples, (kind, children...) or ("const", c),
+# printed with the fewest parentheses the grammar's precedence and left
+# associativity allow, so the parser is covered along with the evaluator
+_NAMED_TEXT = {
+    RealConst.pi(): "pi", RealConst.e(): "e", RealConst.golden(): "golden",
+    RealConst.sqrt(2): "sqrt2", RealConst.sqrt(3): "sqrt 3",
+}
 _LEAVES = st.one_of(
-    st.sampled_from(
-        [RealConst.pi(), RealConst.e(), RealConst.golden(), RealConst.sqrt(2), RealConst.sqrt(3)]
-    ).map(GPExpr.constant),
-    st.fractions(min_value=-3, max_value=3, max_denominator=4).map(GPExpr.constant),
-    st.just(GPExpr.var()),
-)
+    st.sampled_from(sorted(_NAMED_TEXT, key=_NAMED_TEXT.get)),
+    st.fractions(min_value=0, max_value=3, max_denominator=4).map(RealConst.rational),
+).map(lambda c: ("const", c)) | st.just(("var",))
 _TREES = st.recursive(
     _LEAVES,
     lambda kids: st.one_of(
-        st.builds(
-            lambda k, a, b: GPExpr(k, (a, b)), st.sampled_from(["add", "sub", "mul"]), kids, kids
-        ),
-        st.builds(
-            lambda k, a: GPExpr(k, (a,)), st.sampled_from(["floor", "nearest", "frac"]), kids
-        ),
+        st.tuples(st.sampled_from(["add", "sub", "mul"]), kids, kids),
+        st.tuples(st.sampled_from(["floor", "nearest", "frac"]), kids),
     ),
     max_leaves=10,
 )
+_OPS = {"add": "+", "sub": "-", "mul": "*"}
+_CALLS = {"floor": "floor", "nearest": "round", "frac": "frac"}
 
 
-@given(_TREES, st.integers(min_value=-20, max_value=20))
+def _text(tree):
+    kind = tree[0]
+    if kind == "var":
+        return "n"
+    if kind == "const":
+        c = tree[1]
+        if c in _NAMED_TEXT:
+            return _NAMED_TEXT[c]
+        q = c.payload[0]
+        return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
+    if kind in _CALLS:
+        return "%s(%s)" % (_CALLS[kind], _text(tree[1]))
+    a, b = (_text(child) for child in tree[1:])
+    # a left operand needs parentheses only as a sum under *; a right one
+    # as a sum, or as a product under *
+    weak = ("add", "sub") if kind != "mul" else ("add", "sub", "mul")
+    if kind == "mul" and tree[1][0] in ("add", "sub"):
+        a = "(%s)" % a
+    if tree[2][0] in weak:
+        b = "(%s)" % b
+    return "%s %s %s" % (a, _OPS[kind], b)
+
+
+def _steps(tree):
+    """The post-order (kind, constant) steps of a tree, recursively."""
+    steps = [step for child in tree[1:] if isinstance(child, tuple) for step in _steps(child)]
+    return steps + [(tree[0], tree[1] if tree[0] == "const" else None)]
+
+
+_EXPRS = _TREES.map(lambda tree: parse_gpexpr(_text(tree)))
+
+
+@given(_TREES)
+@settings(max_examples=300, deadline=None)
+def test_parse_emits_the_post_order_steps_of_the_printed_tree(tree):
+    expr = parse_gpexpr(_text(tree))
+    assert [(kind, arg and arg[0]) for kind, arg in expr] == _steps(tree)
+    assert all(arg is None or arg[1] == {} for _, arg in expr)
+
+
+@given(_EXPRS, st.integers(min_value=-20, max_value=20))
 @settings(max_examples=300, deadline=None)
 def test_decided_passes_agree_on_exactness(expr, n):
     # eval_exact stops at its first decided pass: sound only if whether the
@@ -238,40 +287,43 @@ def test_decided_passes_agree_on_exactness(expr, n):
         fine = eval_interval(expr, n, 256)
     except PrecisionExhausted:
         return
-    assert coarse.exact == fine.exact
-    assert not coarse.exact or coarse == fine
+    assert (coarse.lo == coarse.hi) == (fine.lo == fine.hi)
+    assert coarse.lo != coarse.hi or coarse == fine
 
 
 # the Fraction/Interval evaluator that the integer kernel replaced, kept as a
 # test-local oracle: the kernel must give the same rational intervals, raise
-# at the same node with the same interval, and so decide alike everywhere
+# at the same step with the same interval, and so decide alike everywhere
 
 
 def oracle_interval(expr, n, bits):
-    kind = expr.kind
-    if kind == "const":
-        return expr.const.bracket(bits)
-    if kind == "var":
-        return Interval.point(n)
-    if kind in ("add", "sub", "mul"):
-        a, b = (oracle_interval(c, n, bits) for c in expr.children)
-        return a + b if kind == "add" else a - b if kind == "sub" else a * b
-    arg = oracle_interval(expr.children[0], n, bits)
-    shift = 0 if kind == "floor" else Fraction(1, 2)
-    k = floor(arg.lo + shift)
-    if k != floor(arg.hi + shift):
-        raise PrecisionExhausted(
-            "argument interval straddles an integer boundary", node=expr,
-            interval=(arg.lo, arg.hi),
-        )
-    return Interval(arg.lo - k, arg.hi - k) if kind == "frac" else Interval.point(k)
+    stack = []
+    for i, (kind, arg) in enumerate(expr):
+        if kind == "const":
+            stack.append(arg[0].bracket(bits))
+        elif kind == "var":
+            stack.append(Interval.point(n))
+        elif kind in ("add", "sub", "mul"):
+            b, a = stack.pop(), stack.pop()
+            stack.append(a + b if kind == "add" else a - b if kind == "sub" else a * b)
+        else:
+            arg = stack.pop()
+            shift = 0 if kind == "floor" else Fraction(1, 2)
+            k = floor(arg.lo + shift)
+            if k != floor(arg.hi + shift):
+                raise PrecisionExhausted(
+                    "argument interval straddles an integer boundary", node=i,
+                    interval=(arg.lo, arg.hi),
+                )
+            stack.append(Interval(arg.lo - k, arg.hi - k) if kind == "frac" else Interval.point(k))
+    return stack[0]
 
 
 def _outcome(evaluate, expr, n, bits):
     try:
         iv = evaluate(expr, n, bits)
     except PrecisionExhausted as err:
-        return "exhausted", id(err.node), err.interval
+        return "exhausted", err.node, err.interval
     return "interval", iv.lo, iv.hi
 
 
@@ -285,11 +337,11 @@ def oracle_eval_exact(expr, n, schedule):
         except PrecisionExhausted as err:
             last_err = err
             continue
-        if not iv.exact:
+        if iv.lo != iv.hi:
             raise PrecisionExhausted(
                 "expression value is a non-degenerate interval (wrap irrational "
                 "parts in floor/round to certify an exact value)",
-                node=expr, interval=(iv.lo, iv.hi),
+                node=len(expr) - 1, interval=(iv.lo, iv.hi),
             )
         return iv.lo.numerator if iv.lo.denominator == 1 else iv.lo
     raise last_err
@@ -299,11 +351,11 @@ def _exact_outcome(evaluate, expr, n, schedule):
     try:
         value = evaluate(expr, n, schedule)
     except PrecisionExhausted as err:
-        return "exhausted", str(err), id(err.node), err.interval
+        return "exhausted", str(err), err.node, err.interval
     return "value", type(value), value
 
 
-@given(_TREES, st.integers(min_value=-50, max_value=50),
+@given(_EXPRS, st.integers(min_value=-50, max_value=50),
        st.sampled_from([(8, 16), precision_schedule(64, 1024)]))
 @settings(max_examples=400, deadline=None)
 def test_eval_exact_matches_the_interval_oracle(expr, n, schedule):
@@ -350,7 +402,7 @@ def oracle_return_times(expr, eps, N, schedule):
 def test_return_times_matches_the_verdict_oracle():
     ambiguous = []
 
-    @given(_TREES, st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=60),
+    @given(_EXPRS, st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=60),
            st.integers(min_value=0, max_value=12), st.sampled_from([(2, 4), (4, 8), (8, 32)]))
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     def check(expr, eps, N, caps):
@@ -364,7 +416,7 @@ def test_return_times_matches_the_verdict_oracle():
     assert ambiguous
 
 
-@given(_TREES, st.integers(min_value=-50, max_value=50), st.sampled_from([8, 16, 64, 128]))
+@given(_EXPRS, st.integers(min_value=-50, max_value=50), st.sampled_from([8, 16, 64, 128]))
 @settings(max_examples=400, deadline=None)
 def test_integer_kernel_matches_the_interval_oracle(expr, n, bits):
     assert _outcome(eval_interval, expr, n, bits) == _outcome(oracle_interval, expr, n, bits)
@@ -395,14 +447,14 @@ def test_a_long_flat_sum_evaluates_without_recursion():
     assert return_times(parse_gpexpr(terms + " + 1/3"), Fraction(1, 5), 3) == ([], [])
 
 
-def test_a_long_flat_sum_prints_hashes_and_compares():
-    # the generated dataclass methods recursed once per level of the tree;
-    # nodes now compare and hash by identity, and repr walks a stack
+def test_a_long_flat_sum_parses_to_a_flat_program():
+    # a left-deep sum is one step per term and operator, so printing,
+    # comparing and pickling it walk no tree
     terms = "+".join(["n"] * 1200)
     expr = parse_gpexpr(terms)
-    assert repr(expr) == "(" * 1199 + "n" + " + n)" * 1199
-    assert hash(expr) == hash(expr) and expr == expr
-    assert expr != parse_gpexpr(terms)
+    assert expr == (("var", None),) + (("var", None), ("add", None)) * 1199
+    assert repr(expr).count("'add'") == 1199
+    assert pickle.loads(pickle.dumps(expr)) == expr
 
 
 def test_parse_refuses_nesting_past_its_limit():
@@ -677,6 +729,21 @@ def test_fit_reports_residual_for_nonlinear():
     out = fit_generating_function(lambda s: s * s, gens, 1)
     assert not out["exact"]
     assert out["max_residual"] > 0 and out["failing_index_set"] is not None
+
+
+def test_fit_refuses_more_than_4096_index_sets_before_building_a_row():
+    class Sampled(Exception):
+        pass
+
+    def f(s):
+        raise Sampled(s)
+
+    # 2^12 − 1 = 4095 index sets are built, from the first one on; 2^13 − 1
+    # = 8191 are refused before f is called
+    with pytest.raises(Sampled):
+        fit_generating_function(f, range(1, 13), 1)
+    with pytest.raises(CapExceeded, match="^13 generators give 8191 index sets; cap 4096$"):
+        fit_generating_function(f, range(1, 14), 1)
 
 
 def test_fit_underdetermined():

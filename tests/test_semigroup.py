@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ufw.errors import NotAssociative, NotCommutative, NotUltrafilter
+from ufw import semigroup
+from ufw.errors import CapExceeded, NotAssociative, NotCommutative, NotUltrafilter
 from ufw.semigroup import (
+    PRODUCT_ORDER_CAP,
     CayleyTable,
     commutative_kernel_group,
     cyclic_table,
@@ -50,14 +52,12 @@ def two_sided_ideals(table):
 
 def test_flags_match_witnesses():
     t = cyclic_table(3)
-    assert t.associative and t.commutative
     assert (t.assoc_witness, t.comm_witness) == (None, None)
 
 
 def test_non_associative_first_witness():
     # subtraction-like table: (a-b) mod 3
     t = CayleyTable([[(a - b) % 3 for b in range(3)] for a in range(3)])
-    assert not t.associative and not t.commutative
     assert t.assoc_witness == (0, 0, 1)  # lexicographically least triple
     assert t.comm_witness == (0, 1)
 
@@ -294,7 +294,19 @@ def test_direct_product_kernel_law_spot():
 
 def test_direct_product_order_and_assoc():
     prod = direct_product(left_zero_table(2), right_zero_table(2))
-    assert prod.n == 4 and prod.associative
+    assert prod.n == 4 and prod.assoc_witness is None
+
+
+def test_direct_product_refuses_an_order_past_its_cap_before_filling(monkeypatch):
+    # 20 × 20 = 400 is the largest order built; 21 × 21 is refused at once.
+    # The order-400 table is only handed over, not scanned for associativity
+    assert PRODUCT_ORDER_CAP == 400
+    with pytest.raises(CapExceeded, match="^product order 441 exceeds cap 400$"):
+        direct_product(cyclic_table(21), cyclic_table(21))
+    z20 = cyclic_table(20)
+    monkeypatch.setattr(semigroup, "CayleyTable", lambda mul: mul)
+    mul = direct_product(z20, z20)
+    assert len(mul) == 400 and mul[21][399] == 0
 
 
 def test_commutative_kernel_group_cyclic():
@@ -310,7 +322,7 @@ def test_commutative_kernel_group_rejects_noncommutative():
 
 def test_commutative_kernels_are_groups_exhaustive_order3():
     for t in all_assoc(3):
-        if not t.commutative:
+        if t.comm_witness is not None:
             continue
         info = commutative_kernel_group(t)
         ker = kernel(t)

@@ -1,6 +1,6 @@
 """Value semantics of the package's record classes: constructor signatures
 and defaults, the ``Name(field=value, …)`` repr, equality and hash by the
-field tuple (identity for GPExpr), and immutability."""
+field tuple, and immutability."""
 
 import copy
 import pickle
@@ -10,7 +10,7 @@ import pytest
 
 from ufw.arrow import Election, _rank_table
 from ufw.folup import Signature, Structure, UltraproductSpec
-from ufw.genpoly import Dfao, DigitSystem, GPExpr, Interval, RealConst
+from ufw.genpoly import Dfao, DigitSystem, Interval, RealConst
 from ufw.largeness.search import (
     APWitness,
     EdgeColoring,
@@ -204,7 +204,8 @@ def test_constructor_defaults_and_normalisation():
     assert DigitSystem.base(10, "ones").weights == "ones"
     assert RealConst("pi").payload == ()
     assert RealConst.rational(Fraction(1, 3)).payload == (Fraction(1, 3),)
-    assert Interval(lo=Fraction(1), hi=Fraction(2)).width == 1
+    iv = Interval(lo=Fraction(1), hi=Fraction(2))
+    assert (iv.lo, iv.hi) == (1, 2)
     sig = Signature()
     assert (sig.functions, sig.relations, sig.constants) == ((), (("=", 2),), ())
     assert Signature(functions={"g": 2, "f": 1}).functions == (("f", 1), ("g", 2))
@@ -222,9 +223,6 @@ def test_constructor_defaults_and_normalisation():
     assert GroundSet(size=2).full_mask == 3
     dfao = Dfao(states=1, init=0, tau=((0, 0),), lam=((1, 1),), in_base=2, out_base=10)
     assert dfao.tau == ((0, 0),) and dfao.out_base == 10
-    expr = GPExpr("var")
-    assert expr.children == () and expr.const is None
-    assert GPExpr("const", const=RealConst.e()).const == RealConst.e()
 
 
 @pytest.mark.parametrize(
@@ -260,17 +258,6 @@ def test_derived_table_fields_are_not_parameters():
         CayleyTable(Z2, n=2)
     with pytest.raises(TypeError):
         IntervalColoring(3)
-
-
-def test_gpexpr_compares_and_hashes_by_identity():
-    a, b = GPExpr.var(), GPExpr.var()
-    assert a == a and a != b
-    assert hash(a) == object.__hash__(a)
-    assert len({a, b, a}) == 2
-    assert repr(GPExpr.var() * 3 + RealConst.pi()) == "((n * RealConst(3)) + RealConst(pi))"
-    with pytest.raises(AttributeError):
-        a.kind = "const"
-    assert repr(pickle.loads(pickle.dumps(a.floor()))) == "floor(n)"
 
 
 def test_cayley_preimage_masks_are_cached():
