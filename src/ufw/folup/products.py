@@ -19,6 +19,7 @@ from .semantics import Structure, eval_formula
 from .syntax import free_vars
 
 PRODUCT_CAP = 4096
+ASSIGNMENT_CAP = 4096
 
 
 class UltraproductSpec(Record):
@@ -95,15 +96,18 @@ def ultraproduct(spec):
     return Structure(sig, len(universe), funcs=funcs, rels=rels, consts=consts, validate=False)
 
 
-def los_check(spec, phi, samples=None, seed=0, assignment_cap=4096):
+def los_check(spec, phi, samples=None, seed=0):
     """Check the transfer equivalence for one formula.
 
     For each assignment a of the free variables:
       product ⊨ φ(a)  ⇔  {x : S_x ⊨ φ(a_x)} ∈ 𝒰.
-    Assignments are exhaustive when ``samples`` is None (subject to the
-    cap), otherwise that many seeded random assignments.  Returns a report
-    dict; ``violations`` is expected to stay empty.
+    Assignments are exhaustive when ``samples`` is None (at most
+    ASSIGNMENT_CAP of them), otherwise that many seeded random assignments,
+    at least one.  Returns a report dict; ``violations`` is expected to
+    stay empty.
     """
+    if samples is not None and samples < 1:
+        raise ValueError("need at least one sample, got %d" % samples)
     prod = ultraproduct(spec)
     universe = product_universe(spec)
     fv = sorted(free_vars(phi))
@@ -112,8 +116,8 @@ def los_check(spec, phi, samples=None, seed=0, assignment_cap=4096):
 
     if samples is None:
         total = len(universe) ** len(fv)
-        if total > assignment_cap:
-            raise CapExceeded("assignment space %d exceeds cap %d" % (total, assignment_cap))
+        if total > ASSIGNMENT_CAP:
+            raise CapExceeded("assignment space %d exceeds cap %d" % (total, ASSIGNMENT_CAP))
         assignments = iproduct(range(len(universe)), repeat=len(fv))
     else:
         rng = random.Random(seed)

@@ -7,9 +7,10 @@ from ..errors import PrecisionExhausted
 from .expr import DEFAULT_CAP_BITS, DEFAULT_START_BITS, eval_triple, precision_schedule
 
 
-def return_times(expr, eps, N, start_bits=DEFAULT_START_BITS, cap_bits=DEFAULT_CAP_BITS):
+def return_times(expr, eps, N, start_bits=DEFAULT_START_BITS):
     """A_ε = {n ∈ [1..N] : dist(g(n), ℤ) < ε}, decided by certified interval
-    comparison; undecidable n (at the precision cap) land in ``ambiguous``.
+    comparison from ``start_bits`` up to DEFAULT_CAP_BITS; undecidable n
+    (at that cap) land in ``ambiguous``.
 
     With ε = p/q and g(n) in [lo/den, hi/den], n is a member when the
     interval lies inside (k − ε, k + ε) for the integer k nearest its
@@ -22,7 +23,7 @@ def return_times(expr, eps, N, start_bits=DEFAULT_START_BITS, cap_bits=DEFAULT_C
     p, q = eps.numerator, eps.denominator
     members = []
     ambiguous = []
-    schedule = precision_schedule(start_bits, cap_bits)
+    schedule = precision_schedule(start_bits, DEFAULT_CAP_BITS)
     for n in range(1, N + 1):
         for bits in schedule:
             try:

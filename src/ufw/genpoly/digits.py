@@ -5,9 +5,9 @@ The Fibonacci system indexes place values f₀ = 1, f₁ = 2, fᵢ = fᵢ₋₁ 
 its digits are 0/1 with no two adjacent ones (Zeckendorf expansions), which
 makes the greedy expansion unique.
 
-A digit map evaluates Σ μᵢ(n)·bᵢ for configurable weights bᵢ; with bᵢ equal
-to the place values this reconstructs n, with bᵢ = 1 it is the digit sum,
-and with bᵢ = bⁱ it reinterprets base-a digits in base b.
+A digit map expands n into digits μᵢ(n) and evaluates Σ μᵢ(n)·aᵢ over the
+place values aᵢ, which reconstructs n; :func:`base_change` reinterprets
+base-a digits in base b.
 
 Negative n: all digits share the sign of n (the expansion of |n|, negated).
 """
@@ -35,33 +35,30 @@ def _fibonacci(count=0, above=0):
 
 class DigitSystem(Record):
     """kind: 'base' (payload: radix a), 'custom' (payload: tuple of radices
-    d₀, d₁, …, least-significant first), or 'fibonacci'.  ``weights``: either
-    None (use place values: reconstruction), the string 'ones' (digit sum),
-    or an explicit tuple bᵢ."""
+    d₀, d₁, …, least-significant first), or 'fibonacci' (payload: ())."""
 
-    _fields = ("kind", "payload", "weights")
+    _fields = ("kind", "payload")
 
-    def __init__(self, kind, payload=(), weights=None):
+    def __init__(self, kind, payload):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "weights", weights)
 
     @classmethod
-    def base(cls, a, weights=None):
+    def base(cls, a):
         if a < 2:
             raise ValueError("base must be ≥ 2")
-        return cls("base", (a,), weights)
+        return cls("base", (a,))
 
     @classmethod
-    def custom(cls, radices, weights=None):
+    def custom(cls, radices):
         radices = tuple(radices)
         if any(d < 2 for d in radices):
             raise ValueError("all radices must be ≥ 2")
-        return cls("custom", radices, weights)
+        return cls("custom", radices)
 
     @classmethod
-    def fibonacci(cls, weights=None):
-        return cls("fibonacci", (), weights)
+    def fibonacci(cls):
+        return cls("fibonacci", ())
 
     def place_values(self, count):
         """The first ``count`` place values aᵢ, least-significant first."""
@@ -113,9 +110,9 @@ def _zeckendorf_digits(n):
 
 
 def digit_map(n, sys):
-    """Expand n in the system and evaluate the weighted digit sum.
+    """Expand n in the system and evaluate the digits over its place values.
 
-    Returns {"digits": μ (least-significant first), "value": Σ μᵢ bᵢ}.
+    Returns {"digits": μ (least-significant first), "value": Σ μᵢ aᵢ}.
     """
     sign = -1 if n < 0 else 1
     m = abs(n)
@@ -128,15 +125,7 @@ def digit_map(n, sys):
     else:
         raise ValueError("unknown digit system kind %r" % sys.kind)
     digits = [sign * d for d in digits]
-    if sys.weights is None:
-        weights = sys.place_values(len(digits))
-    elif sys.weights == "ones":
-        weights = [1] * len(digits)
-    else:
-        weights = list(sys.weights[: len(digits)])
-        if len(weights) < len(digits):
-            raise ValueError("not enough weights for the expansion")
-    value = sum(d * w for d, w in zip(digits, weights))
+    value = sum(d * a for d, a in zip(digits, sys.place_values(len(digits))))
     return {"digits": digits, "value": value}
 
 

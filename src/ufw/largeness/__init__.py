@@ -7,7 +7,7 @@ from .. import lazy_getattr
 _EXPORTS = {
     "search": (
         "APWitness", "EdgeColoring", "FSWitness", "IntervalColoring", "LineWitness",
-        "SearchBudget", "ThresholdResult", "WordColoring", "coloring_from_index", "edge_list",
+        "ThresholdResult", "WordColoring", "coloring_from_index", "edge_list",
         "find_mono_ap", "find_mono_clique", "find_mono_fs", "find_mono_line",
         "first_uncovered_coloring", "fs_multiple_window", "ipstar_probe", "pattern_configs",
         "threshold_number", "universal_check",

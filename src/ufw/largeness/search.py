@@ -12,6 +12,10 @@ monochromatic one, and :func:`pattern_configs` hands all of them to the
 universal (for-all-colorings) check behind :func:`threshold_number`, a
 pruned depth-first search, :func:`first_uncovered_coloring`, with color 0
 pinned at the first domain position (a sound color-symmetry reduction).
+
+The finite-sums searches and each universal check open their own node
+meter, which raises BudgetExhausted once NODE_CAP nodes are visited or
+TIME_CAP_MS milliseconds have passed.
 """
 
 import time
@@ -21,55 +25,56 @@ from math import comb
 from ..errors import BudgetExhausted
 from ..record import Record
 
+NODE_CAP = 10**7
+TIME_CAP_MS = 60000
+
 
 class IntervalColoring(Record):
     """Coloring of [1..n]; colors[i-1] is the color of i."""
 
-    _fields = ("n", "colors", "r")
+    _fields = ("n", "colors")
 
-    def __init__(self, n, colors, r=0):
+    def __init__(self, n, colors):
         if n < 1:
             raise ValueError("need one color per element of [1..n]")
         object.__setattr__(self, "n", n)
-        _store_colors(self, colors, r, n, "element of [1..n]")
+        _store_colors(self, colors, n, "element of [1..n]")
 
 
 class EdgeColoring(Record):
     """Coloring of the complete k-uniform hypergraph on vertices 0..n-1;
     colors[j] is the color of the j-th k-subset in colex order."""
 
-    _fields = ("n", "k", "colors", "r")
+    _fields = ("n", "k", "colors")
 
-    def __init__(self, n, k, colors, r=0):
+    def __init__(self, n, k, colors):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-        _store_colors(self, colors, r, len(edge_list(n, k)), "%d-subset" % k)
+        _store_colors(self, colors, len(edge_list(n, k)), "%d-subset" % k)
 
 
 class WordColoring(Record):
     """Coloring of Σ^n for Σ = {0..sigma-1}; colors[j] is the color of the
     j-th word in lex order (position 0 most significant)."""
 
-    _fields = ("sigma", "n", "colors", "r")
+    _fields = ("sigma", "n", "colors")
 
-    def __init__(self, sigma, n, colors, r=0):
+    def __init__(self, sigma, n, colors):
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "n", n)
-        _store_colors(self, colors, r, sigma**n, "word of length %d" % n)
+        _store_colors(self, colors, sigma**n, "word of length %d" % n)
 
 
-def _store_colors(coloring, colors, r, count, what):
+def _store_colors(coloring, colors, count, what):
     """Set a coloring's colors, frozen, which must be one per domain element
-    (count of them), and its r, defaulting to the largest color + 1; every
-    color must lie in [0..r)."""
+    (count of them), each an int ≥ 0 (checked with type(): True and False
+    are ints too)."""
     colors = tuple(colors)
     if len(colors) != count:
         raise ValueError("need one color per %s" % what)
-    r = r or max(colors) + 1
-    if any(not 0 <= c < r for c in colors):
-        raise ValueError("colors must lie in [0..r)")
+    if any(type(c) is not int or c < 0 for c in colors):
+        raise ValueError("colors must be integers ≥ 0")
     object.__setattr__(coloring, "colors", colors)
-    object.__setattr__(coloring, "r", r)
 
 
 def edge_list(n, k):
@@ -110,29 +115,19 @@ class LineWitness(Record):
         object.__setattr__(self, "color", color)
 
 
-class SearchBudget(Record):
-    _fields = ("node_cap", "time_cap_ms")
-
-    def __init__(self, node_cap=10**7, time_cap_ms=60000):
-        if node_cap <= 0 or time_cap_ms <= 0:
-            raise ValueError("caps must be positive")
-        object.__setattr__(self, "node_cap", node_cap)
-        object.__setattr__(self, "time_cap_ms", time_cap_ms)
-
-
-def _node_meter(budget):
+def _node_meter():
     """A function to call with the number of search nodes visited since the
     last call (one by default).  It raises BudgetExhausted once the nodes
-    exceed ``budget.node_cap`` or its time cap has passed (the default
-    SearchBudget when ``budget`` is None)."""
-    budget = budget or SearchBudget()
-    deadline = time.monotonic() + budget.time_cap_ms / 1000.0
+    exceed NODE_CAP or TIME_CAP_MS has passed, each read when the meter
+    opens."""
+    node_cap = NODE_CAP
+    deadline = time.monotonic() + TIME_CAP_MS / 1000.0
     nodes = 0
 
     def tick(count=1):
         nonlocal nodes
         nodes += count
-        if nodes > budget.node_cap or time.monotonic() > deadline:
+        if nodes > node_cap or time.monotonic() > deadline:
             raise BudgetExhausted("search budget exhausted", nodes=nodes)
 
     return tick
@@ -225,14 +220,14 @@ def _first_mono(colors, instances):
     return None
 
 
-def find_mono_fs(coloring, k, budget=None, distinct=True):
+def find_mono_fs(coloring, k, distinct=True):
     """Search [1..N] for generators x_1<…<x_k whose 2^k−1 index-subset sums
     are all ≤ N and monochromatic.
 
     ``distinct=False`` relaxes to non-decreasing generators (the classical
     Schur reading at k=2, where x+x=2x counts).  Returns an FSWitness, or
     None when the exhaustive search proves no witness exists.  Raises
-    BudgetExhausted when the node budget runs out first (a strictly weaker
+    BudgetExhausted when the node meter runs out first (a strictly weaker
     answer than None).
     """
     _check_pattern(("fs", k))
@@ -247,7 +242,7 @@ def find_mono_fs(coloring, k, budget=None, distinct=True):
                 return False
         return True
 
-    tuples = _fs_tuples(coloring.n, k, 1 if distinct else 0, True, _node_meter(budget), keep)
+    tuples = _fs_tuples(coloring.n, k, 1 if distinct else 0, True, _node_meter(), keep)
     for gens, sums in tuples:  # the first tuple kept to length k
         return FSWitness(gens, colors[gens[0] - 1] if gens else None, tuple(sorted(set(sums))))
     return None
@@ -331,9 +326,8 @@ def first_uncovered_coloring(domain_size, r, configs):
     lowest position is colored, and a color completing a monochromatic
     config is rejected there.  Iterative, so large domains cannot exhaust
     the recursion limit.  Each backtrack, which closes one node of the
-    search tree, counts against the default SearchBudget in batches of
-    1024; BudgetExhausted is raised when its node or time cap runs out
-    first.
+    search tree, ticks the node meter in batches of 1024; BudgetExhausted
+    is raised when its node or time cap runs out first.
     """
     if any(not cfg for cfg in configs):
         return -1  # an empty config is monochromatic under every coloring
@@ -344,7 +338,7 @@ def first_uncovered_coloring(domain_size, r, configs):
         closing[low].append(tuple(q for q in cfg if q != low))
     colors = [-1] * domain_size
     p = domain_size - 1
-    tick = _node_meter(None)
+    tick = _node_meter()
     nodes = 0  # not yet passed to tick
     while p >= 0:
         c = colors[p] + 1
@@ -425,14 +419,15 @@ def _check_pattern(pattern):
 # --- IP* probe -----------------------------------------------------------
 
 
-def ipstar_probe(a, n, k, scope="sums", budget=None):
+def ipstar_probe(a, n, k, scope="sums"):
     """Does ``a`` ⊆ [1..n] meet FS(x_1..x_k) for every increasing tuple?
 
     ``scope`` controls the tuple space: "sums" requires every subset sum
     ≤ n (the default bounded reading), "generators" only bounds the
     generators themselves by n, with sums allowed to leave [1..n].
-    The counterexample is the lexicographically least failing tuple.
-    Each generator tried is one node of ``budget`` (a SearchBudget);
+    The counterexample is the lexicographically least failing tuple.  A
+    prefix whose sums already meet ``a`` cannot fail, so it is not
+    extended.  Each generator tried is one node of the node meter;
     BudgetExhausted is raised when its node or time cap runs out first.
     """
     if scope not in ("sums", "generators"):
@@ -440,9 +435,9 @@ def ipstar_probe(a, n, k, scope="sums", budget=None):
     if n < 1 or k < 1:
         raise ValueError("n and k must be at least 1")
     a = set(a)
-    for gens, sums in _fs_tuples(n, k, 1, scope == "sums", _node_meter(budget), _keep_all):
-        if a.isdisjoint(sums):
-            return {"holds": False, "counterexample": gens}
+    keep = lambda sums, new: a.isdisjoint(new)
+    for gens, _ in _fs_tuples(n, k, 1, scope == "sums", _node_meter(), keep):
+        return {"holds": False, "counterexample": gens}  # its sums all miss a
     return {"holds": True, "counterexample": None}
 
 

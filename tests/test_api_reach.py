@@ -11,6 +11,9 @@ A public method or property of a ``src`` class is reached when that code
 reads it as an attribute anywhere outside its own body.  An override of a
 method its class inherits, such as ``_Parser.error``, is called by the base
 class and is exempt.
+
+An optional parameter of any ``src`` function or method, private ones
+included, is passed when a call from that same code gives it a value.
 """
 
 import ast
@@ -59,6 +62,11 @@ def _callers():
     return [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
 
 
+def _module(path):
+    name = "ufw." + path.relative_to(SRC).with_suffix("").as_posix().replace("/", ".")
+    return importlib.import_module(name.removesuffix(".__init__"))
+
+
 def _attributes_read(nodes):
     """How often each attribute name is read in code."""
     return Counter(
@@ -83,8 +91,7 @@ def test_every_public_method_has_a_caller_outside_the_unit_tests():
     reads = _attributes_read([*trees.values(), *map(_parse, _callers())])
     unreached = []
     for path, tree in trees.items():
-        name = "ufw." + path.relative_to(SRC).with_suffix("").as_posix().replace("/", ".")
-        module = importlib.import_module(name.removesuffix(".__init__"))
+        module = _module(path)
         for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
             bases = getattr(module, cls.name).__mro__[1:]
             for fn in cls.body:
@@ -95,3 +102,93 @@ def test_every_public_method_has_a_caller_outside_the_unit_tests():
                 if reads[fn.name] == _attributes_read([fn])[fn.name]:
                     unreached.append("%s: %s.%s" % (module.__name__, cls.name, fn.name))
     assert not unreached, "public methods only the unit tests call:\n  " + "\n  ".join(unreached)
+
+
+def _calls(tree):
+    """(callee name, call) for each call in ``tree``.  A callee is named by
+    its last identifier, and ``cls(...)`` inside a class names that class."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                found.append((cls if name == "cls" and cls else name, child))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    visit(tree, None)
+    return found
+
+
+def _functions(tree, module, classes):
+    """(callee names, leading parameters a call does not pass, function,
+    qualified name) for each function in ``tree``.  A method skips its
+    ``self`` or ``cls``, and an ``__init__`` is named by its class and by
+    each of ``classes`` that inherits it."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+                names = {child.name}
+                if cls and child.name == "__init__":
+                    init = vars(getattr(module, cls))["__init__"]
+                    names = {c.__name__ for c in classes if c.__init__ is init}
+                qualname = "%s.%s" % (cls, child.name) if cls else child.name
+                found.append((names, 1 if cls and not static else 0, child, qualname))
+            visit(child, child.name if isinstance(child, ast.ClassDef) and node is tree else None)
+
+    visit(tree, None)
+    return found
+
+
+def _optional(fn):
+    """The parameters of ``fn`` that have a default."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args]
+    return positional[len(positional) - len(args.defaults):] + [
+        a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    ]
+
+
+def _passed(call, skip, fn):
+    """The parameter names of ``fn`` that ``call`` passes."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None for k in call.keywords
+    ):
+        return {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+    positional = [*fn.args.posonlyargs, *fn.args.args][skip:]
+    return {a.arg for a in positional[: len(call.args)]} | {k.arg for k in call.keywords}
+
+
+def test_every_optional_parameter_is_passed_outside_the_unit_tests():
+    # A parameter is passed when a call in src, perfbench or the acceptance
+    # tests names it, reaches it by position, or spreads * or ** arguments.
+    # Callees are matched by name; a call inside the function's own body,
+    # as in a recursion, does not count.
+    trees = {p: _parse(p) for p in sorted(SRC.rglob("*.py"))}
+    modules = {path: _module(path) for path in trees}
+    classes = {
+        c for m in modules.values() for c in vars(m).values()
+        if isinstance(c, type) and c.__module__.startswith("ufw")
+    }
+    calls = [call for tree in [*trees.values(), *map(_parse, _callers())] for call in _calls(tree)]
+    unpassed = set()
+    for path, tree in trees.items():
+        for names, skip, fn, qualname in _functions(tree, modules[path], classes):
+            optional = _optional(fn)
+            if not optional:
+                continue
+            inside = {id(node) for node in ast.walk(fn)}
+            passed = set().union(*(
+                _passed(call, skip, fn)
+                for name, call in calls
+                if name in names and id(call) not in inside
+            ))
+            where = "%s: %s" % (modules[path].__name__, qualname)
+            unpassed |= {"%s(%s=)" % (where, a.arg) for a in optional if a.arg not in passed}
+    assert not unpassed, "optional parameters only the unit tests pass:\n  " + "\n  ".join(
+        sorted(unpassed)
+    )

@@ -55,11 +55,9 @@ def test_search_cap_hit_is_budget_exit(capsys):
 def test_search_node_budget_is_budget_exit(capsys, monkeypatch):
     # HJ for three letters reaches 81 positions at size 4, where the coloring
     # search thrashes; it once ran without end
-    from functools import partial
-
     from ufw.largeness import search
 
-    monkeypatch.setattr(search, "SearchBudget", partial(search.SearchBudget, node_cap=10**5))
+    monkeypatch.setattr(search, "NODE_CAP", 10**5)
     code, report = invoke(capsys, ["search", "hj", "--sigma", "3", "--cap", "7"])
     assert code == 2
     assert report["result"] == {"error": "BudgetExhausted: search budget exhausted"}
@@ -574,8 +572,14 @@ def test_golden_digests(capsys, tmp_path, case):
     # those (each rounding kind, undecidable and non-degenerate values,
     # 1,200-term sums, zero denominators and nesting past the limit) were
     # recorded before a parsed expression became its post-order program,
-    # and the two exit-2 cases that close the list (a fit on 13 generators
-    # and a product of order 441) once fit and product had size caps.
+    # and the two exit-2 cases after them (a fit on 13 generators and a
+    # product of order 441) once fit and product had size caps.  The fol
+    # los cases after those (4,096 assignments, one free variable past the
+    # cap, two samples) and the gp digits of 0 on each system and of −45 in
+    # Fibonacci were recorded before the colorings, digit systems and los
+    # lost their unused parameters.  The IP* probe after them answers at
+    # once since it prunes on partial sums, and the two los cases that
+    # close the list, with 0 and −3 samples, are input errors since then.
     # An argv entry naming one of the case's inline files stands for that
     # file's path.
     paths = {name: write_json(tmp_path, name, body) for name, body in case.get("files", {}).items()}

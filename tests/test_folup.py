@@ -28,7 +28,7 @@ from ufw.folup import (
     ultraproduct,
 )
 from ufw.folup.semantics import equality_axiom_witness, eval_term
-from ufw.folup import sweep
+from ufw.folup import products, sweep
 from ufw.folup.sweep import build_corpus, factor_structures
 from ufw.setfam import GroundSet, SetFamily, principal_ultrafilter
 from ufw.tokens import MAX_NESTING
@@ -529,11 +529,22 @@ def test_los_detects_corrupted_product():
     assert eval_formula(prod, phi) != eval_formula(wrong_factor, phi)
 
 
-def test_assignment_cap():
+def test_assignment_cap(monkeypatch):
     spec = _spec((Z3, MAX2), 0)
     phi = parse_formula("(x = y & z = w)", SIG)
+    monkeypatch.setattr(products, "ASSIGNMENT_CAP", 100)
     with pytest.raises(CapExceeded):
-        los_check(spec, phi, assignment_cap=100)
+        los_check(spec, phi)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_los_needs_a_sample(samples):
+    # a transfer check over no assignment checks nothing
+    spec = _spec((Z3, MAX2), 0)
+    phi = parse_formula("x = y", SIG)
+    with pytest.raises(ValueError, match="at least one sample"):
+        los_check(spec, phi, samples=samples)
+    assert los_check(spec, phi, samples=1)["checked"] == 1
 
 
 # --- sweep -----------------------------------------------------------------

@@ -15,7 +15,6 @@ from ufw.largeness import (
     EdgeColoring,
     FSWitness,
     IntervalColoring,
-    SearchBudget,
     WordColoring,
     coloring_from_index,
     edge_list,
@@ -30,7 +29,7 @@ from ufw.largeness import (
     threshold_number,
     universal_check,
 )
-from ufw.largeness import checkers
+from ufw.largeness import checkers, search
 
 
 # --- finite-sums search ----------------------------------------------------
@@ -51,7 +50,7 @@ def test_fs_proven_absent_small_split():
 
 def test_fs_every_2coloring_of_5_has_witness_with_repeats():
     for idx in range(2**5):
-        c = IntervalColoring(5, tuple((idx >> i) & 1 for i in range(5)), r=2)
+        c = IntervalColoring(5, tuple((idx >> i) & 1 for i in range(5)))
         w = find_mono_fs(c, 2, distinct=False)
         assert w is not None
         assert checkers.check_fs_witness(c.colors, w.generators, w.color, distinct=False)
@@ -69,24 +68,27 @@ def test_fs_needs_a_generator(k):
         find_mono_fs(IntervalColoring(3, (0, 1, 0)), k)
 
 
-def test_fs_budget_exhaustion_distinguished():
+def test_fs_budget_exhaustion_distinguished(monkeypatch):
     c = IntervalColoring(12, tuple(i % 2 for i in range(12)))
+    monkeypatch.setattr(search, "NODE_CAP", 3)
     with pytest.raises(BudgetExhausted) as err:
-        find_mono_fs(c, 4, SearchBudget(node_cap=3))
+        find_mono_fs(c, 4)
     assert err.value.nodes is not None
 
 
-def test_fs_proven_absent_stable_under_bigger_budget():
+def test_fs_proven_absent_stable_under_bigger_budget(monkeypatch):
     c = IntervalColoring(6, (0, 1, 1, 0, 1, 0))
-    small = find_mono_fs(c, 3, SearchBudget(node_cap=10**5))
-    big = find_mono_fs(c, 3, SearchBudget(node_cap=2 * 10**5))
+    monkeypatch.setattr(search, "NODE_CAP", 10**5)
+    small = find_mono_fs(c, 3)
+    monkeypatch.setattr(search, "NODE_CAP", 2 * 10**5)
+    big = find_mono_fs(c, 3)
     assert small is None and big is None
 
 
 @given(st.integers(0, 2**10 - 1))
 @settings(max_examples=100, deadline=None)
 def test_fs_found_witnesses_validate(bits):
-    c = IntervalColoring(10, tuple((bits >> i) & 1 for i in range(10)), r=2)
+    c = IntervalColoring(10, tuple((bits >> i) & 1 for i in range(10)))
     w = find_mono_fs(c, 2)
     if w is not None:
         assert checkers.check_fs_witness(c.colors, w.generators, w.color, w.sums)
@@ -106,7 +108,7 @@ def test_ap_rrbbrrbb_avoids():
 
 def test_ap_every_2coloring_of_9():
     for bits in range(2**9):
-        c = IntervalColoring(9, tuple((bits >> i) & 1 for i in range(9)), r=2)
+        c = IntervalColoring(9, tuple((bits >> i) & 1 for i in range(9)))
         w = find_mono_ap(c, 3)
         assert w is not None
         assert checkers.check_ap_witness(c.colors, w.start, w.step, 3, w.color)
@@ -121,7 +123,7 @@ def test_line_absent_for_split_singletons():
 
 def test_line_every_2coloring_of_2cube():
     for bits in range(2**4):
-        c = WordColoring(2, 2, tuple((bits >> i) & 1 for i in range(4)), r=2)
+        c = WordColoring(2, 2, tuple((bits >> i) & 1 for i in range(4)))
         w = find_mono_line(c)
         assert w is not None
         assert checkers.check_line_witness(c.colors, 2, w.word, w.color)
@@ -322,7 +324,7 @@ def test_point_searches_match_scan_order_oracles(data):
     colors = _colors(draw, n, r)
     hit = _first_mono_oracle(colors, _ap_oracle(n, length), offset=1)
     expect = None if hit is None else APWitness(*hit[0], length, hit[1])
-    assert find_mono_ap(IntervalColoring(n, colors, r), length) == expect
+    assert find_mono_ap(IntervalColoring(n, colors), length) == expect
 
     n, k = draw(st.integers(1, 16)), draw(st.integers(1, 3))
     colors = _colors(draw, n, r)
@@ -333,19 +335,19 @@ def test_point_searches_match_scan_order_oracles(data):
             if proper and len({colors[s - 1] for s in sums}) == 1:
                 expect = FSWitness(gens, colors[gens[0] - 1], tuple(sorted(set(sums))))
                 break
-        assert find_mono_fs(IntervalColoring(n, colors, r), k, distinct=distinct) == expect
+        assert find_mono_fs(IntervalColoring(n, colors), k, distinct=distinct) == expect
 
     k = draw(st.integers(1, 3))
     n, m = draw(st.integers(k, 7)), draw(st.integers(k, 5))
     colors = _colors(draw, len(edge_list(n, k)), r)
     expect = _first_mono_oracle(colors, _clique_oracle(n, k, m))
-    assert find_mono_clique(EdgeColoring(n, k, colors, r), m) == expect
+    assert find_mono_clique(EdgeColoring(n, k, colors), m) == expect
 
     sigma = draw(st.integers(1, 3))
     n = draw(st.integers(1, 3))
     colors = _colors(draw, sigma**n, r)
     hit = _first_mono_oracle(colors, _line_oracle(sigma, n))
-    got = find_mono_line(WordColoring(sigma, n, colors, r))
+    got = find_mono_line(WordColoring(sigma, n, colors))
     assert (None if got is None else (got.word, got.color)) == hit
 
 
@@ -398,38 +400,42 @@ def test_pattern_configs_match_scan_order_oracles(kind, params, sizes):
         assert pattern_configs((kind,) + params, size) == (domain, configs)
 
 
-# Least node caps at which these searches finish, as measured before the
-# searches shared one walker; each generator tried is one node.
+# Least node caps at which these searches finish; each generator tried is
+# one node.  The find_mono_fs counts were measured before the searches
+# shared one walker, and the ipstar_probe counts once the probe stopped
+# extending a prefix whose sums meet the set.
 @pytest.mark.parametrize(
-    "search,nodes,result",
+    "run,nodes,result",
     [
-        (lambda b: find_mono_fs(IntervalColoring(12, (0, 1) * 6), 4, b), 61, None),
+        (lambda: find_mono_fs(IntervalColoring(12, (0, 1) * 6), 4), 61, None),
         (
-            lambda b: find_mono_fs(IntervalColoring(12, (0, 1) * 6), 2, b),
+            lambda: find_mono_fs(IntervalColoring(12, (0, 1) * 6), 2),
             15,
             FSWitness((2, 4), 1, (2, 4, 6)),
         ),
         (
-            lambda b: ipstar_probe({1}, 30, 3, "generators", b),
-            439,
+            lambda: ipstar_probe({1}, 30, 3, "generators"),
+            4,
             {"holds": False, "counterexample": (2, 3, 4)},
         ),
         (
-            lambda b: ipstar_probe(set(range(1, 11, 2)), 10, 2, "sums", b),
-            13,
+            lambda: ipstar_probe(set(range(1, 11, 2)), 10, 2, "sums"),
+            4,
             {"holds": False, "counterexample": (2, 4)},
         ),
         (
-            lambda b: ipstar_probe(set(range(3, 31, 3)), 30, 3, "sums", b),
-            1054,
+            lambda: ipstar_probe(set(range(3, 31, 3)), 30, 3, "sums"),
+            362,
             {"holds": True, "counterexample": None},
         ),
     ],
 )
-def test_budget_node_counts_pinned(search, nodes, result):
-    assert search(SearchBudget(node_cap=nodes)) == result
+def test_budget_node_counts_pinned(monkeypatch, run, nodes, result):
+    monkeypatch.setattr(search, "NODE_CAP", nodes)
+    assert run() == result
+    monkeypatch.setattr(search, "NODE_CAP", nodes - 1)
     with pytest.raises(BudgetExhausted) as err:
-        search(SearchBudget(node_cap=nodes - 1))
+        run()
     assert err.value.nodes == nodes
 
 
@@ -583,11 +589,13 @@ def test_ipstar_generator_scope_differs():
     assert ipstar_probe(set(range(1, 7)), 6, 2, scope="sums")["holds"]
 
 
-def test_ipstar_budget_exhausts():
-    # with generators alone bounded, every tuple opening with 1 meets {1},
-    # so the search wades through C(199, 5) of them before (2, ..., 7)
+def test_ipstar_budget_exhausts(monkeypatch):
+    # no triple of generators in [1..200] has all its sums off the multiples
+    # of 3, so the search tries every generator not itself a multiple of 3
+    # at each level: 303,174 of them
+    monkeypatch.setattr(search, "NODE_CAP", 10**4)
     with pytest.raises(BudgetExhausted):
-        ipstar_probe({1}, 200, 6, scope="generators", budget=SearchBudget(node_cap=10**4))
+        ipstar_probe(set(range(3, 601, 3)), 200, 3, scope="generators")
 
 
 @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=12))

@@ -17,7 +17,6 @@ from ufw.largeness.search import (
     FSWitness,
     IntervalColoring,
     LineWitness,
-    SearchBudget,
     ThresholdResult,
     WordColoring,
 )
@@ -35,18 +34,18 @@ U2 = principal_ultrafilter(GroundSet(2), 0)
 RECORDS = {
     "IntervalColoring": (
         lambda: IntervalColoring(3, [0, 1, 0]),
-        ("n", "colors", "r"),
-        "IntervalColoring(n=3, colors=(0, 1, 0), r=2)",
+        ("n", "colors"),
+        "IntervalColoring(n=3, colors=(0, 1, 0))",
     ),
     "EdgeColoring": (
         lambda: EdgeColoring(3, 2, (0, 1, 1)),
-        ("n", "k", "colors", "r"),
-        "EdgeColoring(n=3, k=2, colors=(0, 1, 1), r=2)",
+        ("n", "k", "colors"),
+        "EdgeColoring(n=3, k=2, colors=(0, 1, 1))",
     ),
     "WordColoring": (
-        lambda: WordColoring(2, 1, (1, 0), r=3),
-        ("sigma", "n", "colors", "r"),
-        "WordColoring(sigma=2, n=1, colors=(1, 0), r=3)",
+        lambda: WordColoring(2, 1, (1, 0)),
+        ("sigma", "n", "colors"),
+        "WordColoring(sigma=2, n=1, colors=(1, 0))",
     ),
     "FSWitness": (
         lambda: FSWitness((1, 2), 0, (1, 2, 3)),
@@ -62,11 +61,6 @@ RECORDS = {
         lambda: LineWitness((0, None), 1),
         ("word", "color"),
         "LineWitness(word=(0, None), color=1)",
-    ),
-    "SearchBudget": (
-        lambda: SearchBudget(node_cap=5),
-        ("node_cap", "time_cap_ms"),
-        "SearchBudget(node_cap=5, time_cap_ms=60000)",
     ),
     "ThresholdResult": (
         lambda: ThresholdResult(("ap", 3), 2, 9, 12, (0, 0, 1)),
@@ -86,8 +80,8 @@ RECORDS = {
     ),
     "DigitSystem": (
         lambda: DigitSystem.custom([60, 60]),
-        ("kind", "payload", "weights"),
-        "DigitSystem(kind='custom', payload=(60, 60), weights=None)",
+        ("kind", "payload"),
+        "DigitSystem(kind='custom', payload=(60, 60))",
     ),
     "Interval": (
         lambda: Interval(Fraction(1, 2), Fraction(1)),
@@ -177,7 +171,7 @@ def test_copies_and_pickles_equal(name):
 
 
 def test_unequal_fields_compare_unequal():
-    assert IntervalColoring(3, (0, 1, 0)) != IntervalColoring(3, (0, 1, 0), r=3)
+    assert IntervalColoring(3, (0, 1, 0)) != IntervalColoring(3, (0, 1, 1))
     assert APWitness(1, 2, 3, 0) != APWitness(1, 2, 3, 1)
     assert Election(2, 3) != Election(3, 2)
     assert GroundSet(3) != GroundSet(4)
@@ -186,22 +180,14 @@ def test_unequal_fields_compare_unequal():
     assert RealConst.pi() != RealConst.e()
     assert RealConst.rational(2) == RealConst.sqrt(4)
     assert Interval(Fraction(0), Fraction(1)) != Interval(Fraction(0), Fraction(2))
-    assert SearchBudget() != SearchBudget(node_cap=5)
 
 
 def test_constructor_defaults_and_normalisation():
-    assert IntervalColoring(3, (0, 1, 0)).r == 2
-    assert IntervalColoring(3, (0, 1, 0), 4).r == 4
     assert IntervalColoring(n=3, colors=[0, 0, 0]).colors == (0, 0, 0)
-    assert EdgeColoring(3, 2, (0, 1, 0)).r == 2
-    assert WordColoring(2, 2, (0, 0, 0, 2)).r == 3
-    budget = SearchBudget()
-    assert (budget.node_cap, budget.time_cap_ms) == (10**7, 60000)
-    assert SearchBudget(5, 7) == SearchBudget(node_cap=5, time_cap_ms=7)
+    assert WordColoring(2, 2, (0, 0, 0, 2)).colors == (0, 0, 0, 2)
     assert ThresholdResult(("ap", 3), 2, None, 5).failure_coloring is None
     assert Election(candidates=2, voters=1) == Election(1, 2)
-    assert DigitSystem("fibonacci") == DigitSystem("fibonacci", (), None)
-    assert DigitSystem.base(10, "ones").weights == "ones"
+    assert DigitSystem.fibonacci() == DigitSystem("fibonacci", ())
     assert RealConst("pi").payload == ()
     assert RealConst.rational(Fraction(1, 3)).payload == (Fraction(1, 3),)
     iv = Interval(lo=Fraction(1), hi=Fraction(2))
@@ -229,11 +215,12 @@ def test_constructor_defaults_and_normalisation():
     "make",
     [
         lambda: IntervalColoring(0, ()),
-        lambda: IntervalColoring(2, (0, 1), 1),
         lambda: EdgeColoring(3, 2, (0, 1)),
         lambda: WordColoring(2, 2, (0, -1, 0, 0)),
-        lambda: SearchBudget(node_cap=0),
-        lambda: SearchBudget(time_cap_ms=-1),
+        lambda: IntervalColoring(2, (0, True)),
+        lambda: EdgeColoring(2, 2, (False,)),
+        lambda: WordColoring(1, 2, (0, 1.0)),
+        lambda: IntervalColoring(1, ("0",)),
         lambda: Election(1, 1),
         lambda: Election(True, 2),
         lambda: Interval(Fraction(1), Fraction(0)),
@@ -249,6 +236,12 @@ def test_constructor_defaults_and_normalisation():
 def test_constructors_still_validate(make):
     with pytest.raises(ValueError):
         make()
+
+
+def test_colorings_of_an_empty_domain_construct():
+    # no 3-subsets of two vertices and no words over an empty alphabet
+    assert EdgeColoring(2, 3, ()).colors == ()
+    assert WordColoring(0, 2, ()).colors == ()
 
 
 def test_derived_table_fields_are_not_parameters():
