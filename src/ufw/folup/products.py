@@ -101,13 +101,17 @@ def los_check(spec, phi, samples=None, seed=0):
 
     For each assignment a of the free variables:
       product ⊨ φ(a)  ⇔  {x : S_x ⊨ φ(a_x)} ∈ 𝒰.
-    Assignments are exhaustive when ``samples`` is None (at most
-    ASSIGNMENT_CAP of them), otherwise that many seeded random assignments,
-    at least one.  Returns a report dict; ``violations`` is expected to
-    stay empty.
+    Assignments are exhaustive when ``samples`` is None, otherwise that
+    many seeded random assignments, at least one.  Either way at most
+    ASSIGNMENT_CAP assignments are checked: a larger space or sample count
+    raises CapExceeded before any is drawn.  Returns a report dict;
+    ``violations`` is expected to stay empty.
     """
-    if samples is not None and samples < 1:
-        raise ValueError("need at least one sample, got %d" % samples)
+    if samples is not None:
+        if samples < 1:
+            raise ValueError("need at least one sample, got %d" % samples)
+        if samples > ASSIGNMENT_CAP:
+            raise CapExceeded("sample count %d exceeds cap %d" % (samples, ASSIGNMENT_CAP))
     prod = ultraproduct(spec)
     universe = product_universe(spec)
     fv = sorted(free_vars(phi))

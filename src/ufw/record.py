@@ -9,8 +9,10 @@ class Record:
     their field values and print as ``Name(field=value, …)``.  Each
     subclass writes its own ``__init__``, which sets every field with
     ``object.__setattr__``; any other assignment or deletion raises
-    AttributeError."""
+    AttributeError.  Records declare no instance dict of their own, so a
+    subclass that lists its fields in ``__slots__`` carries none."""
 
+    __slots__ = ()
     _fields = ()
 
     def __init_subclass__(cls):

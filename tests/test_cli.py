@@ -579,8 +579,14 @@ def test_golden_digests(capsys, tmp_path, case):
     # Fibonacci were recorded before the colorings, digit systems and los
     # lost their unused parameters.  The IP* probe after them answers at
     # once since it prunes on partial sums, and the two los cases that
-    # close the list, with 0 and −3 samples, are input errors since then.
-    # An argv entry naming one of the case's inline files stands for that
+    # follow, with 0 and −3 samples, are input errors since then.  The sg
+    # cases after those (an order-5 table whose lex-first witness is
+    # (1, 1, 3), ℤ/10 × multiplication mod 6, and two ultrafilter products
+    # on that order-60 product, one with families that are no ultrafilters
+    # and one with families on the wrong ground) were recorded before tables
+    # kept their fields in slots and the associativity scan compared rows,
+    # and the two los cases that close the list (4,096 samples, and 4,097,
+    # which exits 2) once the sample count had a cap.  An argv entry naming one of the case's inline files stands for that
     # file's path.
     paths = {name: write_json(tmp_path, name, body) for name, body in case.get("files", {}).items()}
     argv = case.get("argv")

@@ -537,6 +537,16 @@ def test_assignment_cap(monkeypatch):
         los_check(spec, phi)
 
 
+def test_sample_count_cap():
+    # a sample count past the cap is refused before any sample is drawn
+    spec = _spec((Z3, MAX2), 0)
+    phi = parse_formula("x = y", SIG)
+    cap = products.ASSIGNMENT_CAP
+    assert los_check(spec, phi, samples=cap)["checked"] == cap
+    with pytest.raises(CapExceeded, match="sample count %d exceeds cap" % (cap + 1)):
+        los_check(spec, phi, samples=cap + 1)
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_los_needs_a_sample(samples):
     # a transfer check over no assignment checks nothing

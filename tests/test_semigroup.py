@@ -1,7 +1,10 @@
 """Finite semigroups: table validation, ideal structure, kernels, the
 idempotent order, direct products, and the ultrafilter product."""
 
+import copy
+import pickle
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -457,14 +460,15 @@ def test_ultrafilter_product_checks_in_order():
 
 
 def test_preimage_masks_are_built_on_the_first_product_only():
-    # cached_property keeps the masks in the instance dict once built
+    # the masks live in the table's _preimage_masks slot once built
     tables = all_assoc(4)
     assert len(tables) == 3492
-    assert not any("preimage_masks" in vars(t) for t in tables)
+    assert all(t._preimage_masks is None for t in tables)
     table, g = tables[-1], GroundSet(4)
     u, v = principal_ultrafilter(g, 1), principal_ultrafilter(g, 2)
     first = ultrafilter_product(table, u, v)
-    masks = vars(table)["preimage_masks"]
+    masks = table._preimage_masks
+    assert masks is not None
     assert ultrafilter_product(table, u, v) == first
     assert table.preimage_masks is masks
     # x⁻¹A for every x and every mask, as the definition reads it
@@ -472,3 +476,69 @@ def test_preimage_masks_are_built_on_the_first_product_only():
         tuple(sum(1 << y for y in range(4) if a >> table.mul[x][y] & 1) for a in range(16))
         for x in range(4)
     )
+
+
+# --- compact tables ----------------------------------------------------------
+
+
+def test_tables_carry_no_instance_dict():
+    for table in (cyclic_table(3), all_assoc(2)[0]):
+        assert not hasattr(table, "__dict__")
+        with pytest.raises(AttributeError):
+            table.extra = 1
+        with pytest.raises(AttributeError):
+            object.__setattr__(table, "extra", 1)
+
+
+def test_enumerated_tables_share_their_rows():
+    # one object per distinct row: at most 4⁴ rows across all 3,492 tables
+    tables = all_assoc(4)
+    rows = [row for t in tables for row in t.mul]
+    assert len({id(row) for row in rows}) == len(set(rows)) <= 4**4
+
+
+def test_enumerated_table_bytes():
+    # 195 bytes a table at order 4 when measured; 507 with an instance dict
+    # and private rows
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tables = all_assoc(4)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown / len(tables) <= 260
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))]
+)
+def test_tables_copy_and_pickle_after_the_masks_are_read(clone):
+    table = all_assoc(3)[-1]
+    masks = table.preimage_masks
+    twin = clone(table)
+    # tables compare by mul, n and both witnesses
+    assert twin == table and type(twin) is CayleyTable
+    assert twin.preimage_masks == masks
+    odd = CayleyTable([[(a - b) % 3 for b in range(3)] for a in range(3)])
+    assert clone(odd) == odd and clone(odd).assoc_witness == (0, 0, 1)
+
+
+def test_assoc_witness_is_the_lex_first_failing_triple():
+    # the row-at-a-time scan names the same witness as the triple loop
+    rng = random.Random(7)
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        mul = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:  # one cell off an associative table
+            mul = [list(row) for row in rng.choice([cyclic_table, mult_mod_table])(n).mul]
+            mul[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        first = next(
+            (
+                (a, b, c)
+                for a, b, c in product(range(n), repeat=3)
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]
+            ),
+            None,
+        )
+        assert CayleyTable(mul).assoc_witness == first
