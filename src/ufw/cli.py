@@ -1,8 +1,8 @@
 """Unified command-line front end.
 
 Subcommands: setfam, sg, search, calc, gp, arrow, fol, verify.  All output
-is JSON on stdout, wrapped with a run manifest (command, version, seed,
-input digests, output digest, wall time).  Numbers that may exceed the
+is JSON on stdout, wrapped with a run manifest (command, version, input
+digests, output digest, wall time).  Numbers that may exceed the
 53-bit float mantissa are serialized as decimal strings.
 
 Exit codes: 0 success with a positive result; 1 verified negative (proven
@@ -91,7 +91,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser():
     parser = _Parser(prog="ufw")
-    parser.add_argument("--seed", type=int, default=None, help="random seed (or UFW_SEED)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("setfam")
@@ -148,7 +147,6 @@ def _build_parser():
     p.add_argument("--uf")
     p.add_argument("--formula", required=True)
     p.add_argument("--env", default="", help="assignment, e.g. x=0,y=1")
-    p.add_argument("--samples", type=int, default=None)
 
     p = sub.add_parser("verify")
     p.add_argument("--certificate", required=True)
@@ -156,54 +154,41 @@ def _build_parser():
     return parser
 
 
-def _seed(flag):
-    """The --seed value, else UFW_SEED, else 0."""
-    if flag is not None:
-        return flag
-    text = os.environ.get("UFW_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise InputError("UFW_SEED is not an integer: %r" % text)
-
-
 def run(argv):
     try:
         args = _build_parser().parse_args(argv)
     except InputError as err:
-        _emit({"error": str(err)}, argv, None, {}, time.monotonic())
+        _emit({"error": str(err)}, argv, {}, time.monotonic())
         return EXIT_INPUT
     except SystemExit:  # --help printed usage; errors raise InputError instead
         return EXIT_OK
 
     digests = {}
     start = time.monotonic()
-    seed = None
     try:
-        seed = args.seed = _seed(args.seed)
         handler = importlib.import_module(".commands." + args.command, __package__)
         result, code = handler.run(args, digests)
     except InputError as err:
-        _emit({"error": str(err)}, argv, seed, digests, start)
+        _emit({"error": str(err)}, argv, digests, start)
         return EXIT_INPUT
     except (ParseError, IndexOutOfRange, ArityMismatch, ValueError, KeyError, TypeError) as err:
-        _emit({"error": "%s: %s" % (type(err).__name__, err)}, argv, seed, digests, start)
+        _emit({"error": "%s: %s" % (type(err).__name__, err)}, argv, digests, start)
         return EXIT_INPUT
     except (BudgetExhausted, CapExceeded) as err:
-        _emit({"error": "%s: %s" % (type(err).__name__, err)}, argv, seed, digests, start)
+        _emit({"error": "%s: %s" % (type(err).__name__, err)}, argv, digests, start)
         return EXIT_BUDGET
     except UfwError as err:
         payload = {"error": "%s: %s" % (type(err).__name__, err)}
         witness = getattr(err, "witness", None)
         if witness is not None:
             payload["witness"] = witness
-        _emit(payload, argv, seed, digests, start)
+        _emit(payload, argv, digests, start)
         return EXIT_NEGATIVE
-    _emit(result, argv, seed, digests, start)
+    _emit(result, argv, digests, start)
     return code
 
 
-def _emit(result, argv, seed, digests, start):
+def _emit(result, argv, digests, start):
     body = _jsonable(result)
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
     report = {
@@ -211,7 +196,6 @@ def _emit(result, argv, seed, digests, start):
         "manifest": {
             "command": list(argv),
             "version": __version__,
-            "seed": seed,
             "input_digests": digests,
             "output_digest": digest(canonical),
             "wall_time_ms": int((time.monotonic() - start) * 1000),

@@ -41,7 +41,7 @@ def run(args, digests):
         prod = folup.ultraproduct(spec)
         return {"ultraproduct": prod.to_json()}, EXIT_OK
     if args.action == "los":
-        report = folup.los_check(spec, phi, samples=args.samples, seed=args.seed)
+        report = folup.los_check(spec, phi)
         code = EXIT_OK if not report["violations"] else EXIT_NEGATIVE
         return {"los": report}, code
     raise InputError("unknown fol action %r" % args.action)

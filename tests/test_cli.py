@@ -470,6 +470,26 @@ def test_fol_los(capsys, tmp_path):
     assert report["result"]["los"]["violations"] == []
 
 
+def test_fol_uprod_of_high_arity_answers_at_once(capsys, tmp_path):
+    # an empty 8-ary relation has no member to build; an arity-6 function
+    # over the same 9 elements would hold 9⁶ cells, past the cap, and is
+    # refused unbuilt
+    def table(arity):
+        return 0 if arity == 0 else [table(arity - 1)] * 3
+
+    for sig, body, code in [
+        ({"relations": {"r": 8}}, {"relations": {"r": []}}, 0),
+        ({"functions": {"h": 6}}, {"functions": {"h": table(6)}}, 2),
+    ]:
+        structure = write_json(tmp_path, "s.json", dict(body, universe=3))
+        uf = write_json(tmp_path, "uf.json", principal_ultrafilter(GroundSet(2), 1).to_json())
+        argv = ["fol", "uprod", "--sig", write_json(tmp_path, "sig.json", sig),
+                "--structs", structure, structure, "--uf", uf, "--formula", "x = x"]
+        start = time.monotonic()
+        assert invoke(capsys, argv)[0] == code
+        assert time.monotonic() - start < 5.0
+
+
 # --- manifest --------------------------------------------------------------
 
 
@@ -480,30 +500,10 @@ def test_manifest_shape_and_determinism(capsys):
     m = first["manifest"]
     assert m["command"] == argv
     assert set(m) == {
-        "command", "version", "seed", "input_digests", "output_digest", "wall_time_ms",
+        "command", "version", "input_digests", "output_digest", "wall_time_ms",
     }
     assert m["output_digest"] == second["manifest"]["output_digest"]
     assert first["result"] == second["result"]
-
-
-def test_seed_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("UFW_SEED", "42")
-    _, report = invoke(capsys, ["gp", "eval", "--expr", "n", "-n", "1"])
-    assert report["manifest"]["seed"] == 42
-
-
-def test_bad_seed_env_is_input_error(capsys, monkeypatch):
-    monkeypatch.setenv("UFW_SEED", "abc")
-    code, report = invoke(capsys, ["gp", "eval", "--expr", "n", "-n", "1"])
-    assert code == 3
-    assert report["result"] == {"error": "UFW_SEED is not an integer: 'abc'"}
-    assert report["manifest"]["seed"] is None
-
-
-def test_seed_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("UFW_SEED", "42")
-    _, report = invoke(capsys, ["--seed", "7", "gp", "eval", "--expr", "n", "-n", "1"])
-    assert report["manifest"]["seed"] == 7
 
 
 # --- process boundary -------------------------------------------------------
@@ -574,20 +574,26 @@ def test_golden_digests(capsys, tmp_path, case):
     # recorded before a parsed expression became its post-order program,
     # and the two exit-2 cases after them (a fit on 13 generators and a
     # product of order 441) once fit and product had size caps.  The fol
-    # los cases after those (4,096 assignments, one free variable past the
-    # cap, two samples) and the gp digits of 0 on each system and of −45 in
-    # Fibonacci were recorded before the colorings, digit systems and los
-    # lost their unused parameters.  The IP* probe after them answers at
-    # once since it prunes on partial sums, and the two los cases that
-    # follow, with 0 and −3 samples, are input errors since then.  The sg
-    # cases after those (an order-5 table whose lex-first witness is
-    # (1, 1, 3), ℤ/10 × multiplication mod 6, and two ultrafilter products
-    # on that order-60 product, one with families that are no ultrafilters
-    # and one with families on the wrong ground) were recorded before tables
-    # kept their fields in slots and the associativity scan compared rows,
-    # and the two los cases that close the list (4,096 samples, and 4,097,
-    # which exits 2) once the sample count had a cap.  An argv entry naming one of the case's inline files stands for that
-    # file's path.
+    # los cases after those (4,096 assignments, and one free variable past
+    # the cap, which exited 2 until los walked one assignment per g-class
+    # and now checks 128) and the gp digits of 0 on each system and of −45
+    # in Fibonacci were recorded before the colorings, digit systems and
+    # los lost their unused parameters.  The IP* probe after them answers
+    # at once since it prunes on partial sums.  The sg cases after it (an
+    # order-5 table whose lex-first witness is (1, 1, 3), ℤ/10 ×
+    # multiplication mod 6, and two ultrafilter products on that order-60
+    # product, one with families that are no ultrafilters and one with
+    # families on the wrong ground) were recorded before tables kept their
+    # fields in slots and the associativity scan compared rows.  The fol
+    # cases after those (two los calls once run on two samples, and uprod
+    # and los on relations of arity 1 to 3, one factor's equality total)
+    # were recorded before relations were built from the g-fibres and los
+    # walked g-classes past its cap; the ones that close the list once they
+    # were: ℤ/6 × ℤ/6 on 216 class assignments, 7,776 past the cap (exit
+    # 2), an empty 8-ary relation, an arity-6 function past the cell cap
+    # (exit 2), and the removed --samples and --seed (exit 3).  An argv
+    # entry naming one of the case's inline files stands for that file's
+    # path.
     paths = {name: write_json(tmp_path, name, body) for name, body in case.get("files", {}).items()}
     argv = case.get("argv")
     if argv is None:

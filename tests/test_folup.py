@@ -10,9 +10,10 @@ from itertools import product as iproduct
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ufw.bitsets import mask_of
 from ufw.errors import ArityMismatch, CapExceeded, NotUltrafilter, ParseError
 from ufw.folup import (
     Signature,
@@ -460,14 +461,18 @@ def test_product_functions_act_coordinatewise():
     assert prod.consts["c"] == index[(1, 0)]
 
 
-def test_product_equality_is_coordinate_agreement():
-    spec = _spec((Z3, MAX2), 0)
-    prod = ultraproduct(spec)
-    # principal at 0: equality iff first coordinates agree
-    universe = [(a, b) for a in range(3) for b in range(2)]
-    for i, s in enumerate(universe):
-        for j, t in enumerate(universe):
-            assert prod.equal(i, j) == (s[0] == t[0])
+@pytest.mark.parametrize("g", [0, 1, 2])
+def test_product_equality_is_coordinate_agreement(g):
+    # principal at g: equality iff the g-coordinates agree
+    spec = _spec((Z3, MAX2, Z3), g)
+    universe = list(iproduct(range(3), range(2), range(3)))
+    assert spec.point == g
+    assert ultraproduct(spec).rels["="] == {
+        (i, j)
+        for i, s in enumerate(universe)
+        for j, t in enumerate(universe)
+        if s[g] == t[g]
+    }
 
 
 def test_product_normalizes_to_chosen_factor():
@@ -510,11 +515,11 @@ def test_los_no_violations_exhaustive(text, j):
     assert report["checked"] > 0
 
 
-def test_los_sampled_three_factors():
+def test_los_exhaustive_three_factors():
     spec = _spec((MAX2, MAX2, Z3), 2)
     phi = parse_formula("E z. f(x, z) = y", SIG)
-    report = los_check(spec, phi, samples=200, seed=5)
-    assert report["checked"] == 200 and report["violations"] == []
+    report = los_check(spec, phi)
+    assert report["checked"] == 144 and report["violations"] == []
 
 
 def test_los_detects_corrupted_product():
@@ -530,31 +535,78 @@ def test_los_detects_corrupted_product():
 
 
 def test_assignment_cap(monkeypatch):
+    # 6⁴ = 1,296 assignments, 3⁴ = 81 over the classes of the first coordinate
     spec = _spec((Z3, MAX2), 0)
     phi = parse_formula("(x = y & z = w)", SIG)
     monkeypatch.setattr(products, "ASSIGNMENT_CAP", 100)
-    with pytest.raises(CapExceeded):
+    assert los_check(spec, phi) == {"checked": 81, "violations": []}
+    monkeypatch.setattr(products, "ASSIGNMENT_CAP", 80)
+    with pytest.raises(CapExceeded, match="assignment space 1296, 81 over the g-classes"):
         los_check(spec, phi)
 
 
-def test_sample_count_cap():
-    # a sample count past the cap is refused before any sample is drawn
-    spec = _spec((Z3, MAX2), 0)
-    phi = parse_formula("x = y", SIG)
-    cap = products.ASSIGNMENT_CAP
-    assert los_check(spec, phi, samples=cap)["checked"] == cap
-    with pytest.raises(CapExceeded, match="sample count %d exceeds cap" % (cap + 1)):
-        los_check(spec, phi, samples=cap + 1)
+USIG = Signature(functions=(("f", 2),), relations=(("r", 1),), constants=("c",))
+
+_UTERMS = st.recursive(
+    st.sampled_from([("var", "x"), ("var", "y"), ("var", "z"), ("const", "c")]),
+    lambda kids: st.tuples(st.just("app"), st.just("f"), st.tuples(kids, kids)),
+    max_leaves=3,
+)
+_UFORMULAS = st.recursive(
+    st.one_of(
+        st.tuples(st.just("atom"), st.just("="), st.tuples(_UTERMS, _UTERMS)),
+        st.tuples(st.just("atom"), st.just("r"), st.tuples(_UTERMS)),
+    ),
+    lambda kids: st.one_of(
+        st.tuples(st.just("not"), kids),
+        st.tuples(st.sampled_from(["and", "or", "imp", "iff"]), kids, kids),
+        st.tuples(st.sampled_from(["exists", "forall"]), st.sampled_from(["x", "y", "z"]), kids),
+    ),
+    max_leaves=4,
+)
 
 
-@pytest.mark.parametrize("samples", [0, -3])
-def test_los_needs_a_sample(samples):
-    # a transfer check over no assignment checks nothing
-    spec = _spec((Z3, MAX2), 0)
-    phi = parse_formula("x = y", SIG)
-    with pytest.raises(ValueError, match="at least one sample"):
-        los_check(spec, phi, samples=samples)
-    assert los_check(spec, phi, samples=1)["checked"] == 1
+@st.composite
+def _usig_structures(draw):
+    size = draw(st.integers(1, 3))
+    element = st.integers(0, size - 1)
+    row = st.lists(element, min_size=size, max_size=size)
+    return Structure(
+        USIG,
+        size,
+        funcs={"f": draw(st.lists(row, min_size=size, max_size=size))},
+        rels={"r": draw(st.sets(st.tuples(element)))},
+        consts={"c": draw(element)},
+    )
+
+
+@given(st.lists(_usig_structures(), min_size=2, max_size=3), _UFORMULAS, st.data())
+@settings(max_examples=150, deadline=None)
+def test_class_walk_agrees_with_the_raw_walk(factors, phi, data):
+    g = data.draw(st.integers(0, len(factors) - 1))
+    spec = _spec(factors, g)
+    n = prod(f.size for f in factors)
+    k = len(free_vars(phi))
+    classes = factors[g].size ** k
+    assume(classes < n**k <= 512)
+    # the relations are the definition's: agreement sets in the ultrafilter
+    built = ultraproduct(spec)
+    universe = products.product_universe(spec)
+    for name, arity in USIG.relations:
+        assert built.rels[name] == {
+            args
+            for args in iproduct(range(n), repeat=arity)
+            if spec.ultrafilter.has_mask(mask_of(
+                x for x, f in enumerate(factors) if f.holds(name, [universe[i][x] for i in args])
+            ))
+        }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(products, "ASSIGNMENT_CAP", n**k)
+        raw = los_check(spec, phi)
+        mp.setattr(products, "ASSIGNMENT_CAP", classes)
+        by_class = los_check(spec, phi)
+    assert raw == {"checked": n**k, "violations": []}
+    assert by_class == {"checked": classes, "violations": []}
 
 
 # --- sweep -----------------------------------------------------------------

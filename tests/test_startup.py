@@ -38,7 +38,6 @@ def fresh(code):
     """Run ``code`` in a new interpreter on this package; returns the JSON
     object it prints as the last line of stderr (stdout carries ufw output)."""
     env = dict(os.environ, PYTHONPATH=str(Path(ufw.__file__).resolve().parent.parent))
-    env.pop("UFW_SEED", None)
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
@@ -125,7 +124,6 @@ def test_a_module_run_compiles_the_front_end_once(tmp_path):
     # under ``python -m ufw.cli`` the front end is ``__main__``: a handler
     # that imported ``ufw.cli`` would compile and run it a second time
     env = dict(os.environ, PYTHONPATH=str(Path(ufw.__file__).resolve().parent.parent))
-    env.pop("UFW_SEED", None)
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "ufw.cli", "verify", "--certificate",
          str(tmp_path / "missing.json")],
