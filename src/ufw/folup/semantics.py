@@ -67,9 +67,6 @@ class Structure:
     def holds(self, rname, args):
         return tuple(args) in self.rels[rname]
 
-    def equal(self, a, b):
-        return (a, b) in self.rels["="]
-
     def to_json(self):
         return {
             "universe": self.size,
@@ -234,18 +231,18 @@ def normalize(s):
     The result's universe is the set of equivalence classes (indexed by
     ascending least representative) and its equality is literal identity.
     Congruence (validated on construction) makes every interpretation
-    well-defined on classes.
+    well-defined on classes, so each relation of the quotient is the image
+    of its members under the class map: the cost is the member count, not
+    the number of argument tuples.  The least representatives are read off
+    the "=" pairs in one pass.
     """
-    n = s.size
-    rep = list(range(n))
-    for a in range(n):
-        for b in range(a):
-            if s.equal(a, b):
-                rep[a] = rep[b]
-                break
+    rep = list(range(s.size))
+    for a, b in s.rels["="]:
+        if b < rep[a]:
+            rep[a] = b
     reps = sorted(set(rep))
     cls = {r: i for i, r in enumerate(reps)}
-    of = [cls[rep[a]] for a in range(n)]
+    of = [cls[r] for r in rep]
 
     def build(fname, arity):
         def rec(prefix):
@@ -256,14 +253,10 @@ def normalize(s):
         return rec(())
 
     funcs = {name: build(name, arity) for name, arity in s.sig.functions}
-    rels = {}
-    for name, arity in s.sig.relations:
-        if name == "=":
-            continue
-        rels[name] = frozenset(
-            args
-            for args in iproduct(range(len(reps)), repeat=arity)
-            if s.holds(name, [reps[i] for i in args])
-        )
+    rels = {
+        name: frozenset(tuple(of[a] for a in args) for args in s.rels[name])
+        for name, _ in s.sig.relations
+        if name != "="
+    }
     consts = {name: of[v] for name, v in s.consts.items()}
     return Structure(s.sig, len(reps), funcs=funcs, rels=rels, consts=consts)

@@ -48,9 +48,13 @@ class EdgeColoring(Record):
     _fields = ("n", "k", "colors")
 
     def __init__(self, n, k, colors):
+        if n < 1:
+            raise ValueError("vertex count must be at least 1, got %d" % n)
+        if k < 1:
+            raise ValueError("uniformity must be at least 1, got %d" % k)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-        _store_colors(self, colors, len(edge_list(n, k)), "%d-subset" % k)
+        _store_colors(self, colors, comb(n, k), "%d-subset" % k)
 
 
 class WordColoring(Record):
@@ -189,9 +193,12 @@ def _instances(pattern, size):
             yield gens, tuple(sorted({s - 1 for s in sums}))
     elif kind == "clique":
         k, m = pattern[1], pattern[2]
-        index = {e: i for i, e in enumerate(edge_list(size, k))}
+        # the edge e_0 < … < e_(k-1) has colex rank Σ C(e_i, i+1), its index
+        # in edge_list(size, k)
+        weights = [[comb(e, i + 1) for e in range(size)] for i in range(k)]
         for subset in combinations(range(size), m):
-            yield subset, tuple(sorted(index[e] for e in combinations(subset, k)))
+            ranks = [sum(map(list.__getitem__, weights, e)) for e in combinations(subset, k)]
+            yield subset, tuple(sorted(ranks))
     elif kind == "line":
         sigma = pattern[1]
         powers = [sigma ** (size - 1 - i) for i in range(size)]

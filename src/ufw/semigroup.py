@@ -296,85 +296,124 @@ def enumerate_associative_tables(n):
     ``itertools.product(range(n), repeat=n*n)``).  Callers read the tables
     by index, so this order is part of the contract.
 
-    Depth-first: cells are filled in row-major order, values ascending, and
-    a partial table (unfilled cells hold -1) is extended only while every
-    triple whose four cells (a,b), (b,c), (ab,c), (a,bc) are filled
-    associates.  Filling (i, j) completes exactly the triples in which it
-    plays one of those four roles.  As (a,b) or (b,c) it meets O(n) triples,
-    checked per value.  As (ab,c) or (a,bc) it meets the triples (a, b, j)
-    with a·b = i and (i, b, c) with b·c = j; ``pre[v]`` lists the filled
-    cells of product v, so these are read from pre[i] and pre[j], not from
-    a scan of every cell.  Each such triple that is otherwise filled names
-    the one value i·j may take: two different names kill the node, one name
-    is the only value tried.  This rejects exactly the values a check of
-    every completed triple would reject, so the tables and their order are
-    those of filtering all n^(n²) tables; each leaf is still a CayleyTable
-    that runs its own validation and associativity scan.
+    Depth-first on an explicit stack: the search branches on the first
+    unset cell in row-major order (unset cells hold -1), values ascending,
+    and each value is propagated before the search goes deeper.  Setting a
+    cell (i, j) visits every triple (a, b, c) in which it is one of the four
+    cells (a,b), (b,c), (ab,c), (a,bc): as (a,b) or (b,c) it meets n
+    triples each, as (ab,c) or (a,bc) the triples (a, b, j) with a·b = i
+    and (i, b, c) with b·c = j, read from ``pre[i]`` and ``pre[j]``, where
+    ``pre[v]`` lists the set cells of product v.  A visited triple with all
+    four cells set must associate, or the branch is dead; one with (a,b),
+    (b,c) and one of (ab,c), (a,bc) set forces the other of those two to
+    the same value, and the forced cell is visited in turn.  Every cell
+    set, by a branch or a force, goes on a trail: the cells after a mark
+    are the ones still to visit, and backtracking pops the trail back to
+    the mark, so ``pre[v]`` grows and shrinks last in, first out.
 
-    Row i is frozen into a tuple once, when its last cell is filled, and
-    interned in a dict kept for the call (at most nⁿ rows), so every table
-    built from the list of frozen rows shares its row objects with the
-    tables before it: 3,492 tables of order 4 hold at most 256 rows."""
-    cells = [(i, j) for i in range(n) for j in range(n)]
+    A forced value is the only value that cell takes in any associative
+    table that agrees with the cells set so far, and a conflict leaves no
+    such table: propagation prunes only subtrees that hold no table.  Every
+    cell before the branching cell is set, so the branches' subtrees follow
+    one another in lexicographic order.  The tables and their order are
+    therefore those of filtering all n^(n²) tables, and each leaf is still
+    a CayleyTable that runs its own validation and associativity scan.
+
+    Each leaf's rows are interned in a dict kept for the call (at most nⁿ
+    rows), so the tables listed share their row objects: 3,492 tables of
+    order 4 hold at most 256 rows."""
+    size = n * n
     mul = [[-1] * n for _ in range(n)]
-    pre = [[] for _ in range(n)]  # pre[v]: the filled cells (a, b) with a·b = v
-    values = range(n)
-    last = n - 1
-    rows = {}  # each frozen row, keyed by itself
-    frozen = [None] * n  # frozen[i]: the interned tuple of row i, once it is full
+    pre = [[] for _ in range(n)]  # pre[v]: the set cells (a, b) with a·b = v
+    trail = []  # every set cell, in the order it was set
+    rows = {}  # each leaf row, keyed by itself
 
-    def fill(pos):
-        if pos == len(cells):
-            yield CayleyTable(frozen)
-            return
-        i, j = cells[pos]
-        row_i, row_j = mul[i], mul[j]
-        forced = -1
-        # (i, j) as (ab, c): i·j = a·(b·j) for each filled a·b = i
-        for a, b in pre[i]:
-            bj = mul[b][j]
-            if bj >= 0:
-                x = mul[a][bj]
-                if x >= 0:
-                    if forced < 0:
-                        forced = x
-                    elif x != forced:
-                        return
-        # (i, j) as (a, bc): i·j = (i·b)·c for each filled b·c = j
-        for b, c in pre[j]:
-            ib = row_i[b]
-            if ib >= 0:
-                x = mul[ib][c]
-                if x >= 0:
-                    if forced < 0:
-                        forced = x
-                    elif x != forced:
-                        return
-        for v in values if forced < 0 else (forced,):
-            row_i[j] = v
+    def put(a, b, v):
+        mul[a][b] = v
+        pre[v].append((a, b))
+        trail.append((a, b))
+
+    def undo(mark):
+        while len(trail) > mark:
+            a, b = trail.pop()
+            row = mul[a]
+            pre[row[b]].pop()
+            row[b] = -1
+
+    def propagate(mark):
+        """Visit the triples of each cell set since ``mark``, forcing cells
+        as they go; False on a triple that cannot associate."""
+        while mark < len(trail):
+            i, j = trail[mark]
+            mark += 1
+            row_i, row_j = mul[i], mul[j]
+            v = row_i[j]
             row_v = mul[v]
             # (i, j) as (a, b): (i·j)·c = i·(j·c)
-            for c in values:
-                jc = row_j[c]
+            for c, jc in enumerate(row_j):
                 if jc >= 0:
                     left, right = row_v[c], row_i[jc]
-                    if left >= 0 and right >= 0 and left != right:
-                        break
-            else:
-                # (i, j) as (b, c): (a·i)·j = a·(i·j)
-                for row_a in mul:
-                    ai = row_a[i]
-                    if ai >= 0:
-                        left, right = mul[ai][j], row_a[v]
-                        if left >= 0 and right >= 0 and left != right:
-                            break
-                else:
-                    pre[v].append((i, j))
-                    if j == last:
-                        row = tuple(row_i)
-                        frozen[i] = rows.setdefault(row, row)
-                    yield from fill(pos + 1)
-                    pre[v].pop()
-        row_i[j] = -1
+                    if left != right:
+                        if left < 0:
+                            put(v, c, right)
+                        elif right < 0:
+                            put(i, jc, left)
+                        else:
+                            return False
+            # (i, j) as (b, c): (a·i)·j = a·(i·j)
+            for a, row_a in enumerate(mul):
+                ai = row_a[i]
+                if ai >= 0:
+                    left, right = mul[ai][j], row_a[v]
+                    if left != right:
+                        if left < 0:
+                            put(ai, j, right)
+                        elif right < 0:
+                            put(a, v, left)
+                        else:
+                            return False
+            # (i, j) as (ab, c): i·j = a·(b·j) for each set a·b = i
+            for a, b in pre[i]:
+                bj = mul[b][j]
+                if bj >= 0:
+                    right = mul[a][bj]
+                    if right != v:
+                        if right >= 0:
+                            return False
+                        put(a, bj, v)
+            # (i, j) as (a, bc): i·j = (i·b)·c for each set b·c = j
+            for b, c in pre[j]:
+                ib = row_i[b]
+                if ib >= 0:
+                    left = mul[ib][c]
+                    if left != v:
+                        if left >= 0:
+                            return False
+                        put(ib, c, v)
+        return True
 
-    yield from fill(0)
+    stack = []  # (cell, value, trail mark) of each branch on the path
+    pos = v = 0  # the branch cell to try next, from value v
+    while True:
+        while pos < size and mul[pos // n][pos % n] >= 0:
+            pos += 1
+        if pos < size:
+            i, j = divmod(pos, n)
+            mark = len(trail)
+            while v < n:
+                put(i, j, v)
+                if propagate(mark):
+                    break
+                undo(mark)
+                v += 1
+            if v < n:
+                stack.append((pos, v, mark))
+                v = 0
+                continue
+        else:
+            yield CayleyTable([rows.setdefault(row, row) for row in map(tuple, mul)])
+        if not stack:
+            return
+        pos, v, mark = stack.pop()
+        undo(mark)
+        v += 1

@@ -4,7 +4,7 @@ single pass/fail line (visible with -s; the -v test lines mirror them)."""
 import random
 import time
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 from ufw import arrow, discalc, folup, largeness, semigroup, setfam
 from ufw.discalc import NEG_INF, BinomialPoly, RationalPoly
@@ -43,8 +43,13 @@ def test_criterion_01_ramsey_threshold():
     finish = timed(1, "ramsey clique(3) r=2")
     res = largeness.threshold_number(("clique", 2, 3), 2, 8)
     ok = res.value == 6
-    # independent recheck of the K5 witness coloring
-    ok = ok and len(res.failure_coloring) == 10
+    # independent recheck of the K5 witness coloring: one color per edge,
+    # edges in edge_list's colex order, and two colors on every triangle
+    edges = largeness.edge_list(5, 2)
+    color = dict(zip(edges, res.failure_coloring))
+    ok = ok and len(res.failure_coloring) == len(edges) == 10
+    ok = ok and all(
+        len({color[e] for e in combinations(t, 2)}) == 2 for t in combinations(range(5), 3))
     ok = ok and checkers.check_avoiding_coloring(("clique", 2, 3), 2, res.failure_coloring)
     covered, avoiding = largeness.universal_check(("clique", 2, 3), 2, 6)
     ok = ok and covered and avoiding is None

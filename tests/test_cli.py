@@ -591,8 +591,10 @@ def test_golden_digests(capsys, tmp_path, case):
     # walked g-classes past its cap; the ones that close the list once they
     # were: ℤ/6 × ℤ/6 on 216 class assignments, 7,776 past the cap (exit
     # 2), an empty 8-ary relation, an arity-6 function past the cell cap
-    # (exit 2), and the removed --samples and --seed (exit 3).  An argv
-    # entry naming one of the case's inline files stands for that file's
+    # (exit 2), and the removed --samples and --seed (exit 3).  The two
+    # Ramsey cases that close the list (3-uniform triangles, and K_4 past a
+    # cap of 9, exit 2) were recorded before the clique instances ranked
+    # their edges in closed form.  An argv entry naming one of the case's inline files stands for that file's
     # path.
     paths = {name: write_json(tmp_path, name, body) for name, body in case.get("files", {}).items()}
     argv = case.get("argv")

@@ -388,6 +388,93 @@ def test_normalize_is_identity_on_normal_structures():
     assert n.size == Z3.size and n.funcs == Z3.funcs and n.consts == Z3.consts
 
 
+def _normalize_by_scan(s):
+    """normalize as it was built before relations were mapped through the
+    classes: representatives from a test of every pair, and each
+    relation by a walk over every tuple of representatives."""
+    n = s.size
+    rep = list(range(n))
+    for a in range(n):
+        for b in range(a):
+            if (a, b) in s.rels["="]:
+                rep[a] = rep[b]
+                break
+    reps = sorted(set(rep))
+    cls = {r: i for i, r in enumerate(reps)}
+    of = [cls[rep[a]] for a in range(n)]
+
+    def build(fname, arity):
+        def rec(prefix):
+            if len(prefix) == arity:
+                return of[s.apply(fname, [reps[i] for i in prefix])]
+            return tuple(rec(prefix + (i,)) for i in range(len(reps)))
+
+        return rec(())
+
+    funcs = {name: build(name, arity) for name, arity in s.sig.functions}
+    rels = {}
+    for name, arity in s.sig.relations:
+        if name == "=":
+            continue
+        rels[name] = frozenset(
+            args
+            for args in iproduct(range(len(reps)), repeat=arity)
+            if s.holds(name, [reps[i] for i in args])
+        )
+    consts = {name: of[v] for name, v in s.consts.items()}
+    return Structure(s.sig, len(reps), funcs=funcs, rels=rels, consts=consts)
+
+
+@st.composite
+def _congruent_structures(draw):
+    """A structure whose equality is a random partition of 1 to 4 elements
+    and whose function, relation and constant respect it: each value is
+    drawn from the class chosen for its arguments' classes, and each
+    relation holds on whole class tuples."""
+    n = draw(st.integers(1, 4))
+    label = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    members = {c: [a for a in range(n) if label[a] == c] for c in label}
+    farity, rarity = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    target = {}
+
+    def table(prefix):
+        if len(prefix) < farity:
+            return [table(prefix + (a,)) for a in range(n)]
+        key = tuple(label[a] for a in prefix)
+        c = target.setdefault(key, draw(st.sampled_from(sorted(members))))
+        return draw(st.sampled_from(members[c]))
+
+    funcs = {"g": table(())}
+    held = draw(st.sets(st.tuples(*[st.sampled_from(sorted(members))] * rarity)))
+    rel = [t for t in iproduct(range(n), repeat=rarity) if tuple(label[a] for a in t) in held]
+    eq = [(a, b) for a in range(n) for b in range(n) if label[a] == label[b]]
+    sig = Signature(functions=(("g", farity),), relations=(("R", rarity),), constants=("c",))
+    consts = {"c": draw(st.integers(0, n - 1))}
+    return Structure(sig, n, funcs=funcs, rels={"=": eq, "R": rel}, consts=consts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_congruent_structures())
+def test_normalize_agrees_with_the_tuple_scan(s):
+    got, want = normalize(s), _normalize_by_scan(s)
+    assert (got.size, got.funcs, got.rels, got.consts) == (
+        want.size, want.funcs, want.rels, want.consts)
+
+
+def test_normalize_maps_an_empty_8_ary_relation_at_once():
+    # nine elements, 0 = 1, so eight classes: a walk over every tuple of
+    # representatives would visit 8^8 = 16,777,216 of them
+    sig = Signature(functions=(("g", 1),), relations=(("R", 8),))
+    eq = [(a, b) for a in range(9) for b in range(9) if a == b or {a, b} == {0, 1}]
+    g = [0, 0, 3, 4, 5, 6, 7, 8, 1]
+    s = Structure(sig, 9, funcs={"g": g}, rels={"=": eq, "R": []})
+    start = time.monotonic()
+    n = normalize(s)
+    assert time.monotonic() - start < 1.0
+    assert n.size == 8 and n.rels["R"] == frozenset()
+    assert n.funcs["g"] == (0, 2, 3, 4, 5, 6, 7, 0)
+
+
 def test_structure_json_roundtrip():
     again = Structure.from_json(SIG, Z3.to_json())
     assert again.funcs == Z3.funcs and again.rels == Z3.rels and again.consts == Z3.consts

@@ -4,6 +4,7 @@ with a brute-force oracle, and exhaustiveness of proven-absent answers."""
 
 import sys
 from itertools import combinations, combinations_with_replacement, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -143,6 +144,27 @@ def test_pentagon_pentagram_has_no_mono_triangle():
     colors = tuple(0 if e in pent else 1 for e in edges)
     assert find_mono_clique(EdgeColoring(5, 2, colors), 3) is None
     assert checkers.check_avoiding_coloring(("clique", 2, 3), 2, colors)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_clique_positions_are_edge_list_indices(n):
+    # a k-clique is one k-edge, so its one position is that edge's colex
+    # rank Σ C(e_i, i+1), which must be its index in edge_list
+    for k in range(1, min(n, 4) + 1):
+        index = {e: i for i, e in enumerate(edge_list(n, k))}
+        domain, configs = pattern_configs(("clique", k, k), n)
+        assert domain == len(index)
+        assert configs == [(index[e],) for e in combinations(range(n), k)]
+        assert all(index[e] == sum(comb(v, i + 1) for i, v in enumerate(e)) for e in index)
+
+
+@pytest.mark.parametrize(
+    "n, k, what",
+    [(-3, 2, "vertex count"), (0, 2, "vertex count"), (4, -1, "uniformity"), (4, 0, "uniformity")],
+)
+def test_edge_coloring_refuses_a_count_below_one(n, k, what):
+    with pytest.raises(ValueError, match=what):
+        EdgeColoring(n, k, ())
 
 
 def test_constant_k4():

@@ -2,6 +2,7 @@
 idempotent order, direct products, and the ultrafilter product."""
 
 import copy
+import hashlib
 import pickle
 import random
 import tracemalloc
@@ -147,6 +148,18 @@ def _oracle_tables(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_enumeration_matches_oracle_in_order(n):
     assert [t.mul for t in enumerate_associative_tables(n)] == _oracle_tables(n)
+
+
+def test_order_5_enumeration_is_pinned():
+    # 183,732 tables (A023814(5)) and the sha256 of their row-major cells,
+    # one byte a cell, both recorded before the fill propagated forced cells
+    digest = hashlib.sha256()
+    count = 0
+    for table in enumerate_associative_tables(5):
+        digest.update(bytes(v for row in table.mul for v in row))
+        count += 1
+    assert count == 183732
+    assert digest.hexdigest() == "e17a0eef74959f07a5a403591533fad1669405f1e00e361b3f10f8cd0db9618e"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
