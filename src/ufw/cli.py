@@ -15,7 +15,7 @@ Each subcommand's handler is a module of its own in ``ufw.commands``, which
 handler imports the layers it uses, and the lazy packages load only the
 submodules whose names it reads, so a call loads only the modules it runs
 (``verify`` the checkers, not the searches; ``gp eval`` the expression
-evaluator, not the digit systems or numpy, which only the Weyl sum loads).
+evaluator, not the digit systems).  ``ufw`` has no runtime dependencies.
 Digests use the builtin sha256, not OpenSSL, and ``fractions`` loads only
 for a subcommand that reads or computes a rational.
 """

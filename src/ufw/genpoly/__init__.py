@@ -1,8 +1,9 @@
 """Generalized polynomials: certified evaluation with floor/nearest nodes,
 digit systems (base, mixed-radix, Zeckendorf), automatic functions via
-finite automata with output, return-time sets, Weyl-sum diagnostics, and
-generating-function fitting.  Each public name imports its submodule on
-first access."""
+finite automata with output, return-time sets, Weyl-sum magnitudes read
+from their closed form on certified brackets (a float within one unit in
+the last place, or PrecisionExhausted), and generating-function fitting.
+Each public name imports its submodule on first access."""
 
 from .. import lazy_getattr
 

@@ -4,7 +4,8 @@ Named irrationals refine to rational brackets of width ≤ 2^-bits:
 square roots by scaled integer square roots, π by a Machin-style arctangent
 series with alternating-series error bounds, e by its factorial series with
 an explicit tail bound, and the golden ratio by consecutive Fibonacci
-ratios.  All brackets are certified: the true value always lies inside.
+ratios; sin(πt) is bracketed by its alternating Taylor series over π's
+bracket.  All brackets are certified: the true value always lies inside.
 """
 
 from fractions import Fraction
@@ -55,22 +56,67 @@ def _sqrt_bracket(d, bits):
     return Interval(Fraction(num, scale), Fraction(num + 1, scale))
 
 
+def _alternating_series(first, step, tol):
+    """Bracket of a₀ − a₁ + a₂ − … for terms that decrease to 0: the truth
+    lies between consecutive partial sums.  Each term is carried as bounds
+    (lo, hi), equal for an exact term: ``first`` bounds a₀ and
+    step(j, lo, hi) bounds a_{j+1} from a_j's.  Summed until a term's upper
+    bound is ≤ tol, which the bracket then takes in."""
+    lo = hi = 0
+    a_lo, a_hi = first
+    j = 0
+    while a_hi > tol:
+        lo, hi = (lo - a_hi, hi - a_lo) if j % 2 else (lo + a_lo, hi + a_hi)
+        a_lo, a_hi = step(j, a_lo, a_hi)
+        j += 1
+    return Interval(lo - a_hi, hi) if j % 2 else Interval(lo, hi + a_hi)
+
+
 @lru_cache(maxsize=None)
 def _arctan_inv_bracket(m, tol):
-    """Bracket of arctan(1/m) with width ≤ tol, via the alternating series."""
-    term = Fraction(1, m)
+    """Bracket of arctan(1/m) with width ≤ tol."""
     m2 = m * m
-    total = Fraction(0)
-    j = 0
-    sign = 1
-    while term > tol:
-        total += sign * term
-        term = term * (2 * j + 1) / ((2 * j + 3) * m2)
-        j += 1
-        sign = -sign
-    # The truth lies between consecutive partial sums.
-    nxt = total + sign * term
-    return Interval(min(total, nxt), max(total, nxt))
+
+    def step(j, term, _):
+        term *= Fraction(2 * j + 1, (2 * j + 3) * m2)
+        return term, term
+
+    return _alternating_series((Fraction(1, m),) * 2, step, tol)
+
+
+def _sin_bracket(x, bits):
+    """Bracket of sin x for rational x ∈ [0, √6), to within about 2^-bits
+    of its value.
+
+    There the Taylor terms a_{j+1} = a_j·x²/((2j+2)(2j+3)) decrease from
+    a₀ = x.  Each is carried as its floor and ceiling over 2^p, with p
+    leaving bits + 2·log₂ bits guard bits below x's leading bit, so the
+    bracket is about j² units of 2^-p wider than the series' own."""
+    p = bits + 2 * bits.bit_length() + max(0, x.denominator.bit_length() - x.numerator.bit_length())
+    lo = (x.numerator << p) // x.denominator
+    hi = -(-(x.numerator << p) // x.denominator)
+    lo2, hi2 = lo * lo, hi * hi
+
+    def step(j, a_lo, a_hi):
+        d = (2 * j + 2) * (2 * j + 3) << (2 * p)
+        return a_lo * lo2 // d, -(-a_hi * hi2 // d)
+
+    iv = _alternating_series((lo, hi), step, 1)
+    return Interval(Fraction(iv.lo, 1 << p), Fraction(iv.hi, 1 << p))
+
+
+def sin_pi_bracket(lo, hi, bits):
+    """A certified bracket of sin(πt) over t ∈ [lo, hi] ∩ [0, 1/2], for
+    0 ≤ lo ≤ 1/2, each end to within about 2^-bits of its value.
+
+    sin rises on [0, π/2], so the lower end is sin's at π's lower bound
+    times lo, and the upper end sin's at π's upper bound times hi, or 1
+    when that product may pass π/2."""
+    pi = _pi_bracket(bits)
+    lower = _sin_bracket(pi.lo * lo, bits).lo
+    if 2 * pi.hi * hi > pi.lo:
+        return Interval(lower, Fraction(1))
+    return Interval(lower, _sin_bracket(pi.hi * hi, bits).hi)
 
 
 @lru_cache(maxsize=None)

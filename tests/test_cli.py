@@ -594,8 +594,13 @@ def test_golden_digests(capsys, tmp_path, case):
     # (exit 2), and the removed --samples and --seed (exit 3).  The two
     # Ramsey cases that close the list (3-uniform triangles, and K_4 past a
     # cap of 9, exit 2) were recorded before the clique instances ranked
-    # their edges in closed form.  An argv entry naming one of the case's inline files stands for that file's
-    # path.
+    # their edges in closed form.  The five gp weyl cases after them were
+    # recorded before the Weyl sum was read from its closed form on
+    # brackets; the pi,sqrt2 case near the top was re-recorded then, since
+    # the float sum had its last bits wrong, and the three that close the
+    # list were added then: N = 10¹², an exact zero, and a zero sum of a θ
+    # that is rational but not given as one (exit 1).  An argv entry naming
+    # one of the case's inline files stands for that file's path.
     paths = {name: write_json(tmp_path, name, body) for name, body in case.get("files", {}).items()}
     argv = case.get("argv")
     if argv is None:

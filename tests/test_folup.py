@@ -705,8 +705,8 @@ def test_sweep_tiny_is_clean():
     assert report["pairs"] == 17 + 2 * 17**2
 
 
-# (formulas, pairs, checked) for max_x = 1..3 and max_nodes = 1..3, as the
-# numpy implementation reported them
+# (formulas, pairs, checked) for max_x = 1..3 and max_nodes = 1..3, recorded
+# before the sweep evaluated int truth tables once per distinct context
 SWEEP_COUNTS = {
     (1, 1): (36, 17, 2340),
     (1, 2): (144, 17, 9360),

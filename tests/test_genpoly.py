@@ -1,10 +1,11 @@
 """Certified interval evaluation, digit systems, automata, and the finite
 equidistribution diagnostics."""
 
+import cmath
 import copy
 import pickle
 from fractions import Fraction
-from math import floor, isqrt
+from math import floor, isqrt, pi, sin
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,6 +28,7 @@ from ufw.genpoly import (
 )
 from ufw.genpoly import analysis
 from ufw.genpoly.expr import eval_triple, precision_schedule
+from ufw.genpoly.reals import sin_pi_bracket
 from ufw.tokens import MAX_NESTING
 
 
@@ -686,10 +688,6 @@ def test_return_times_sqrt2_certified():
         assert dist < Fraction(1, 10) + Fraction(1, 1 << 100)
 
 
-def test_weyl_exact_rational_resonance():
-    assert weyl_sum([RealConst.rational(Fraction(1, 4))], [4], 1000) == 1.0
-
-
 def test_weyl_sqrt2_small():
     assert weyl_sum([RealConst.sqrt(2)], [1], 10**5) <= 0.02
 
@@ -699,6 +697,87 @@ def test_weyl_sqrt2_small():
 def test_weyl_rejects_empty_range(alpha, N):
     with pytest.raises(ValueError):
         weyl_sum([alpha], [4], N)
+
+
+@pytest.mark.parametrize(
+    "alphas, ks, N, value",
+    [
+        ([RealConst.golden()], [1], 10**5, 1.0192332239181872e-05),
+        ([RealConst.pi(), RealConst.sqrt(2)], [1, -2], 50, 0.021111490644124244),
+        # Nθ ∈ ℤ with θ ∉ ℤ: the numerator's bracket is the point 0
+        ([RealConst.rational(Fraction(1, 4))], [1], 1000, 0.0),
+        ([RealConst.rational(Fraction(1, 4))], [4], 1000, 1.0),
+        ([RealConst.rational(Fraction(1, 3))], [3], 7, 1.0),
+        # θ = 0 whose bracket is never a point: [1 − (πNw)²/6, 1]
+        ([RealConst.sqrt(8), RealConst.sqrt(2)], [1, -2], 10**4, 1.0),
+    ],
+)
+def test_weyl_closed_form_values(alphas, ks, N, value):
+    assert weyl_sum(alphas, ks, N) == value
+
+
+def test_weyl_sum_is_never_expanded():
+    assert 0 < weyl_sum([RealConst.sqrt(2)], [1], 10**12) < 1e-12
+
+
+def test_weyl_zero_sum_of_a_rational_not_given_as_one_exhausts():
+    # θ = sqrt 8 − 2·sqrt 2 + 1/4 = 1/4, so |S_4| = 0, but no bracket of θ
+    # is a point and the bracket of |S_4| keeps the lower end 0
+    alphas = [RealConst.sqrt(8), RealConst.sqrt(2), RealConst.rational(Fraction(1, 4))]
+    with pytest.raises(PrecisionExhausted) as err:
+        weyl_sum(alphas, [1, -2, 1], 4)
+    lo, hi = err.value.interval
+    assert lo == 0 < hi < Fraction(1, 1 << 1000)
+
+
+def direct_weyl(alphas, ks, N):
+    """|S_N| by its definition, a float sum of N exponentials over θ mod 1."""
+    theta = float(sum(k * a.bracket(64).lo for k, a in zip(ks, alphas)) % 1)
+    return abs(sum(cmath.exp(2j * pi * theta * n) for n in range(1, N + 1))) / N
+
+
+ALPHAS = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=60).map(RealConst.rational),
+    st.integers(2, 50).map(RealConst.sqrt),
+    st.sampled_from([RealConst.pi(), RealConst.e(), RealConst.golden()]),
+)
+
+
+@given(
+    st.lists(st.tuples(ALPHAS, st.integers(-5, 5)), min_size=1, max_size=3),
+    st.integers(1, 2000),
+)
+@settings(max_examples=150, deadline=None)
+def test_weyl_matches_the_direct_sum(terms, N):
+    alphas, ks = [a for a, _ in terms], [k for _, k in terms]
+    assume(any(ks))
+    direct = direct_weyl(alphas, ks, N)
+    try:
+        value = weyl_sum(alphas, ks, N)
+    except PrecisionExhausted:
+        # θ rational but not given as one, with Nθ ∈ ℤ: the sum is 0
+        assert direct < 1e-9
+        return
+    assert abs(value - direct) < 1e-9
+
+
+@given(
+    st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=10**6),
+    st.integers(8, 200),
+)
+@settings(max_examples=200, deadline=None)
+def test_sin_pi_bracket_contains_sin(t, bits):
+    iv = sin_pi_bracket(t, t, bits)
+    # up to the float sine's own rounding
+    assert iv.lo - 1e-15 <= sin(pi * t) <= iv.hi + 1e-15
+    assert (iv.hi - iv.lo) * (1 << (bits - 2)) <= iv.hi
+
+
+@pytest.mark.parametrize("t, value", [(0, 0), (Fraction(1, 6), Fraction(1, 2)), (Fraction(1, 2), 1)])
+@pytest.mark.parametrize("bits", [8, 64, 256])
+def test_sin_pi_bracket_holds_exact_values(t, value, bits):
+    iv = sin_pi_bracket(t, t, bits)
+    assert iv.lo <= value <= iv.hi
 
 
 def test_fit_exact_linear():

@@ -1,8 +1,8 @@
 """Start-up cost: a ``ufw`` call loads only the layers its subcommand uses,
 within a layer only the submodules it runs, only its own subcommand's
-handler, numpy only for the Weyl sum, ``fractions`` only where a rational is
-read or computed, and never ``dataclasses`` (nor ``inspect``, which it would
-pull in) or OpenSSL's ``hashlib``.
+handler, ``fractions`` only where a rational is read or computed, and never
+numpy, ``dataclasses`` (nor ``inspect``, which either would pull in) or
+OpenSSL's ``hashlib``.
 
 Each test runs a fresh interpreter, because the in-process tests have long
 since imported every layer."""
@@ -74,11 +74,9 @@ def loaded_after_run(argv):
                      {"genpoly"}, ["fractions"],
                      {"ufw.genpoly.fitting", "ufw.genpoly.digits", "ufw.genpoly.dfao"},
                      id="gp-returns"),
-        # the Weyl sum is the only numpy user, so numpy must show here; numpy
-        # imports inspect itself
+        # the Weyl sum is read from its closed form on rational brackets
         pytest.param(["gp", "weyl", "--alphas", "sqrt2", "--ks", "1", "-n", "50"],
-                     {"genpoly"}, ["fractions", "inspect", "numpy"],
-                     {"ufw.genpoly.dfao"}, id="gp-weyl"),
+                     {"genpoly"}, ["fractions"], {"ufw.genpoly.dfao"}, id="gp-weyl"),
         # a fit reads rationals and solves; it evaluates no expression
         pytest.param(["gp", "fit", "--in", "{fit}"], {"genpoly"}, ["fractions"],
                      {"ufw.genpoly.expr", "ufw.genpoly.reals", "ufw.genpoly.analysis"},
