@@ -52,8 +52,19 @@ def _order_index(m):
 
 
 def _check_cap(election):
-    if election.profile_count > PROFILE_CAP:
-        raise CapExceeded("profile space exceeds cap %d" % PROFILE_CAP)
+    """Refuse more than PROFILE_CAP profiles without building (m!)^v: each
+    running product stops once past the cap, and as every factor is at
+    least 2 that takes about 20 steps, whatever m and v are."""
+    orders = 1
+    for c in range(2, election.candidates + 1):
+        orders *= c
+        if orders > PROFILE_CAP:
+            break
+    count = 1
+    for _ in range(election.voters):
+        count *= orders
+        if count > PROFILE_CAP:
+            raise CapExceeded("profile space exceeds cap %d" % PROFILE_CAP)
 
 
 def _ordered_pairs(m):
@@ -123,12 +134,13 @@ def _supporters(ranks, a, b, weights):
     return map(sum, product(*([w if x else 0 for x in lt] for w in weights)))
 
 
-class AggregationRule:
+class AggregationRule(Record):
     """A total map from profiles to strict orders, stored as a table of
     permutation indices.  Construction rejects any entry that is not an
     order index, with the offending profile."""
 
     __slots__ = ("election", "table")
+    _fields = ("election", "table")
 
     def __init__(self, election, table):
         _check_cap(election)
@@ -145,9 +157,6 @@ class AggregationRule:
                 )
         object.__setattr__(self, "election", election)
         object.__setattr__(self, "table", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AggregationRule is immutable")
 
     def to_json(self):
         return {

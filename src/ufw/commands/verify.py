@@ -25,8 +25,7 @@ def verify_certificate(cert):
         )
         return ok, None if ok else "arithmetic-progression witness failed recheck"
     if kind == "line":
-        word = tuple(None if w is None else int(w) for w in cert["word"])
-        ok = checkers.check_line_witness(cert["colors"], cert["sigma"], word, cert["color"])
+        ok = checkers.check_line_witness(cert["colors"], cert["sigma"], cert["word"], cert["color"])
         return ok, None if ok else "combinatorial-line witness failed recheck"
     if kind == "clique":
         ok = checkers.check_clique_witness(

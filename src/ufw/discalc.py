@@ -9,22 +9,22 @@ Everything here is exact rational arithmetic; no floats anywhere.
 from fractions import Fraction
 from math import comb, factorial, lcm
 
+from .record import Record
+
 NEG_INF = float("-inf")
 
 
-class RationalPoly:
+class RationalPoly(Record):
     """Dense univariate polynomial over exact rationals."""
 
     __slots__ = ("coeffs",)
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs):
         coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalPoly is immutable")
 
     @property
     def degree(self):
@@ -66,15 +66,6 @@ class RationalPoly:
         return RationalPoly(out)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, RationalPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return "RationalPoly(%r)" % (list(self.coeffs),)
 
     def to_json(self):
         return {"monomial": ["%d/%d" % (c.numerator, c.denominator) for c in self.coeffs]}
@@ -134,28 +125,17 @@ def _taylor_shift(coeffs, a):
     return before, after, dens
 
 
-class BinomialPoly:
+class BinomialPoly(Record):
     """Coefficients c_0..c_d over the basis e_n(x) = C(x, n)."""
 
     __slots__ = ("coeffs",)
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BinomialPoly is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, BinomialPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return "BinomialPoly(%r)" % (list(self.coeffs),)
 
     def to_json(self):
         return {"binomial": ["%d/%d" % (c.numerator, c.denominator) for c in self.coeffs]}

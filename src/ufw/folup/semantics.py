@@ -14,12 +14,17 @@ subformula is evaluated at most once per assignment of its free variables
 from heapq import merge
 from itertools import product as iproduct
 
+from ..record import Record
 
-class Structure:
+
+class Structure(Record):
     """universe: size n (elements 0..n-1); funcs: name → nested tuple table;
-    rels: name → frozenset of argument tuples; consts: name → element."""
+    rels: name → frozenset of argument tuples; consts: name → element.
+    Structures compare and hash by identity: their tables are dicts."""
 
     __slots__ = ("sig", "size", "funcs", "rels", "consts")
+    _fields = ("sig", "size", "funcs", "rels", "consts")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, sig, size, funcs=None, rels=None, consts=None, validate=True):
         funcs = dict(funcs or {})
@@ -55,8 +60,9 @@ class Structure:
             if witness is not None:
                 raise ValueError("equality axioms violated: %s" % (witness,))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Structure is immutable")
+    def __reduce__(self):
+        # unchecked: a structure built with validate=False copies as it is
+        return Structure, (*self._values, False)
 
     def apply(self, fname, args):
         table = self.funcs[fname]
@@ -131,13 +137,14 @@ def equality_axiom_witness(s):
     for a, b in eq:
         if (b, a) not in eq:
             return ("not-symmetric", a, b)
-    for a, b in eq:
-        for c in range(n):
-            if (b, c) in eq and (a, c) not in eq:
-                return ("not-transitive", a, b, c)
     cls = [[] for _ in range(n)]
     for a, b in sorted(eq):
         cls[a].append(b)
+    # the c with (b, c) in "=" are cls[b], in ascending order
+    for a, b in eq:
+        for c in cls[b]:
+            if (a, c) not in eq:
+                return ("not-transitive", a, b, c)
 
     def equivalent(firsts):
         # every (args1, args2) whose i-th entries are equal under "=" for

@@ -13,6 +13,12 @@ from math import comb, factorial
 _PARAMS = {"ap": 1, "fs": 1, "clique": 2, "line": 1}
 
 
+def _ints(values):
+    """Every value is an exact int.  type(), not isinstance(): True and
+    False are ints too, and a float such as 0.0 compares equal to one."""
+    return all(type(v) is int for v in values)
+
+
 def check_fs_witness(colors, generators, color, sums=None, distinct=True):
     """colors: color of i at colors[i-1] for [1..N]; generators strictly
     increasing positive (non-decreasing when ``distinct`` is False); all
@@ -20,6 +26,10 @@ def check_fs_witness(colors, generators, color, sums=None, distinct=True):
     given) must equal the recomputed distinct sums."""
     gens = list(generators)
     n = len(colors)
+    if not _ints(colors) or not _ints(gens) or type(color) is not int:
+        return False
+    if sums is not None and not _ints(sums):
+        return False
     if not gens or any(g <= 0 for g in gens):
         return False
     if any(a > b or (distinct and a == b) for a, b in zip(gens, gens[1:])):
@@ -41,6 +51,8 @@ def check_fs_witness(colors, generators, color, sums=None, distinct=True):
 
 def check_ap_witness(colors, start, step, length, color):
     n = len(colors)
+    if not _ints(colors) or not _ints((start, step, length, color)):
+        return False
     if start < 1 or step < 1 or length < 1:
         return False
     for i in range(length):
@@ -54,6 +66,10 @@ def check_line_witness(colors, sigma, word, color):
     """colors: one per word of Σ^n in lex order, n = len(word); ``word``
     uses None for the variable positions (at least one required)."""
     if not any(w is None for w in word):
+        return False
+    if not _ints(colors) or not _ints(w for w in word if w is not None):
+        return False
+    if type(sigma) is not int or type(color) is not int:
         return False
     if sigma < 1 or len(colors) != sigma ** len(word):
         return False
@@ -71,6 +87,8 @@ def check_line_witness(colors, sigma, word, color):
 def check_clique_witness(colors, nvertices, k, subset, color):
     """colors: one per k-subset of {0..n-1} in colex order; the subset
     must hold at least one k-edge."""
+    if not _ints(colors) or not _ints(subset) or not _ints((nvertices, k, color)):
+        return False
     subset = sorted(subset)
     if len(set(subset)) != len(subset) or not 1 <= k <= len(subset):
         return False
@@ -105,7 +123,7 @@ def check_avoiding_coloring(pattern, r, colors):
         or (kind == "clique" and params[1] < params[0])
     ):
         raise ValueError("not a pattern: %r" % (pattern,))
-    if any(not 0 <= c < r for c in colors):
+    if type(r) is not int or not _ints(colors) or any(not 0 <= c < r for c in colors):
         return False
     if kind == "ap":
         n, length = len(colors), pattern[1]
@@ -189,6 +207,8 @@ def check_dictator(voters, candidates, table, dictator):
     voter 0 is the most significant digit of the profile index).  The
     dictator must be an exact int in [0, voters)."""
     if type(dictator) is not int or not 0 <= dictator < voters:
+        return False
+    if not _ints(table):
         return False
     # refuse a table too short for its claim by bit lengths, before building
     # the big numbers: c! ≥ 2^(c−1), and c!^v ≥ 2^v once c! ≥ 2

@@ -10,7 +10,10 @@ class Record:
     subclass writes its own ``__init__``, which sets every field with
     ``object.__setattr__``; any other assignment or deletion raises
     AttributeError.  Records declare no instance dict of their own, so a
-    subclass that lists its fields in ``__slots__`` carries none."""
+    subclass that lists its fields in ``__slots__`` carries none.  Copy and
+    pickle rebuild a record by calling its class on the field values, in
+    order; a class whose constructor takes other arguments overrides
+    ``__reduce__``."""
 
     __slots__ = ()
     _fields = ()
@@ -38,6 +41,11 @@ class Record:
 
     def __hash__(self):
         return hash(self._values)
+
+    def __reduce__(self):
+        # the default protocol would restore slots through the refusing
+        # __setattr__
+        return type(self), self._values
 
     def __repr__(self):
         fields = ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields)

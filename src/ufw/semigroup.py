@@ -48,8 +48,7 @@ class CayleyTable(Record):
         object.__setattr__(self, "_preimage_masks", None)
 
     def __reduce__(self):
-        # copy and pickle rebuild the table from its rows: the default
-        # protocol would restore the slots through the refusing __setattr__
+        # the constructor takes the rows alone and derives the other fields
         return type(self), (self.mul,)
 
     def __call__(self, x, y):

@@ -35,10 +35,11 @@ class GroundSet(Record):
         return (1 << self.size) - 1
 
 
-class SetFamily:
+class SetFamily(Record):
     """An immutable family of subsets of a ground set."""
 
     __slots__ = ("ground", "masks", "_mask_set")
+    _fields = ("ground", "masks")
 
     def __init__(self, ground, members):
         """``members``: iterable of index-iterables (or of ready masks via
@@ -49,16 +50,13 @@ class SetFamily:
             # type(), not isinstance(): JSON true would read as element 1
             if any(type(i) is not int for i in indices):
                 raise ValueError("member %r has a non-integer element" % (member,))
-            m = mask_of(indices)
-            if m > ground.full_mask:
+            # before the mask is built: 1 << i for a huge i is a huge int
+            if indices and (min(indices) < 0 or max(indices) >= ground.size):
                 raise IndexOutOfRange("member %r outside ground set" % (member,))
-            masks.add(m)
+            masks.add(mask_of(indices))
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "masks", tuple(sorted(masks)))
         object.__setattr__(self, "_mask_set", frozenset(masks))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SetFamily is immutable")
 
     @classmethod
     def from_masks(cls, ground, masks):
@@ -75,6 +73,10 @@ class SetFamily:
         object.__setattr__(fam, "_mask_set", mask_set)
         return fam
 
+    def __reduce__(self):
+        # the constructor reads members as index lists, not masks
+        return SetFamily.from_masks, (self.ground, self.masks)
+
     @property
     def members(self):
         """Members as sorted index tuples, in canonical (mask) order."""
@@ -85,19 +87,6 @@ class SetFamily:
 
     def __len__(self):
         return len(self.masks)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SetFamily)
-            and self.ground.size == other.ground.size
-            and self._mask_set == other._mask_set
-        )
-
-    def __hash__(self):
-        return hash((self.ground.size, self._mask_set))
-
-    def __repr__(self):
-        return "SetFamily(ground=%d, members=%r)" % (self.ground.size, list(self.members))
 
     def to_json(self):
         return {"ground": self.ground.size, "members": [list(m) for m in self.members]}

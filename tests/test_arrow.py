@@ -149,6 +149,17 @@ def test_profile_cap_comes_before_any_profile_is_built(monkeypatch):
             build()
 
 
+def test_profile_cap_refuses_exactly_the_elections_past_it():
+    # the running products stop once past the cap, so (m!)^v is never built
+    for m in range(2, 12):
+        for v in range(1, 22):
+            if factorial(m) ** v > arrow.PROFILE_CAP:
+                with pytest.raises(CapExceeded):
+                    arrow._check_cap(Election(v, m))
+            else:
+                arrow._check_cap(Election(v, m))
+
+
 def test_rules_reject_non_order_output():
     # two candidates have the orders 0 and 1 only
     el = Election(2, 2)

@@ -599,8 +599,12 @@ def test_golden_digests(capsys, tmp_path, case):
     # brackets; the pi,sqrt2 case near the top was re-recorded then, since
     # the float sum had its last bits wrong, and the three that close the
     # list were added then: N = 10¹², an exact zero, and a zero sum of a θ
-    # that is rational but not given as one (exit 1).  An argv entry naming
-    # one of the case's inline files stands for that file's path.
+    # that is rational but not given as one (exit 1).  The four
+    # certificates that close the list (line words with a letter 0.9 or
+    # true, an AP of color 0.0, an avoiding coloring with a color 0.0) were
+    # read as valid until the checkers took exact ints alone; they were
+    # recorded after.  An argv entry naming one of the case's inline files
+    # stands for that file's path.
     paths = {name: write_json(tmp_path, name, body) for name, body in case.get("files", {}).items()}
     argv = case.get("argv")
     if argv is None:
@@ -756,6 +760,36 @@ def test_fol_eval_checks_a_25_ary_relation_at_once(capsys, tmp_path, members):
     except _Overtime as err:
         pytest.fail(str(err), pytrace=False)
     assert (code, report["result"]["values"]) == (0, [True])
+
+
+def test_fol_eval_checks_the_equality_of_20000_elements_at_once(capsys, tmp_path):
+    # the transitivity check once walked every element c for each pair in
+    # "=", quadratic even for identity (1.3 s at 4,000 elements); it now
+    # walks the class of b alone
+    sig = write_json(tmp_path, "sig.json", {})
+    structure = write_json(tmp_path, "s.json", {"universe": 20000})
+    argv = ["fol", "eval", "--sig", sig, "--structs", structure,
+            "--formula", "x = x", "--env", "x=0"]
+    try:
+        with _wall_clock(5):
+            code, report = invoke(capsys, argv)
+    except _Overtime as err:
+        pytest.fail(str(err), pytrace=False)
+    assert (code, report["result"]["values"]) == (0, [True])
+
+
+@pytest.mark.parametrize("voters, candidates", [(10**7, 3), (1, 10**6)])
+def test_arrow_refuses_a_huge_profile_space_at_once(capsys, tmp_path, voters, candidates):
+    # (m!)^v was built before it was compared with the cap: 6^(10^7) took
+    # about 5 s and 10^6! about 10 s
+    rule = write_json(tmp_path, "rule.json",
+                      {"voters": voters, "candidates": candidates, "table": [0]})
+    try:
+        with _wall_clock(1):
+            code, _ = invoke(capsys, ["arrow", "check", "--rule", rule])
+    except _Overtime as err:
+        pytest.fail(str(err), pytrace=False)
+    assert code == 2
 
 
 FOL_SIGNATURE = {"functions": {"f": 2}, "relations": {"r": 1}, "constants": ["c"]}

@@ -340,6 +340,23 @@ def test_equality_axiom_witness_matches_the_full_scan():
     assert {None, "function-congruence", "relation-congruence"} <= set(kinds)
 
 
+def test_transitivity_walk_matches_the_full_scan():
+    # c walks the class of b in ascending order, not the whole universe, so
+    # the first failing c is the full scan's; a random graph with loops is
+    # reflexive and symmetric but seldom transitive
+    rng = random.Random(26)
+    kinds = Counter()
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        edges = {(a, b) for a in range(n) for b in range(a) if rng.random() < 0.4}
+        eq = {(a, a) for a in range(n)} | edges | {(b, a) for a, b in edges}
+        s = Structure(Signature(), n, rels={"=": eq}, validate=False)
+        witness = equality_axiom_witness(s)
+        assert witness == _scanning_witness(s)
+        kinds[witness and witness[0]] += 1
+    assert set(kinds) == {None, "not-transitive"}
+
+
 def test_relation_walk_matches_the_full_scan_on_sparse_relations():
     # args1 walks only the class products of a relation's members, merged
     # in lexicographic order; on empty, sparse and dense relations up to

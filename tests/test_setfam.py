@@ -4,6 +4,7 @@ property-based invariants on small grounds."""
 import json
 import random
 import signal
+import tracemalloc
 from contextlib import contextmanager
 from itertools import combinations
 
@@ -45,8 +46,18 @@ def test_members_canonical_order():
 
 
 def test_out_of_range_member_rejected():
-    with pytest.raises(IndexOutOfRange):
-        SetFamily(G3, [[3]])
+    # the range is checked before the mask is built: 1 << -1 raised
+    # Python's own "negative shift count", and 1 << 10**8 is a 12.5 MB int
+    for element in (3, -1, 10**8):
+        tracemalloc.start()
+        try:
+            match = r"^member \[0, %d\] outside ground set$" % element
+            with pytest.raises(IndexOutOfRange, match=match):
+                SetFamily(G3, [[0], [0, element]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, element
 
 
 def test_from_masks_canonical_and_equal_to_members():

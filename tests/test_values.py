@@ -1,14 +1,17 @@
 """Value semantics of the package's record classes: constructor signatures
 and defaults, the ``Name(field=value, …)`` repr, equality and hash by the
-field tuple, and immutability."""
+field tuple (by identity for structures), immutability, copy and pickle."""
 
+import ast
 import copy
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ufw.arrow import Election, _rank_table
+from ufw.arrow import Election, _rank_table, dictator_rule
+from ufw.discalc import BinomialPoly, RationalPoly
 from ufw.folup import Signature, Structure, UltraproductSpec
 from ufw.genpoly import Dfao, DigitSystem, Interval, RealConst
 from ufw.largeness.search import (
@@ -21,7 +24,7 @@ from ufw.largeness.search import (
     WordColoring,
 )
 from ufw.semigroup import CayleyTable
-from ufw.setfam import FamilyVerdict, GroundSet, principal_ultrafilter
+from ufw.setfam import FamilyVerdict, GroundSet, SetFamily, principal_ultrafilter
 
 Z2 = ((0, 1), (1, 0))
 SIG = Signature(functions=(("f", 1),))
@@ -119,6 +122,41 @@ RECORDS = {
         ("kind", "witness"),
         "FamilyVerdict(kind='filter', witness=((0,),))",
     ),
+    "SetFamily": (
+        lambda: SetFamily(GroundSet(2), [[0, 1], [0]]),
+        ("ground", "masks"),
+        "SetFamily(ground=GroundSet(size=2), masks=(1, 3))",
+    ),
+    "AggregationRule": (
+        lambda: dictator_rule(Election(1, 2), 0),
+        ("election", "table"),
+        "AggregationRule(election=Election(voters=1, candidates=2), table=(0, 1))",
+    ),
+    "RationalPoly": (
+        lambda: RationalPoly([1, Fraction(1, 2), 0]),
+        ("coeffs",),
+        "RationalPoly(coeffs=(Fraction(1, 1), Fraction(1, 2)))",
+    ),
+    "BinomialPoly": (
+        lambda: BinomialPoly([0, 2]),
+        ("coeffs",),
+        "BinomialPoly(coeffs=(Fraction(0, 1), Fraction(2, 1)))",
+    ),
+    "Structure": (
+        lambda: Structure(SIG, 2, funcs={"f": (1, 0)}),
+        ("sig", "size", "funcs", "rels", "consts"),
+        None,
+    ),
+}
+
+#: what a copy shares with the original, for the records that are or hold
+#: structures, which compare and hash by identity
+BY_IDENTITY = {
+    "Structure": Structure.to_json,
+    "UltraproductSpec": lambda spec: (
+        [s.to_json() for s in spec.factors],
+        spec.ultrafilter,
+    ),
 }
 
 
@@ -137,7 +175,7 @@ def test_repr(name):
     assert repr(obj) == expected
 
 
-@pytest.mark.parametrize("name", sorted(RECORDS))
+@pytest.mark.parametrize("name", sorted(set(RECORDS) - {"Structure"}))
 def test_equality_and_hash_follow_the_fields(name):
     make, fields, _ = RECORDS[name]
     a, b = make(), make()
@@ -162,12 +200,44 @@ def test_fields_cannot_be_assigned_or_deleted(name):
         obj.not_a_field = 0
 
 
-@pytest.mark.parametrize("name", sorted(set(RECORDS) - {"UltraproductSpec"}))
+def test_structures_compare_and_hash_by_identity():
+    # their tables are dicts, and UltraproductSpec hashes its factors
+    a, b = (RECORDS["Structure"][0]() for _ in range(2))
+    assert a == a and a != b and a.to_json() == b.to_json()
+    assert hash(a) == object.__hash__(a)
+    assert UltraproductSpec([a, a], U2) != UltraproductSpec([b, b], U2)
+
+
+def test_unchecked_structures_copy_unchecked():
+    # "=" is not reflexive here: a copy that re-checked it would raise
+    s = Structure(Signature(), 2, rels={"=": [(0, 0)]}, validate=False)
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert twin.to_json() == s.to_json()
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
 def test_copies_and_pickles_equal(name):
     obj = RECORDS[name][0]()
-    assert copy.copy(obj) == obj
-    assert copy.deepcopy(obj) == obj
-    assert pickle.loads(pickle.dumps(obj)) == obj
+    key = BY_IDENTITY.get(name, lambda record: record)
+    for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(twin) is type(obj) and key(twin) == key(obj)
+
+
+def test_only_record_defines_assignment_or_value_equality():
+    # every other class gets __setattr__, __delattr__, __eq__ and __hash__
+    # from Record; Structure rebinds the last two to object's, by assignment
+    own = {"__setattr__", "__delattr__", "__eq__", "__hash__"}
+    src = Path(__file__).resolve().parent.parent / "src" / "ufw"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and node.name != "Record":
+                found += [
+                    (node.name, item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name in own
+                ]
+    assert found == []
 
 
 def test_unequal_fields_compare_unequal():
