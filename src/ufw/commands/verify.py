@@ -33,10 +33,10 @@ def verify_certificate(cert):
         )
         return ok, None if ok else "clique witness failed recheck"
     if kind == "avoiding":
-        ok = checkers.check_avoiding_coloring(
+        fault = checkers.avoiding_coloring_fault(
             tuple(cert["pattern"]), cert["r"], cert["colors"]
         )
-        return ok, None if ok else "avoiding coloring contains the pattern"
+        return fault is None, None if fault is None else "avoiding coloring " + fault
     if kind == "dictator":
         ok = checkers.check_dictator(
             cert["voters"], cert["candidates"], cert["table"], cert["dictator"]

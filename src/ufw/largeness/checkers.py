@@ -19,6 +19,11 @@ def _ints(values):
     return all(type(v) is int for v in values)
 
 
+def _colex_rank(edge):
+    """The index of the sorted k-subset ``edge`` in colex order: Σ C(v_i, i+1)."""
+    return sum(comb(v, i + 1) for i, v in enumerate(edge))
+
+
 def check_fs_witness(colors, generators, color, sums=None, distinct=True):
     """colors: color of i at colors[i-1] for [1..N]; generators strictly
     increasing positive (non-decreasing when ``distinct`` is False); all
@@ -96,24 +101,23 @@ def check_clique_witness(colors, nvertices, k, subset, color):
         return False
     if any(not 0 <= v < nvertices for v in subset):
         return False
-    for edge in combinations(subset, k):
-        rank = 0
-        for i, v in enumerate(edge):
-            c = 1
-            for j in range(i + 1):
-                c = c * (v - j) // (j + 1)
-            rank += c if v >= i + 1 else 0
-        if colors[rank] != color:
-            return False
-    return True
+    return all(colors[_colex_rank(edge)] == color for edge in combinations(subset, k))
 
 
 def check_avoiding_coloring(pattern, r, colors):
     """Confirm an avoiding coloring from a threshold certificate: no
-    instance of the pattern is monochromatic.  Recomputes the instances
-    with plain itertools enumeration.  A pattern with an unknown kind, the
-    wrong number of parameters, or a parameter below 1 (or a clique smaller
-    than its edges) names no instances: ValueError."""
+    instance of the pattern is monochromatic."""
+    return avoiding_coloring_fault(pattern, r, colors) is None
+
+
+def avoiding_coloring_fault(pattern, r, colors):
+    """Why ``colors`` is no avoiding coloring of the pattern with r colors,
+    or None when it is one: a color (or r) that is not an exact int in
+    [0, r), a length that no line's σⁿ words or clique's C(v, k) edges
+    have, or a monochromatic instance.  Recomputes the instances with plain
+    itertools enumeration.  A pattern with an unknown kind, the wrong
+    number of parameters, or a parameter below 1 (or a clique smaller than
+    its edges) names no instances: ValueError."""
     kind = pattern[0] if pattern else None
     params = pattern[1:]
     if (
@@ -124,7 +128,7 @@ def check_avoiding_coloring(pattern, r, colors):
     ):
         raise ValueError("not a pattern: %r" % (pattern,))
     if type(r) is not int or not _ints(colors) or any(not 0 <= c < r for c in colors):
-        return False
+        return "has a color that is not an int in [0, r)"
     if kind == "ap":
         n, length = len(colors), pattern[1]
         for start in range(1, n + 1):
@@ -132,8 +136,8 @@ def check_avoiding_coloring(pattern, r, colors):
                 if start + (length - 1) * step > n:
                     break
                 if len({colors[start + i * step - 1] for i in range(length)}) == 1:
-                    return False
-        return True
+                    return "contains the pattern"
+        return None
     if kind == "fs":
         n, k = len(colors), pattern[1]
         for gens in _sum_bounded_tuples(k, n):
@@ -142,34 +146,27 @@ def check_avoiding_coloring(pattern, r, colors):
                 sums |= {s + g for s in sums}
             sums.discard(0)
             if len({colors[s - 1] for s in sums}) == 1:
-                return False
-        return True
+                return "contains the pattern"
+        return None
     if kind == "clique":
         k, m = pattern[1], pattern[2]
         nv = 0
-        while True:
-            count = 1
-            for i in range(k):
-                count = count * (nv - i) // (i + 1)
-            if count == len(colors):
-                break
+        while comb(nv, k) < len(colors):
             nv += 1
-            if nv > len(colors) + k + 1:
-                return False
-        edges = sorted(combinations(range(nv), k), key=lambda e: tuple(reversed(e)))
-        rank = {e: i for i, e in enumerate(edges)}
+        if comb(nv, k) != len(colors):
+            return "has the wrong length for the pattern"
+        rank = {e: _colex_rank(e) for e in combinations(range(nv), k)}
         for subset in combinations(range(nv), m):
-            cs = {colors[rank[e]] for e in combinations(subset, k)}
-            if len(cs) == 1:
-                return False
-        return True
+            if len({colors[rank[e]] for e in combinations(subset, k)}) == 1:
+                return "contains the pattern"
+        return None
     if kind == "line":
         sigma = pattern[1]
         n = 0
         while sigma > 1 and sigma**n < len(colors):
             n += 1
         if sigma**n != len(colors):
-            return False
+            return "has the wrong length for the pattern"
         words = list(iproduct(range(sigma), repeat=n))
         rank = {w: i for i, w in enumerate(words)}
         for spots in iproduct(range(sigma + 1), repeat=n):
@@ -179,8 +176,8 @@ def check_avoiding_coloring(pattern, r, colors):
                 tuple(a if w == sigma else w for w in spots) for a in range(sigma)
             ]
             if len({colors[rank[p]] for p in pts}) == 1:
-                return False
-        return True
+                return "contains the pattern"
+        return None
 
 
 def _sum_bounded_tuples(k, n):

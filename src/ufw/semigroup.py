@@ -13,6 +13,7 @@ tuples that the table enumerator shares between the tables it lists: order
 5 lists 183,732 tables, so the bytes of each one count.
 """
 
+from itertools import combinations
 from operator import itemgetter
 
 from .bitsets import indices_of
@@ -20,17 +21,19 @@ from .errors import CapExceeded, NotAssociative, NotCommutative, NotIdempotent, 
 from .record import Record
 from .setfam import SetFamily, classify_family
 
+#: largest order of a direct product, which fills (and the CLI prints) order² cells
 PRODUCT_ORDER_CAP = 400
 
 
 class CayleyTable(Record):
-    """A finite magma given by its multiplication table.  The lex-first
-    witnesses of non-associativity (a, b, c) and non-commutativity (a, b)
-    are found once, on construction; each is None when the law holds.
-    Rows that are already tuples are kept as they are, not copied."""
+    """A finite semigroup given by its multiplication table.  The
+    constructor checks shape and entries, then raises NotAssociative with
+    the lex-first (a, b, c) where (a·b)·c ≠ a·(b·c), so no function here
+    checks a table again.  Rows that are already tuples are kept as they
+    are, not copied."""
 
-    __slots__ = ("mul", "n", "assoc_witness", "comm_witness", "_preimage_masks")
-    _fields = ("mul", "n", "assoc_witness", "comm_witness")
+    __slots__ = ("mul", "n", "_preimage_masks")
+    _fields = ("mul", "n")
 
     def __init__(self, mul):
         mul = tuple(tuple(row) for row in mul)
@@ -41,14 +44,27 @@ class CayleyTable(Record):
             # type(), not isinstance(): True and False are ints too
             if len(row) != n or any(type(v) is not int or not 0 <= v < n for v in row):
                 raise ValueError("table rows must be length n with integer entries < n")
+        witness = _assoc_witness(mul)
+        if witness is not None:
+            raise NotAssociative("table is not associative", witness)
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "assoc_witness", _assoc_witness(mul))
-        object.__setattr__(self, "comm_witness", _comm_witness(mul))
         object.__setattr__(self, "_preimage_masks", None)
 
+    @classmethod
+    def _proven(cls, mul):
+        """The table of ``mul``, a tuple of row tuples, stored unchecked.
+        Its two callers build semigroups by proof: an enumerated leaf has
+        every cell set, and propagation compared each triple once its last
+        cell was set; a direct product's factors are semigroups by type."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "mul", mul)
+        object.__setattr__(table, "n", len(mul))
+        object.__setattr__(table, "_preimage_masks", None)
+        return table
+
     def __reduce__(self):
-        # the constructor takes the rows alone and derives the other fields
+        # the constructor takes the rows alone, and checks them again
         return type(self), (self.mul,)
 
     def __call__(self, x, y):
@@ -81,10 +97,12 @@ class CayleyTable(Record):
 
     @classmethod
     def from_json(cls, obj):
-        table = cls(obj["mul"])
-        if table.n != obj.get("n", table.n):
+        # a declared order is read before the scan: a file that disagrees
+        # with itself is bad input, whatever its table's laws
+        mul = obj["mul"]
+        if "n" in obj and obj["n"] != len(mul):
             raise ValueError("declared order disagrees with the table")
-        return table
+        return cls(mul)
 
 
 def _assoc_witness(mul):
@@ -109,23 +127,8 @@ def _assoc_witness(mul):
     return None
 
 
-def _comm_witness(mul):
-    n = len(mul)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if mul[a][b] != mul[b][a]:
-                return (a, b)
-    return None
-
-
-def _require_assoc(table):
-    if table.assoc_witness is not None:
-        raise NotAssociative("table is not associative", table.assoc_witness)
-
-
 def idempotents(table):
     """{x : x·x = x}; non-empty for every finite semigroup."""
-    _require_assoc(table)
     return tuple(x for x in range(table.n) if table.mul[x][x] == x)
 
 
@@ -134,7 +137,6 @@ def _minimal_left_masks(table):
     S·x is the OR of 1 << z over column x, and L = S·x is minimal iff
     S·y = L for every y in L (the principal-ideal minimality criterion),
     tested by walking the set bits of L."""
-    _require_assoc(table)
     principal = []
     for col in zip(*table.mul):
         m = 0
@@ -168,7 +170,6 @@ def kernel(table):
 
 def is_minimal_element(table, x):
     """x ∈ K(S) iff for every y some z solves z·y·x = x."""
-    _require_assoc(table)
     mul = table.mul
     for y in range(table.n):
         yx = mul[y][x]
@@ -179,7 +180,6 @@ def is_minimal_element(table, x):
 
 def idempotent_leq(table, p, q):
     """The order on idempotents: p ≤ q iff p·q = q·p = p."""
-    _require_assoc(table)
     for e in (p, q):
         if table.mul[e][e] != e:
             raise NotIdempotent("element %d is not idempotent" % e, which=e)
@@ -202,39 +202,37 @@ def ideal_report(table):
 
 
 def direct_product(table_s, table_t):
-    """Componentwise product; (a, b) ↦ a·n_T + b.  A product of order above
-    PRODUCT_ORDER_CAP raises CapExceeded before its table is filled: the
-    associativity scan of its construction takes order³ steps."""
-    _require_assoc(table_s)
-    _require_assoc(table_t)
+    """Componentwise product; (a, b) ↦ a·n_T + b, stored unchecked.  A
+    product of order above PRODUCT_ORDER_CAP raises CapExceeded before its
+    table is filled."""
     ns, nt = table_s.n, table_t.n
     if ns * nt > PRODUCT_ORDER_CAP:
         raise CapExceeded("product order %d exceeds cap %d" % (ns * nt, PRODUCT_ORDER_CAP))
-    mul = [[0] * (ns * nt) for _ in range(ns * nt)]
-    for a in range(ns):
-        for b in range(nt):
-            for c in range(ns):
-                for d in range(nt):
-                    mul[a * nt + b][c * nt + d] = table_s.mul[a][c] * nt + table_t.mul[b][d]
-    return CayleyTable(mul)
+    return CayleyTable._proven(tuple(
+        tuple(v * nt + w for v in row_s for w in row_t)
+        for row_s in table_s.mul
+        for row_t in table_t.mul
+    ))
 
 
 def commutative_kernel_group(table):
     """For commutative semigroups: K(S) is a group; return its identity (the
-    unique idempotent) and the inverse map."""
-    _require_assoc(table)
-    if table.comm_witness is not None:
-        raise NotCommutative("table is not commutative", table.comm_witness)
+    unique idempotent) and the inverse map.  Otherwise NotCommutative names
+    the lex-first a < b with a·b ≠ b·a."""
+    mul = table.mul
+    for a, b in combinations(range(table.n), 2):
+        if mul[a][b] != mul[b][a]:
+            raise NotCommutative("table is not commutative", (a, b))
     ker = kernel(table)
-    idems_in_k = [e for e in ker if table.mul[e][e] == e]
+    idems_in_k = [e for e in ker if mul[e][e] == e]
     if len(idems_in_k) != 1:  # pragma: no cover - excluded by the theorem
         raise AssertionError("commutative kernel must contain a unique idempotent")
     e = idems_in_k[0]
     inverse = {}
     ker_set = set(ker)
     for k in ker:
-        inv = [m for m in ker if table.mul[k][m] == e]
-        if len(inv) != 1 or table.mul[k][inv[0]] not in ker_set:  # pragma: no cover
+        inv = [m for m in ker if mul[k][m] == e]
+        if len(inv) != 1 or mul[k][inv[0]] not in ker_set:  # pragma: no cover
             raise AssertionError("kernel is not a group")
         inverse[k] = inv[0]
     return {"identity": e, "inverse": inverse}
@@ -245,7 +243,6 @@ def ultrafilter_product(table, u, v):
     for every A ⊆ X.  The quotients x⁻¹A are read from the table's
     ``preimage_masks``, built once per table on the first product over it
     and kept on the table; both families are classified on every call."""
-    _require_assoc(table)
     n = table.n
     for name, fam in (("first", u), ("second", v)):
         if fam.ground.size != n:
@@ -315,8 +312,9 @@ def enumerate_associative_tables(n):
     such table: propagation prunes only subtrees that hold no table.  Every
     cell before the branching cell is set, so the branches' subtrees follow
     one another in lexicographic order.  The tables and their order are
-    therefore those of filtering all n^(n²) tables, and each leaf is still
-    a CayleyTable that runs its own validation and associativity scan.
+    therefore those of filtering all n^(n²) tables.  A leaf has every cell
+    set, so every triple of it has been compared: it is a semigroup, and
+    becomes a CayleyTable without a second scan.
 
     Each leaf's rows are interned in a dict kept for the call (at most nⁿ
     rows), so the tables listed share their row objects: 3,492 tables of
@@ -410,7 +408,7 @@ def enumerate_associative_tables(n):
                 v = 0
                 continue
         else:
-            yield CayleyTable([rows.setdefault(row, row) for row in map(tuple, mul)])
+            yield CayleyTable._proven(tuple(rows.setdefault(row, row) for row in map(tuple, mul)))
         if not stack:
             return
         pos, v, mark = stack.pop()

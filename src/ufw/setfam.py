@@ -192,6 +192,28 @@ def _fip_witness(f):
         k += 1
 
 
+def _first_missing_superset(f, a, n):
+    """The lexicographically first superset of ``a`` outside ``f``, for an
+    ``a`` that has one.  Index tuples are walked in lex order, each before
+    its extensions, and a tuple is extended only by elements up to the least
+    element of ``a`` it lacks, so each tuple walked extends to a superset of
+    ``a``.  The supersets walked before the answer are distinct members, so
+    the walk visits at most |F| + 1 supersets, not all 2^(n−|a|)."""
+
+    def walk(t, start):
+        lacking = a & ~t
+        if not lacking and not f.has_mask(t):
+            return t
+        stop = (lacking & -lacking).bit_length() if lacking else n
+        for e in range(start, stop):
+            found = walk(t | 1 << e, e + 1)
+            if found is not None:
+                return found
+        return None
+
+    return walk(0, 0)
+
+
 def _filter_axiom_witness(f):
     """First failing filter-axiom instance of a family that has a non-empty
     meet but is not a filter.
@@ -212,7 +234,7 @@ def _filter_axiom_witness(f):
     failing = [a for a in f.masks if digits[full ^ a] == "1"]
     if failing:
         a = _lex_first(failing)
-        b = _lex_first(b for b in _supersets(a, full) if not f.has_mask(b))
+        b = _first_missing_superset(f, a, n)
         return (indices_of(a), indices_of(b))
     # (4) F is now an up-set.  a ∩ b ∈ F for every member b iff a contains
     # every minimal member, that is their union: for minimal b, a ∩ b ⊆ b is

@@ -161,7 +161,7 @@ def _kernel_invariants(table):
         )
         if order_minimal != (e in ker):
             return False
-    if table.comm_witness is None:
+    if table.mul == tuple(zip(*table.mul)):  # commutative
         group = semigroup.commutative_kernel_group(table)
         if group["identity"] not in ker:
             return False

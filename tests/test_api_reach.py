@@ -192,3 +192,32 @@ def test_every_optional_parameter_is_passed_outside_the_unit_tests():
     assert not unpassed, "optional parameters only the unit tests pass:\n  " + "\n  ".join(
         sorted(unpassed)
     )
+
+
+def test_only_the_two_proving_builders_store_a_table_unchecked():
+    # CayleyTable._proven skips the associativity scan; its docstring gives
+    # the proof each of these two callers relies on
+    callers = sorted(
+        fn.name
+        for path in [*sorted(SRC.rglob("*.py")), *_callers()]
+        for fn in ast.walk(_parse(path))
+        if isinstance(fn, ast.FunctionDef)
+        for name, _ in _calls(fn)
+        if name == "_proven"
+    )
+    assert callers == ["direct_product", "enumerate_associative_tables"]
+
+
+def test_no_module_names_the_removed_table_witnesses():
+    # a table is a semigroup, so it keeps no witness of a law failing
+    gone = {"assoc_witness", "comm_witness"}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = _parse(path)
+        named = _names_used([tree]) | {
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        } | {
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        assert not named & gone, path.relative_to(ROOT)

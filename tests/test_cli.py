@@ -156,6 +156,26 @@ def test_certificate_roundtrip_and_tamper_detection(capsys, tmp_path):
     assert not out["result"]["valid"] and "mismatch" in out["result"]
 
 
+@pytest.mark.parametrize(
+    "pattern, colors, mismatch",
+    [
+        (["ap", 3], [0.0, 1, 0, 1, 1, 0, 1, 0], "has a color that is not an int in [0, r)"),
+        (["ap", 3], [0, 1, 2], "has a color that is not an int in [0, r)"),
+        (["line", 2], [0, 1, 1], "has the wrong length for the pattern"),
+        (["clique", 2, 3], [0, 1, 1, 0], "has the wrong length for the pattern"),
+        (["ap", 3], [0] * 8, "contains the pattern"),
+    ],
+)
+def test_verify_names_why_an_avoiding_coloring_is_rejected(
+    capsys, tmp_path, pattern, colors, mismatch
+):
+    # only the last reason looked at an instance of the pattern
+    cert = {"kind": "avoiding", "pattern": pattern, "r": 2, "colors": colors}
+    code, out = invoke(capsys, ["verify", "--certificate", write_json(tmp_path, "c.json", cert)])
+    assert code == 1
+    assert out["result"] == {"valid": False, "mismatch": "avoiding coloring " + mismatch}
+
+
 def test_verify_rejects_unknown_kind(capsys, tmp_path):
     path = write_json(tmp_path, "weird.json", {"kind": "telepathy"})
     code, _ = invoke(capsys, ["verify", "--certificate", path])
@@ -603,8 +623,19 @@ def test_golden_digests(capsys, tmp_path, case):
     # certificates that close the list (line words with a letter 0.9 or
     # true, an AP of color 0.0, an avoiding coloring with a color 0.0) were
     # read as valid until the checkers took exact ints alone; they were
-    # recorded after.  An argv entry naming one of the case's inline files
-    # stands for that file's path.
+    # recorded after.  The avoiding case with a color 0.0 was re-recorded
+    # once a malformed color got its own mismatch text.  The five sg cases
+    # after it were recorded before a table was checked for associativity
+    # where it is read: product with a non-associative --in2, ufprod on a
+    # non-associative table, and ℤ/20 × ℤ/20; product with no --in2 and
+    # ufprod with no --uf on a non-associative --in exited 3 then and were
+    # re-recorded at exit 1, since the table is refused before the flags
+    # are read.  The two avoiding cases that close the list (a line and a
+    # clique coloring of a length no instance set has) were recorded once
+    # that length got its own mismatch text, and the report after them, on
+    # a non-associative table whose declared order is wrong (exit 3), before
+    # tables were refused where they are read.  An argv entry naming one of
+    # the case's inline files stands for that file's path.
     paths = {name: write_json(tmp_path, name, body) for name, body in case.get("files", {}).items()}
     argv = case.get("argv")
     if argv is None:

@@ -186,6 +186,33 @@ def test_checkers_refuse_claims_they_cannot_read():
     assert checkers.check_avoiding_coloring(("fs", 40), 2, [0, 1, 1, 0])
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_checker_colex_rank_follows_the_edge_list_order(n):
+    for k in range(1, min(n, 4) + 1):
+        assert [checkers._colex_rank(e) for e in edge_list(n, k)] == list(range(comb(n, k)))
+
+
+@pytest.mark.parametrize(
+    "pattern, r, colors, fault",
+    [
+        (("ap", 3), 2, [0, 1, 0, 1, 1, 0, 1, 0], None),
+        (("ap", 3), 2, [0.0, 1, 0, 1, 1, 0, 1, 0], "has a color that is not an int in [0, r)"),
+        (("ap", 3), 2, [0, 1, 2], "has a color that is not an int in [0, r)"),
+        (("ap", 3), 2.0, [0, 1], "has a color that is not an int in [0, r)"),
+        (("line", 2), 2, [0, 1, 1], "has the wrong length for the pattern"),
+        (("line", 1), 2, [0, 0], "has the wrong length for the pattern"),
+        (("clique", 2, 3), 2, [0, 1, 1, 0], "has the wrong length for the pattern"),
+        (("ap", 3), 2, [0] * 8, "contains the pattern"),
+        (("fs", 2), 2, [0, 0, 0], "contains the pattern"),
+        (("clique", 2, 3), 2, [0] * 6, "contains the pattern"),
+        (("line", 2), 2, [0, 0, 1, 1], "contains the pattern"),
+    ],
+)
+def test_avoiding_coloring_fault_names_its_reason(pattern, r, colors, fault):
+    assert checkers.avoiding_coloring_fault(pattern, r, colors) == fault
+    assert checkers.check_avoiding_coloring(pattern, r, colors) is (fault is None)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_fs_avoiding_check_matches_listing_every_tuple(k):
     # the checker lists only the tuples whose total is at most n; every

@@ -54,23 +54,30 @@ def two_sided_ideals(table):
 # --- construction and validation -------------------------------------------
 
 
-def test_flags_match_witnesses():
+def test_a_table_holds_its_rows_and_order_alone():
     t = cyclic_table(3)
-    assert (t.assoc_witness, t.comm_witness) == (None, None)
+    assert CayleyTable._fields == ("mul", "n")
+    assert (t.mul, t.n) == (((0, 1, 2), (1, 2, 0), (2, 0, 1)), 3)
 
 
 def test_non_associative_first_witness():
-    # subtraction-like table: (a-b) mod 3
-    t = CayleyTable([[(a - b) % 3 for b in range(3)] for a in range(3)])
-    assert t.assoc_witness == (0, 0, 1)  # lexicographically least triple
-    assert t.comm_witness == (0, 1)
-
-
-def test_operations_reject_non_associative():
-    t = CayleyTable([[(a - b) % 3 for b in range(3)] for a in range(3)])
-    with pytest.raises(NotAssociative) as err:
-        idempotents(t)
+    # subtraction-like table: (a-b) mod 3, neither associative nor
+    # commutative; the constructor names the lexicographically least triple
+    with pytest.raises(NotAssociative, match="^table is not associative$") as err:
+        CayleyTable([[(a - b) % 3 for b in range(3)] for a in range(3)])
     assert err.value.witness == (0, 0, 1)
+
+
+def test_a_non_associative_table_is_refused_where_it_is_read():
+    # no function of the module ever sees a magma: the JSON reader and the
+    # zoo's checking constructor refuse it
+    rows = [[(a - b) % 3 for b in range(3)] for a in range(3)]
+    with pytest.raises(NotAssociative) as err:
+        CayleyTable.from_json({"n": 3, "mul": rows})
+    assert err.value.witness == (0, 0, 1)
+    # a declared order that disagrees is bad input, found before the scan
+    with pytest.raises(ValueError, match="^declared order disagrees with the table$"):
+        CayleyTable.from_json({"n": 4, "mul": rows})
 
 
 def test_json_roundtrip():
@@ -215,12 +222,11 @@ def test_ideals_agree_with_the_set_oracle_on_direct_products():
         _assert_ideals_agree(t)
 
 
-def test_ideal_queries_raise_the_stored_witness():
-    t = CayleyTable([[1, 0, 0], [0, 0, 0], [0, 0, 2]])
-    for query in (minimal_left_ideals, kernel, ideal_report):
-        with pytest.raises(NotAssociative) as err:
-            query(t)
-        assert err.value.witness == (0, 0, 1)
+def test_the_ideal_report_table_that_is_no_semigroup_raises_its_witness():
+    # the table of the golden ``sg report`` case that exits 1
+    with pytest.raises(NotAssociative) as err:
+        CayleyTable([[1, 0, 0], [0, 0, 0], [0, 0, 2]])
+    assert err.value.witness == (0, 0, 1)
 
 
 def test_cyclic_group_ideals():
@@ -310,19 +316,23 @@ def test_direct_product_kernel_law_spot():
 
 def test_direct_product_order_and_assoc():
     prod = direct_product(left_zero_table(2), right_zero_table(2))
-    assert prod.n == 4 and prod.assoc_witness is None
+    assert prod.n == 4 and CayleyTable(prod.mul) == prod
 
 
 def test_direct_product_refuses_an_order_past_its_cap_before_filling(monkeypatch):
     # 20 × 20 = 400 is the largest order built; 21 × 21 is refused at once.
-    # The order-400 table is only handed over, not scanned for associativity
+    # The order-400 table is stored as built, not scanned for associativity
     assert PRODUCT_ORDER_CAP == 400
     with pytest.raises(CapExceeded, match="^product order 441 exceeds cap 400$"):
         direct_product(cyclic_table(21), cyclic_table(21))
     z20 = cyclic_table(20)
-    monkeypatch.setattr(semigroup, "CayleyTable", lambda mul: mul)
-    mul = direct_product(z20, z20)
-    assert len(mul) == 400 and mul[21][399] == 0
+
+    def no_scan(mul):
+        raise AssertionError("a product is a semigroup by type")
+
+    monkeypatch.setattr(semigroup, "_assoc_witness", no_scan)
+    prod = direct_product(z20, z20)
+    assert prod.n == 400 and prod.mul[21][399] == 0
 
 
 def test_commutative_kernel_group_cyclic():
@@ -332,13 +342,28 @@ def test_commutative_kernel_group_cyclic():
 
 
 def test_commutative_kernel_group_rejects_noncommutative():
-    with pytest.raises(NotCommutative):
+    with pytest.raises(NotCommutative, match="^table is not commutative$") as err:
         commutative_kernel_group(left_zero_table(2))
+    assert err.value.witness == (0, 1)
+
+
+def test_commutative_kernel_group_names_the_lex_first_non_commuting_pair():
+    for t in all_assoc(3):
+        first = next(
+            ((a, b) for a in range(3) for b in range(a + 1, 3) if t.mul[a][b] != t.mul[b][a]),
+            None,
+        )
+        if first is None:
+            commutative_kernel_group(t)
+            continue
+        with pytest.raises(NotCommutative) as err:
+            commutative_kernel_group(t)
+        assert err.value.witness == first
 
 
 def test_commutative_kernels_are_groups_exhaustive_order3():
     for t in all_assoc(3):
-        if t.comm_witness is not None:
+        if t.mul != tuple(zip(*t.mul)):  # not commutative
             continue
         info = commutative_kernel_group(t)
         ker = kernel(t)
@@ -451,15 +476,11 @@ def test_ultrafilter_product_matches_definition_on_zoo_tables(table):
 
 
 def test_ultrafilter_product_checks_in_order():
-    bad = CayleyTable([[(a - b) % 3 for b in range(3)] for a in range(3)])
     t, g3, g2 = cyclic_table(3), GroundSet(3), GroundSet(2)
     uf3, uf2 = principal_ultrafilter(g3, 1), principal_ultrafilter(g2, 0)
     filt = SetFamily(g3, [[0, 1], [0, 1, 2]])
-    # the table first, whatever the families are
-    with pytest.raises(NotAssociative) as err:
-        ultrafilter_product(bad, filt, uf2)
-    assert err.value.witness == (0, 0, 1)
-    # then each argument in turn: its ground, then its verdict
+    # each argument in turn: its ground, then its verdict; the table is a
+    # semigroup by type
     with pytest.raises(ValueError, match="^first family ground size"):
         ultrafilter_product(t, uf2, filt)
     with pytest.raises(ValueError, match="^second family ground size"):
@@ -530,11 +551,19 @@ def test_tables_copy_and_pickle_after_the_masks_are_read(clone):
     table = all_assoc(3)[-1]
     masks = table.preimage_masks
     twin = clone(table)
-    # tables compare by mul, n and both witnesses
+    # tables compare by mul and n
     assert twin == table and type(twin) is CayleyTable
     assert twin.preimage_masks == masks
-    odd = CayleyTable([[(a - b) % 3 for b in range(3)] for a in range(3)])
-    assert clone(odd) == odd and clone(odd).assoc_witness == (0, 0, 1)
+
+
+def test_a_pickled_table_is_checked_again_when_loaded():
+    # __reduce__ rebuilds through the checking constructor, so rows altered
+    # in transit are refused
+    cls, args = cyclic_table(3).__reduce__()
+    assert cls(*args) == cyclic_table(3)
+    with pytest.raises(NotAssociative) as err:
+        cls(((1, 0, 0), (0, 0, 0), (0, 0, 2)))
+    assert err.value.witness == (0, 0, 1)
 
 
 def test_assoc_witness_is_the_lex_first_failing_triple():
@@ -554,4 +583,22 @@ def test_assoc_witness_is_the_lex_first_failing_triple():
             ),
             None,
         )
-        assert CayleyTable(mul).assoc_witness == first
+        if first is None:
+            assert CayleyTable(mul).mul == tuple(map(tuple, mul))
+        else:
+            with pytest.raises(NotAssociative) as err:
+                CayleyTable(mul)
+            assert err.value.witness == first
+
+
+def test_tables_the_library_builds_unchecked_pass_the_check():
+    # the enumerator's leaves and direct products skip the associativity
+    # scan; the checking constructor accepts every one of them as it is
+    tables = [t for n in (1, 2, 3, 4) for t in enumerate_associative_tables(n)]
+    assert all(CayleyTable(t.mul) == t for t in tables)
+    small = [t for t in tables if t.n <= 3]
+    assert len(small) == 1 + 8 + 113
+    for s in small:
+        for t in small:
+            prod = direct_product(s, t)
+            assert CayleyTable(prod.mul) == prod

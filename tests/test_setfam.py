@@ -19,6 +19,7 @@ from ufw.setfam import (
     FamilyVerdict,
     GroundSet,
     SetFamily,
+    _first_missing_superset,
     classify_family,
     enumerate_ultrafilters,
     filter_closure,
@@ -563,3 +564,38 @@ def test_star_at_ground_16_is_fast(capsys, tmp_path):
     code, result = _cli(capsys, tmp_path, ["setfam", "star"], {"ground": 16, "members": [[0]]})
     assert code == 0
     assert result["star"]["members"] == [list(_indices(a)) for a in range(1, 1 << 16, 2)]
+
+
+def test_classify_x_and_a_point_at_ground_24_is_fast():
+    # {X, {0}} fails upward closure at {0}, whose lex-first non-member
+    # superset is {0, 1}: 20.6 s when it was the least of all 2²³ supersets
+    fam = SetFamily(GroundSet(24), [list(range(24)), [0]])
+    try:
+        with _wall_clock(1):
+            verdict = classify_family(fam)
+    except _Overtime as err:
+        pytest.fail(str(err), pytrace=False)
+    assert verdict == FamilyVerdict("fip-only", ((0,), (0, 1)))
+
+
+def _least_missing_superset(fam, a):
+    """The expression the filter-axiom witness used before it walked index
+    tuples: the least, by index tuple, of every superset of a outside fam."""
+    supersets = (b for b in range(1 << fam.ground.size) if b & a == a)
+    return min((b for b in supersets if not fam.has_mask(b)), key=_indices)
+
+
+def test_first_missing_superset_matches_the_least_of_all_supersets():
+    rng = random.Random(35)
+    checked = 0
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        fam = SetFamily.from_masks(
+            GroundSet(n), rng.sample(range(1 << n), rng.randint(1, min(1 << n, 12)))
+        )
+        for a in fam.masks:
+            if all(fam.has_mask(b) for b in range(1 << n) if b & a == a):
+                continue
+            assert _first_missing_superset(fam, a, n) == _least_missing_superset(fam, a)
+            checked += 1
+    assert checked > 10000

@@ -12,6 +12,7 @@ import pytest
 
 from ufw.arrow import Election, _rank_table, dictator_rule
 from ufw.discalc import BinomialPoly, RationalPoly
+from ufw.errors import NotAssociative
 from ufw.folup import Signature, Structure, UltraproductSpec
 from ufw.genpoly import Dfao, DigitSystem, Interval, RealConst
 from ufw.largeness.search import (
@@ -113,8 +114,8 @@ RECORDS = {
     ),
     "CayleyTable": (
         lambda: CayleyTable([[0, 0], [0, 1]]),
-        ("mul", "n", "assoc_witness", "comm_witness"),
-        "CayleyTable(mul=((0, 0), (0, 1)), n=2, assoc_witness=None, comm_witness=None)",
+        ("mul", "n"),
+        "CayleyTable(mul=((0, 0), (0, 1)), n=2)",
     ),
     "GroundSet": (lambda: GroundSet(3), ("size",), "GroundSet(size=3)"),
     "FamilyVerdict": (
@@ -271,9 +272,10 @@ def test_constructor_defaults_and_normalisation():
     assert UltraproductSpec((STRUCT, STRUCT), U2).ultrafilter is U2
     table = CayleyTable(mul=[[0, 1], [1, 0]])
     assert table.mul == Z2 and table.n == 2
-    assert table.assoc_witness is None and table.comm_witness is None
-    assert CayleyTable(((0, 0), (1, 1))).comm_witness == (0, 1)
-    assert CayleyTable(((1, 0), (0, 0))).assoc_witness == (0, 0, 1)
+    assert CayleyTable(((0, 0), (1, 1))).mul == ((0, 0), (1, 1))
+    with pytest.raises(NotAssociative) as err:
+        CayleyTable(((1, 0), (0, 0)))
+    assert err.value.witness == (0, 0, 1)
     assert FamilyVerdict("ultrafilter").witness is None
     assert FamilyVerdict(kind="not-fip", witness=((),)).witness == ((),)
     assert GroundSet(size=2).full_mask == 3
