@@ -1,7 +1,9 @@
 """Social-choice verification on finite electorates: axiom checking
 (independence of irrelevant alternatives, positive association/monotonicity,
-unanimity), decisive-coalition extraction, ultrafilter verification with
-dictator recovery, and the converse rule-from-ultrafilter construction.
+unanimity), the decisive coalitions as one star of the losing coalitions'
+complements (at most ``setfam.POWERSET_CAP`` voters), ultrafilter
+verification with dictator recovery, and the converse rule-from-ultrafilter
+construction.
 
 Orders are strict total orders, stored as permutations of the candidate set
 read worst-to-best: a ≺ b iff a appears earlier.  Profiles are indexed in
@@ -18,7 +20,7 @@ from math import factorial
 from .bitsets import indices_of, mask_of
 from .errors import CapExceeded, NotStrictOrder, NotUltrafilter
 from .record import Record
-from .setfam import GroundSet, SetFamily, classify_family
+from .setfam import GroundSet, SetFamily, classify_family, star
 
 PROFILE_CAP = 10**6
 
@@ -323,27 +325,23 @@ def check_axioms(rule):
     }
 
 
-def pairwise_decisive(rule, a, b):
-    """Coalitions whose unanimous a ≺ b forces a ≺_soc b."""
+def decisive_family(rule):
+    """𝒟: coalitions decisive for every ordered candidate pair at once.
+
+    A coalition c is decisive for a ≺ b iff no profile with b ≺_soc a has
+    all of c ranking a ≺ b, that is iff c meets X∖s for the supporter set s
+    of every such profile.  So 𝒟 is the star of those complements, over
+    all ordered pairs; ``star`` refuses more than POWERSET_CAP voters."""
     el = rule.election
     ranks = _rank_table(el)
-    lt = _precedes(ranks, a, b)
+    full = (1 << el.voters) - 1
     bits = [1 << v for v in range(el.voters)]
-    # supporter masks of the profiles where a ≺_soc b fails
-    against = {s for soc, s in zip(rule.table, _supporters(ranks, a, b, bits)) if not lt[soc]}
-    masks = [c for c in range(1 << el.voters) if all(c & ~s for s in against)]
-    return SetFamily.from_masks(GroundSet(el.voters), masks)
-
-
-def decisive_family(rule):
-    """𝒟: coalitions decisive for every ordered candidate pair at once."""
-    el = rule.election
-    masks = None
+    complements = set()
     for a, b in _ordered_pairs(el.candidates):
-        fam = pairwise_decisive(rule, a, b)
-        pair_masks = set(fam.masks)
-        masks = pair_masks if masks is None else masks & pair_masks
-    return SetFamily.from_masks(GroundSet(el.voters), masks)
+        lt = _precedes(ranks, a, b)
+        supporters = _supporters(ranks, a, b, bits)
+        complements.update(full ^ s for soc, s in zip(rule.table, supporters) if not lt[soc])
+    return star(SetFamily.from_masks(GroundSet(el.voters), complements))
 
 
 def verify_arrow(rule):

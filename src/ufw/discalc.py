@@ -1,7 +1,7 @@
 """Exact discrete calculus on rational polynomials: the difference operator
 Δ_a, the symmetric difference Δ̄_a, k-fold symmetric differences (recursive
-and explicit inclusion–exclusion forms), degree/leading-coefficient laws,
-and conversion to the binomial-coefficient basis.
+and explicit inclusion–exclusion forms), and conversion to the
+binomial-coefficient basis.
 
 Everything here is exact rational arithmetic; no floats anywhere.
 """
@@ -218,16 +218,6 @@ def _sym_delta_k_explicit(f, xs):
                     for d in range(j, deg + 1))
         out.append(Fraction(total, den))
     return RationalPoly(out)
-
-
-def degree_leading(f, a):
-    """(deg, lc) of Δ_a f; the degree law predicts (deg f − 1, deg f·a·lc f)."""
-    if f.degree == NEG_INF:
-        raise ValueError("f must be non-zero")
-    if Fraction(a) == 0:
-        raise ValueError("a must be non-zero")
-    d = delta(f, a)
-    return d.degree, d.leading
 
 
 def basis_convert(f):

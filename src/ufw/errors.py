@@ -40,18 +40,6 @@ class NotAssociative(WitnessError):
     """Cayley table fails associativity; ``witness`` is the first bad triple."""
 
 
-class NotCommutative(WitnessError):
-    pass
-
-
-class NotIdempotent(UfwError):
-    """``which`` names the offending element."""
-
-    def __init__(self, message, which=None):
-        super().__init__(message)
-        self.which = which
-
-
 class PrecisionExhausted(UfwError):
     """A floor/nearest decision could not be certified at the precision cap.
 

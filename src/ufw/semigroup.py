@@ -13,11 +13,10 @@ tuples that the table enumerator shares between the tables it lists: order
 5 lists 183,732 tables, so the bytes of each one count.
 """
 
-from itertools import combinations
 from operator import itemgetter
 
 from .bitsets import indices_of
-from .errors import CapExceeded, NotAssociative, NotCommutative, NotIdempotent, NotUltrafilter
+from .errors import CapExceeded, NotAssociative, NotUltrafilter
 from .record import Record
 from .setfam import SetFamily, classify_family
 
@@ -178,14 +177,6 @@ def is_minimal_element(table, x):
     return True
 
 
-def idempotent_leq(table, p, q):
-    """The order on idempotents: p ≤ q iff p·q = q·p = p."""
-    for e in (p, q):
-        if table.mul[e][e] != e:
-            raise NotIdempotent("element %d is not idempotent" % e, which=e)
-    return table.mul[p][q] == p and table.mul[q][p] == p
-
-
 def ideal_report(table):
     """One-stop structural report used by the CLI."""
     idems = idempotents(table)
@@ -213,29 +204,6 @@ def direct_product(table_s, table_t):
         for row_s in table_s.mul
         for row_t in table_t.mul
     ))
-
-
-def commutative_kernel_group(table):
-    """For commutative semigroups: K(S) is a group; return its identity (the
-    unique idempotent) and the inverse map.  Otherwise NotCommutative names
-    the lex-first a < b with a·b ≠ b·a."""
-    mul = table.mul
-    for a, b in combinations(range(table.n), 2):
-        if mul[a][b] != mul[b][a]:
-            raise NotCommutative("table is not commutative", (a, b))
-    ker = kernel(table)
-    idems_in_k = [e for e in ker if mul[e][e] == e]
-    if len(idems_in_k) != 1:  # pragma: no cover - excluded by the theorem
-        raise AssertionError("commutative kernel must contain a unique idempotent")
-    e = idems_in_k[0]
-    inverse = {}
-    ker_set = set(ker)
-    for k in ker:
-        inv = [m for m in ker if mul[k][m] == e]
-        if len(inv) != 1 or mul[k][inv[0]] not in ker_set:  # pragma: no cover
-            raise AssertionError("kernel is not a group")
-        inverse[k] = inv[0]
-    return {"identity": e, "inverse": inverse}
 
 
 def ultrafilter_product(table, u, v):

@@ -227,11 +227,18 @@ def _filter_axiom_witness(f):
     full = f.ground.full_mask
     if not f.has_mask(full):
         return (tuple(range(n)),)
-    # (3) a has a non-member superset iff a lies below a non-member
-    everything = (1 << (1 << n)) - 1
-    below_missing = _down_closure(everything ^ _family_bits(f.masks), n)
-    digits = _digits(below_missing, n)
-    failing = [a for a in f.masks if digits[full ^ a] == "1"]
+    # (3) a has a superset outside F iff removing one element at a time,
+    # inside F, leads down to a from a member with a one-element extension
+    # outside F: on a chain from a up to that superset, the first non-member
+    # lies just above a member.  So the walk visits members alone.
+    failing = [c for c in f.masks if any(not f.has_mask(c | 1 << i) for i in indices_of(full ^ c))]
+    reached = set(failing)
+    for c in failing:
+        for i in indices_of(c):
+            d = c ^ 1 << i
+            if d not in reached and f.has_mask(d):
+                reached.add(d)
+                failing.append(d)
     if failing:
         a = _lex_first(failing)
         b = _first_missing_superset(f, a, n)
@@ -343,13 +350,6 @@ def _up_closure(bits, n):
     """Every subset that contains a subset in ``bits``: one sweep per element."""
     for i in range(n):
         bits |= (bits & _without(n, i)) << (1 << i)
-    return bits
-
-
-def _down_closure(bits, n):
-    """Every subset contained in a subset in ``bits``."""
-    for i in range(n):
-        bits |= (bits >> (1 << i)) & _without(n, i)
     return bits
 
 

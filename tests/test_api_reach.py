@@ -208,9 +208,15 @@ def test_only_the_two_proving_builders_store_a_table_unchecked():
     assert callers == ["direct_product", "enumerate_associative_tables"]
 
 
-def test_no_module_names_the_removed_table_witnesses():
-    # a table is a semigroup, so it keeps no witness of a law failing
-    gone = {"assoc_witness", "comm_witness"}
+def test_no_module_names_a_removed_name():
+    # a table is a semigroup, so it keeps no witness of a law failing; the
+    # decisive family is one star, with no per-pair family; the idempotent
+    # order, a commutative kernel's identity and the degree law are read off
+    # ideal_report and delta
+    gone = {
+        "assoc_witness", "comm_witness", "pairwise_decisive", "idempotent_leq",
+        "commutative_kernel_group", "degree_leading", "NotIdempotent", "NotCommutative",
+    }
     for path in sorted(SRC.rglob("*.py")):
         tree = _parse(path)
         named = _names_used([tree]) | {

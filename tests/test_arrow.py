@@ -6,6 +6,8 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ufw import arrow
 from ufw.arrow import (
@@ -19,7 +21,6 @@ from ufw.arrow import (
     check_unanimity,
     decisive_family,
     dictator_rule,
-    pairwise_decisive,
     pairwise_majority_rule,
     rule_from_ultrafilter,
     verify_arrow,
@@ -181,9 +182,9 @@ def test_decisive_family_of_dictator_is_principal():
         assert min(fam.members, key=len) == (voter,)
 
 
-def test_pairwise_decisive_contains_grand_coalition():
+def test_decisive_family_contains_grand_coalition():
     el = Election(2, 3)
-    fam = pairwise_decisive(dictator_rule(el, 0), 0, 1)
+    fam = decisive_family(dictator_rule(el, 0))
     assert fam.has_mask((1 << el.voters) - 1)
 
 
@@ -282,8 +283,8 @@ def _decoding_iia(rule):
 
 
 def _scanning_decisive(rule, a, b):
-    """Reference for ``pairwise_decisive``: test every coalition against
-    every profile."""
+    """The coalitions decisive for a ≺ b, by testing every coalition
+    against every profile."""
     el = rule.election
     decoded = _decoded(el)
     masks = [
@@ -344,11 +345,36 @@ def test_checks_agree_on_many_seeded_tables():
             _assert_agree(rule)
 
 
-def test_pairwise_decisive_agrees_with_coalition_scan():
+def _scanning_decisive_family(rule):
+    """Reference for ``decisive_family``: the coalitions that every
+    per-pair scan finds decisive."""
+    m = rule.election.candidates
+    masks = set(range(1 << rule.election.voters))
+    for a in range(m):
+        for b in range(m):
+            if a != b:
+                masks &= set(_scanning_decisive(rule, a, b).masks)
+    return SetFamily.from_masks(GroundSet(rule.election.voters), masks)
+
+
+def test_decisive_family_agrees_with_coalition_scans():
     for el in (Election(2, 3), Election(3, 3), Election(4, 2)):
         for rule in _agreement_rules(el, seed=el.voters) + [borda_rule(el)]:
-            for a, b in [(0, 1), (1, 0)] + ([(2, 0)] if el.candidates > 2 else []):
-                assert pairwise_decisive(rule, a, b) == _scanning_decisive(rule, a, b)
+            assert decisive_family(rule) == _scanning_decisive_family(rule)
+
+
+@st.composite
+def _random_rules(draw):
+    el = Election(draw(st.integers(1, 3)), draw(st.integers(2, 3)))
+    orders = st.integers(0, factorial(el.candidates) - 1)
+    table = draw(st.lists(orders, min_size=el.profile_count, max_size=el.profile_count))
+    return AggregationRule(el, table=table)
+
+
+@given(_random_rules())
+@settings(max_examples=150, deadline=None)
+def test_decisive_family_agrees_with_coalition_scans_on_random_tables(rule):
+    assert decisive_family(rule) == _scanning_decisive_family(rule)
 
 
 

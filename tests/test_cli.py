@@ -634,8 +634,14 @@ def test_golden_digests(capsys, tmp_path, case):
     # clique coloring of a length no instance set has) were recorded once
     # that length got its own mismatch text, and the report after them, on
     # a non-associative table whose declared order is wrong (exit 3), before
-    # tables were refused where they are read.  An argv entry naming one of
-    # the case's inline files stands for that file's path.
+    # tables were refused where they are read.  The arrow decisive and
+    # verify calls after it, on a 10-voter, 2-candidate dictator and a seeded
+    # random table, and the two setfam cases that close the list ({X, {0}}
+    # at ground 20, and a ground-4 family whose failing member {0} is
+    # reached only through other members) were recorded before the decisive
+    # family became one star and upward closure a walk over the members.
+    # An argv entry naming one of the case's inline files stands for that
+    # file's path.
     paths = {name: write_json(tmp_path, name, body) for name, body in case.get("files", {}).items()}
     argv = case.get("argv")
     if argv is None:
@@ -821,6 +827,41 @@ def test_arrow_refuses_a_huge_profile_space_at_once(capsys, tmp_path, voters, ca
     except _Overtime as err:
         pytest.fail(str(err), pytrace=False)
     assert code == 2
+
+
+def _dictator_table(voters):
+    # two candidates: order 1 puts 0 above 1, and voter 0 is the most
+    # significant digit of a profile index
+    return [p >> (voters - 1) & 1 for p in range(1 << voters)]
+
+
+def test_arrow_decisive_on_14_voters_is_fast(capsys, tmp_path):
+    # each ordered pair once tested all 2^14 coalitions against every losing
+    # supporter set (16.7 s); the family is now one star
+    rule = write_json(tmp_path, "rule.json",
+                      {"voters": 14, "candidates": 2, "table": _dictator_table(14)})
+    try:
+        with _wall_clock(2):
+            code, report = invoke(capsys, ["arrow", "decisive", "--rule", rule])
+    except _Overtime as err:
+        pytest.fail(str(err), pytrace=False)
+    assert code == 0
+    members = report["result"]["decisive"]["members"]
+    assert len(members) == 1 << 13 and all(m[0] == 0 for m in members)
+
+
+@pytest.mark.parametrize("action", ["decisive", "verify"])
+def test_arrow_on_17_voters_exits_2_at_once(capsys, tmp_path, action):
+    # a family on 17 voters would have 2^16 members; star refuses it
+    rule = write_json(tmp_path, "rule.json",
+                      {"voters": 17, "candidates": 2, "table": _dictator_table(17)})
+    try:
+        with _wall_clock(5):
+            code, report = invoke(capsys, ["arrow", action, "--rule", rule])
+    except _Overtime as err:
+        pytest.fail(str(err), pytrace=False)
+    assert code == 2
+    assert report["result"]["error"].startswith("CapExceeded: star")
 
 
 FOL_SIGNATURE = {"functions": {"f": 2}, "relations": {"r": 1}, "constants": ["c"]}

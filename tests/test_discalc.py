@@ -16,7 +16,6 @@ from ufw.discalc import (
     basis_convert,
     binomial_basis_poly,
     binomial_to_monomial,
-    degree_leading,
     delta,
     sym_delta,
     sym_delta_k,
@@ -106,16 +105,9 @@ def test_degree_leading_law_all_monomials():
     for d in range(1, 9):
         f = RationalPoly([0] * d + [1])
         for a in (1, 2, Fraction(1, 2)):
-            deg, lc = degree_leading(f, a)
-            assert deg == d - 1
-            assert lc == d * Fraction(a)
-
-
-def test_degree_leading_rejects_zero_inputs():
-    with pytest.raises(ValueError):
-        degree_leading(RationalPoly([]), 1)
-    with pytest.raises(ValueError):
-        degree_leading(RationalPoly([0, 1]), 0)
+            diff = delta(f, a)
+            assert diff.degree == d - 1
+            assert diff.leading == d * Fraction(a)
 
 
 def test_product_rule_random():

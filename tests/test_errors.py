@@ -5,7 +5,7 @@ import pytest
 from ufw import errors
 
 
-@pytest.mark.parametrize("cls", ["NotFIP", "NotUltrafilter", "NotAssociative", "NotCommutative"])
+@pytest.mark.parametrize("cls", ["NotFIP", "NotUltrafilter", "NotAssociative"])
 def test_witness_errors_carry_their_witness(cls):
     cls = getattr(errors, cls)
     assert issubclass(cls, errors.WitnessError) and issubclass(cls, errors.UfwError)

@@ -13,16 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ufw import semigroup
-from ufw.errors import CapExceeded, NotAssociative, NotCommutative, NotUltrafilter
+from ufw.errors import CapExceeded, NotAssociative, NotUltrafilter
 from ufw.semigroup import (
     PRODUCT_ORDER_CAP,
     CayleyTable,
-    commutative_kernel_group,
     cyclic_table,
     direct_product,
     enumerate_associative_tables,
     ideal_report,
-    idempotent_leq,
     idempotents,
     is_minimal_element,
     kernel,
@@ -287,11 +285,12 @@ def test_idempotent_order_minimality_iff_kernel_membership():
         ker = set(kernel(t))
         idems = idempotents(t)
         assert idems  # finite semigroups always have an idempotent
+        pairs = set(ideal_report(t)["order_pairs"])
+        assert pairs == {
+            (f, e) for f in idems for e in idems if t.mul[f][e] == f == t.mul[e][f]
+        }
         for e in idems:
-            minimal = all(
-                not (idempotent_leq(t, f, e) and not idempotent_leq(t, e, f))
-                for f in idems
-            )
+            minimal = all(not ((f, e) in pairs and (e, f) not in pairs) for f in idems)
             assert minimal == (e in ker)
 
 
@@ -335,42 +334,15 @@ def test_direct_product_refuses_an_order_past_its_cap_before_filling(monkeypatch
     assert prod.n == 400 and prod.mul[21][399] == 0
 
 
-def test_commutative_kernel_group_cyclic():
-    info = commutative_kernel_group(cyclic_table(5))
-    assert info["identity"] == 0
-    assert info["inverse"][2] == 3
-
-
-def test_commutative_kernel_group_rejects_noncommutative():
-    with pytest.raises(NotCommutative, match="^table is not commutative$") as err:
-        commutative_kernel_group(left_zero_table(2))
-    assert err.value.witness == (0, 1)
-
-
-def test_commutative_kernel_group_names_the_lex_first_non_commuting_pair():
-    for t in all_assoc(3):
-        first = next(
-            ((a, b) for a in range(3) for b in range(a + 1, 3) if t.mul[a][b] != t.mul[b][a]),
-            None,
-        )
-        if first is None:
-            commutative_kernel_group(t)
-            continue
-        with pytest.raises(NotCommutative) as err:
-            commutative_kernel_group(t)
-        assert err.value.witness == first
-
-
 def test_commutative_kernels_are_groups_exhaustive_order3():
     for t in all_assoc(3):
         if t.mul != tuple(zip(*t.mul)):  # not commutative
             continue
-        info = commutative_kernel_group(t)
+        (e,) = ideal_report(t)["minimal_idempotents"]
         ker = kernel(t)
-        e = info["identity"]
         for k in ker:
-            assert t.mul[k][info["inverse"][k]] == e
             assert t.mul[e][k] == k
+            assert sum(t.mul[k][m] == e for m in ker) == 1
 
 
 # --- ultrafilter product ---------------------------------------------------

@@ -599,3 +599,56 @@ def test_first_missing_superset_matches_the_least_of_all_supersets():
             assert _first_missing_superset(fam, a, n) == _least_missing_superset(fam, a)
             checked += 1
     assert checked > 10000
+
+
+def _closure_failing(fam):
+    """The members with a superset outside ``fam``, as the filter-axiom
+    witness found them before it walked members: the down-closure of every
+    non-member, one sweep per element over an int of 2ⁿ bits (bit b set iff
+    b lies below a non-member)."""
+    n = fam.ground.size
+    bits = sum(1 << b for b in range(1 << n) if not fam.has_mask(b))
+    for i in range(n):
+        without_i = sum(1 << b for b in range(1 << n) if not b >> i & 1)
+        bits |= (bits >> (1 << i)) & without_i
+    return [a for a in fam.masks if bits >> a & 1]
+
+
+def test_filter_axiom_witness_matches_the_down_closure():
+    # uniform random families rarely reach upward closure with X a member,
+    # so every member here contains a random non-empty core
+    rng = random.Random(36)
+    checked = up_sets = 0
+    while checked < 3000:
+        n = rng.randint(1, 8)
+        full = (1 << n) - 1
+        core = rng.randint(1, full)
+        masks = [core | rng.randint(0, full) for _ in range(rng.randint(1, 24))]
+        fam = SetFamily.from_masks(GroundSet(n), masks + [full])
+        verdict = classify_family(fam)
+        if verdict.kind != "fip-only":
+            continue
+        checked += 1
+        failing = _closure_failing(fam)
+        if failing:
+            a = min(failing, key=_indices)
+            assert verdict.witness == (_indices(a), _indices(_first_missing_superset(fam, a, n)))
+        else:
+            # an up-set: the witness is a pair of members whose meet is none
+            up_sets += 1
+            a, b = (sum(1 << i for i in w) for w in verdict.witness)
+            assert fam.has_mask(a) and fam.has_mask(b) and not fam.has_mask(a & b)
+    assert up_sets > 50
+
+
+def test_classify_x_and_a_point_at_ground_24_stays_small():
+    # the down-closure of the non-members, an int of 2²⁴ bits, peaked at 38 MB
+    fam = SetFamily(GroundSet(24), [list(range(24)), [0]])
+    tracemalloc.start()
+    try:
+        verdict = classify_family(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == FamilyVerdict("fip-only", ((0,), (0, 1)))
+    assert peak < 2 << 20
